@@ -140,6 +140,9 @@ def engine_suite(seed: int = 2024) -> list[CheckResult]:
             "level-1 load count matches the load vector",
         )
 
+        # Two-choices is compared path against path in tests/test_engine.py.
+        # A row for it here would change the row count of run_suite("all"),
+        # which benchmarks/digests.json records for the oracle workload.
         if spec.kind != "two_choices_greedy":
             other = run(n, t, spec, seed, method="reference")
             _check(

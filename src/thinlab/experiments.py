@@ -67,9 +67,7 @@ class ExperimentConfig:
 
     Exactly one of ``rho`` (ball count = floor(rho * n)) and ``t`` must be
     given.  ``strategy`` may be a grammar string (resolved against ``n``,
-    so "threshold:auto" adapts) or a ready StrategySpec.  ``out_format``
-    and ``out_path`` are carried for sink plumbing and do not affect the
-    computation.
+    so "threshold:auto" adapts) or a ready StrategySpec.
     """
 
     n: int
@@ -78,8 +76,6 @@ class ExperimentConfig:
     base_seed: int
     rho: object = None
     t: int | None = None
-    out_format: str | None = None
-    out_path: str | None = None
 
     def __post_init__(self):
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
@@ -193,7 +189,7 @@ def _check_memory(n: int, t: int, trials: int, workers: int) -> None:
 def _one_trial(args: tuple) -> tuple[int, int]:
     n, t, spec, seed = args
     loads, rejections = run_summary(n, t, spec, seed)
-    return int(loads.max()) if n else 0, rejections
+    return int(loads.max()), rejections
 
 
 def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryStats:

@@ -145,18 +145,58 @@ def test_zero_balls():
     assert max_load(trace.final_state) == 0
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [THRESHOLD_1, StrategySpec("threshold", ell=3), ONE_CHOICE, ALWAYS_REJECT, TWO_CHOICES],
-)
-@pytest.mark.parametrize("seed", [0, 7, 424242])
-def test_vectorized_matches_reference(spec, seed):
-    fast = run(11, 60, spec, seed=seed, method="vectorized")
-    slow = run(11, 60, spec, seed=seed, method="reference")
+def assert_paths_agree(n, t, spec, seed):
+    """Vectorized and reference runs agree on every column and stream position."""
+    runs = []
+    for method in ("vectorized", "reference"):
+        secondary = RngStream(mix_seeds(seed, 1))
+        trace = run_with_streams(
+            n, t, spec, RngStream(mix_seeds(seed, 0)), secondary, seed=seed, method=method
+        )
+        runs.append((trace, secondary))
+    (fast, fast_secondary), (slow, slow_secondary) = runs
     assert np.array_equal(fast.primary_bins, slow.primary_bins)
     assert np.array_equal(fast.final_bins, slow.final_bins)
     assert np.array_equal(fast.reject_counts, slow.reject_counts)
     assert np.array_equal(fast.pool_indices, slow.pool_indices)
+    assert fast.final_state == slow.final_state
+    assert fast_secondary.draws == slow_secondary.draws
+    assert fast_secondary.counter == slow_secondary.counter
+    return fast, fast_secondary
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [THRESHOLD_1, StrategySpec("threshold", ell=3), ONE_CHOICE, ALWAYS_REJECT, TWO_CHOICES]
+    + [
+        StrategySpec("threshold", ell=ell, retry_budget=k)
+        for k in (2, 3, 4)
+        for ell in (1, 2, 4)
+    ],
+)
+@pytest.mark.parametrize("seed", [0, 7, 424242])
+def test_vectorized_matches_reference(spec, seed):
+    assert_paths_agree(11, 60, spec, seed)
+
+
+def test_retry_kernel_refills_the_pool_exactly():
+    spec = StrategySpec("threshold", ell=1, retry_budget=4)
+    trace, secondary = assert_paths_agree(3000, 9000, spec, seed=3)
+    # More pool draws than rejected primaries: the first block ran out.
+    assert secondary.draws > int((trace.reject_counts > 0).sum())
+
+
+def test_two_choices_kernel_across_blocks():
+    trace, _ = assert_paths_agree(20_000, 300_000, TWO_CHOICES, seed=5)
+    assert trace.t > 2 * engine._TWO_CHOICES_BLOCK
+
+
+def test_vectorized_retry_consumes_no_extra_fixed_draws():
+    spec = StrategySpec("threshold", ell=1, retry_budget=2)
+    fast = run_with_streams(2, 3, spec, FixedStream([0, 0, 0]), FixedStream([0, 1, 1]),
+                            method="vectorized")
+    slow = run_with_streams(2, 3, spec, FixedStream([0, 0, 0]), FixedStream([0, 1, 1]))
+    assert fast.records == slow.records
     assert fast.final_state == slow.final_state
 
 
@@ -272,9 +312,9 @@ def test_single_bin_runs():
 def test_method_validation():
     with pytest.raises(ConfigurationError):
         run(5, 5, THRESHOLD_1, seed=1, method="warp")
-    with pytest.raises(ConfigurationError):
-        run(5, 5, StrategySpec("threshold", ell=1, retry_budget=2), seed=1,
-            method="vectorized")
+    retry = StrategySpec("threshold", ell=1, retry_budget=2)
+    fast = run(5, 5, retry, seed=1, method="vectorized")
+    assert fast.final_state == run(5, 5, retry, seed=1, method="reference").final_state
     with pytest.raises(ConfigurationError):
         run(5, -1, THRESHOLD_1, seed=1)
     with pytest.raises(ConfigurationError):
@@ -318,10 +358,9 @@ def test_run_properties(config):
     loads, rejections = run_summary(n, t, spec, seed=seed)
     assert np.array_equal(loads, state.load)
     assert rejections == state.rejections
-    if spec.retry_budget == 1:
-        fast = run(n, t, spec, seed=seed, method="vectorized")
-        assert np.array_equal(fast.final_bins, trace.final_bins)
-        assert fast.final_state == state
+    fast = run(n, t, spec, seed=seed, method="vectorized")
+    assert np.array_equal(fast.final_bins, trace.final_bins)
+    assert fast.final_state == state
     consumed = trace.pool_indices[trace.pool_indices >= 0]
     assert np.all(np.diff(consumed) > 0) if consumed.size > 1 else True
     if spec.kind != "two_choices_greedy" and spec.retry_budget == 1:
