@@ -33,7 +33,6 @@ from .experiments import (
     run_trials,
     scaling_study,
     stage_diagnostics,
-    wilson_interval,
 )
 from .oracle import exact_maxload_distribution
 
@@ -407,20 +406,7 @@ def _run_simulate(params: dict) -> int:
     payload["per_trial_seeds"] = list(stats.per_trial_seeds)
     level = params["level"]
     if level is not None:
-        if config.trials < 100:
-            raise ConfigurationError(
-                f"tail estimation needs at least 100 trials, got {config.trials}"
-            )
-        successes = sum(1 for m in stats.per_trial_maxload if m > level)
-        low, high = wilson_interval(successes, config.trials)
-        payload["tail"] = {
-            "level": level,
-            "successes": successes,
-            "trials": config.trials,
-            "p_hat": successes / config.trials,
-            "wilson_low": low,
-            "wilson_high": high,
-        }
+        payload["tail"] = stats.tail(level)._asdict()
     _emit(params, "simulate", header, rows, payload)
     return 0
 

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError
-from .rng import RngStream, mix_seeds
+from .rng import _CHUNK, RngStream, mix_seeds
 from .strategies import (
     ALWAYS_ACCEPT,
     ALWAYS_REJECT,
@@ -55,6 +55,10 @@ _TALLY_FIELDS = ("load", "primary_suggested", "primary_accepted", "secondary_use
 # Short blocks keep the per-bin lookups in cache: on a 2-vCPU Xeon, the
 # kernel took 79-92 ms at n = t = 10**6 with 2**12 and 157-175 ms with 2**17.
 _TWO_CHOICES_BLOCK = 1 << 12
+
+# Most rejected balls, and most pool draws, that the retry kernel's scan
+# holds as Python lists at once.
+_RETRY_SEGMENT = 1 << 16
 
 
 def _coerce_spec(strategy, n: int | None = None) -> StrategySpec:
@@ -415,34 +419,42 @@ def _retry_columns(n, spec, primary_bins, occurrence, rejected, secondary_stream
     comes before b's ell-th primary suggestion, ``cut[b]``.  Only rejected
     balls touch the pool; they take draws in ball order until one is
     accepted or k are used.  Every ball still unlanded needs at least one
-    more draw, so drawing exactly that many whenever the block runs out
-    never takes a draw the reference would not.
+    more draw, so drawing at most that many whenever the block runs out
+    never takes a draw the reference would not.  The scan works through
+    segments of ``_RETRY_SEGMENT`` rejected balls and pool blocks of at
+    most as many draws, so its Python lists stay that short however many
+    balls are rejected; the blocks themselves are kept as int64 arrays.
     """
     t = len(primary_bins)
     cut = np.full(n, t, dtype=np.int64)
     ell_th = occurrence == spec.ell - 1
     cut[primary_bins[ell_th]] = np.flatnonzero(ell_th)
     balls = np.flatnonzero(rejected)
-    draws = secondary_stream.bounded_block(n, balls.size)
-    bins = draws.tolist()
-    limits = cut[draws].tolist()
+    landing = np.empty(balls.size, dtype=np.int64)
     budget = spec.retry_budget
-    landing = []
-    pos = 0
-    for i, ball in enumerate(balls.tolist()):
-        stop = pos + budget
-        while True:
-            if pos == len(bins):
-                more = secondary_stream.bounded_block(n, balls.size - i)
-                bins += more.tolist()
-                limits += cut[more].tolist()
-            pos += 1
-            if pos == stop or ball < limits[pos - 1]:
-                break
-        landing.append(pos - 1)
-    landing = np.array(landing, dtype=np.int64)
+    blocks = []
+    limits = []
+    pos = base = 0  # the next pool index, and the pool index of limits[0]
+    for start in range(0, balls.size, _RETRY_SEGMENT):
+        segment = balls[start : start + _RETRY_SEGMENT].tolist()
+        landed = []
+        for i, ball in enumerate(segment, start):
+            stop = pos + budget
+            while True:
+                if pos == base + len(limits):
+                    base = pos
+                    more = secondary_stream.bounded_block(
+                        n, min(balls.size - i, _RETRY_SEGMENT))
+                    blocks.append(more)
+                    limits = cut[more].tolist()
+                pos += 1
+                if pos == stop or ball < limits[pos - 1 - base]:
+                    break
+            landed.append(pos - 1)
+        landing[start : start + len(segment)] = landed
     final_bins = primary_bins.copy()
-    final_bins[balls] = np.array(bins, dtype=np.int64)[landing]
+    if blocks:
+        final_bins[balls] = np.concatenate(blocks)[landing]
     reject_counts = np.zeros(t, dtype=np.int64)
     reject_counts[balls] = np.diff(landing, prepend=-1)
     pool_indices = np.full(t, -1, dtype=np.int64)
@@ -542,24 +554,52 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     primary_stream = RngStream(mix_seeds(seed, 0))
     secondary_stream = RngStream(mix_seeds(seed, 1))
     if spec.kind == ALWAYS_ACCEPT:
-        primary_bins = primary_stream.bounded_block(n, t)
-        return np.bincount(primary_bins, minlength=n).astype(np.int64), 0
+        return np.bincount(primary_stream.bounded_block(n, t), minlength=n), 0
     if spec.kind == ALWAYS_REJECT:
         primary_stream.bounded_block(n, t)
-        secondary_bins = secondary_stream.bounded_block(n, t)
-        return np.bincount(secondary_bins, minlength=n).astype(np.int64), t
+        return np.bincount(secondary_stream.bounded_block(n, t), minlength=n), t
     if spec.kind == THRESHOLD and spec.retry_budget == 1:
-        primary_bins = primary_stream.bounded_block(n, t)
-        suggested = np.bincount(primary_bins, minlength=n)
-        overflow = suggested - spec.ell
-        np.clip(overflow, 0, None, out=overflow)
-        rejections = int(overflow.sum())
-        secondary_bins = secondary_stream.bounded_block(n, rejections)
-        loads = np.minimum(suggested, spec.ell)
-        loads += np.bincount(secondary_bins, minlength=n)
-        return loads.astype(np.int64), rejections
+        # A bin keeps min(suggested, ell) primaries; the rest are rejected.
+        loads = np.bincount(primary_stream.bounded_block(n, t), minlength=n)
+        np.minimum(loads, spec.ell, out=loads)
+        rejections = t - int(loads.sum())
+        loads += np.bincount(secondary_stream.bounded_block(n, rejections), minlength=n)
+        return loads, rejections
     _, final_bins, reject_counts, _ = _columns(n, t, spec, primary_stream, secondary_stream)
-    return np.bincount(final_bins, minlength=n).astype(np.int64), int(reject_counts.sum())
+    return np.bincount(final_bins, minlength=n), int(reject_counts.sum())
+
+
+def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
+    """Upper bound on the memory one :func:`run_summary` call holds at once.
+
+    Counted in 8-byte words from the buffers each path keeps alive together
+    (a bool array counts as t / 8 words), with the most rejections a run
+    can have; the tests check it against ``tracemalloc`` for every kind.
+    """
+    # bounded_block's two chunk buffers, plus an index and a gathered copy
+    # on a chunk with a rejected word.
+    words = 4 * min(t, _CHUNK)
+    if spec.kind in (ALWAYS_ACCEPT, ALWAYS_REJECT):
+        words += t + n  # one draw block and its bincount
+    elif spec.kind == THRESHOLD and spec.retry_budget == 1:
+        # The primary block and its bincount, then the loads, the pool
+        # block (at most t draws) and its bincount.
+        words += t + 2 * n
+    elif spec.kind == THRESHOLD:
+        # _occurrence_index holds at most seven t-word arrays and a mask.
+        # The retry scan holds the bins, occurrences, two masks and cut
+        # (n); per rejected ball its index, landing and up to k pool draws;
+        # then final bins, the concatenated pool and a gather; every ball
+        # rejected at worst.  Its Python lists and a cut lookup add at most
+        # 16 words per _RETRY_SEGMENT entry.
+        k = spec.retry_budget
+        words += (7 + 2 * k) * t + n + 16 * _RETRY_SEGMENT
+    else:
+        # Two-choices: both draw blocks, final bins, load and first (n
+        # each) and a peeling block's temporaries; then the columns: the
+        # blocks, final bins, a bool mask, pool indices and reject counts.
+        words += max(3 * t + 2 * n + 16 * _TWO_CHOICES_BLOCK, 41 * t // 8 + 1)
+    return 8 * words
 
 
 def replay(trace: Trace) -> ProcessState:

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bounds import rejection_budget, stage_params, target_maxload
-from .engine import Trace, run_summary
+from .engine import Trace, run_summary, summary_peak_bytes
 from .errors import ConfigurationError, ResourceLimitError
 from .rng import mix_seeds
 from .strategies import StrategySpec, parse_strategy
@@ -156,6 +156,20 @@ class SummaryStats:
             "per_trial_rejections": list(self.per_trial_rejections),
         }
 
+    def tail(self, level: int) -> TailEstimate:
+        """Estimate P(max load > level) from the campaign's trials."""
+        _check_tail_request(level, self.trials)
+        successes = sum(1 for m in self.per_trial_maxload if m > level)
+        low, high = wilson_interval(successes, self.trials)
+        return TailEstimate(
+            level=level,
+            successes=successes,
+            trials=self.trials,
+            p_hat=successes / self.trials,
+            wilson_low=low,
+            wilson_high=high,
+        )
+
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
@@ -174,11 +188,9 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _check_memory(n: int, t: int, trials: int, workers: int) -> None:
-    # Peak footprint: each worker holds a few length-n tallies and the
-    # ball-count draw block; results add a few words per trial.
-    per_worker = 8 * (t + 4 * n)
-    needed = per_worker * workers + 64 * trials
+def _check_memory(n: int, t: int, spec: StrategySpec, trials: int, workers: int) -> None:
+    # Each worker runs one trial at a time; results add a few words per trial.
+    needed = summary_peak_bytes(n, t, spec) * workers + 64 * trials
     if needed > MEMORY_BUDGET_BYTES:
         raise ResourceLimitError(
             f"campaign needs about {needed} bytes with {workers} workers, "
@@ -201,7 +213,7 @@ def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryS
     workers = _resolve_workers(workers)
     spec = config.spec
     n, t, trials = config.n, config.ball_count, config.trials
-    _check_memory(n, t, trials, workers)
+    _check_memory(n, t, spec, trials, workers)
     seeds = [config.trial_seed(i) for i in range(trials)]
     jobs = [(n, t, spec, seed) for seed in seeds]
     if workers == 1 or trials == 1:
@@ -269,27 +281,21 @@ class TailEstimate(NamedTuple):
     wilson_high: float
 
 
+def _check_tail_request(level, trials: int) -> None:
+    if isinstance(level, bool) or not isinstance(level, int) or level < 0:
+        raise ConfigurationError(f"level must be an integer >= 0, got {level!r}")
+    if trials < 100:
+        raise ConfigurationError(
+            f"tail estimation needs at least 100 trials, got {trials}"
+        )
+
+
 def tail_estimate(
     config: ExperimentConfig, level: int, workers: int | None = None
 ) -> TailEstimate:
     """Estimate P(max load > level) over the campaign's trials."""
-    if isinstance(level, bool) or not isinstance(level, int) or level < 0:
-        raise ConfigurationError(f"level must be an integer >= 0, got {level!r}")
-    if config.trials < 100:
-        raise ConfigurationError(
-            f"tail estimation needs at least 100 trials, got {config.trials}"
-        )
-    stats = run_trials(config, workers=workers)
-    successes = sum(1 for m in stats.per_trial_maxload if m > level)
-    low, high = wilson_interval(successes, config.trials)
-    return TailEstimate(
-        level=level,
-        successes=successes,
-        trials=config.trials,
-        p_hat=successes / config.trials,
-        wilson_low=low,
-        wilson_high=high,
-    )
+    _check_tail_request(level, config.trials)  # before running the campaign
+    return run_trials(config, workers=workers).tail(level)
 
 
 class ScaleRow(NamedTuple):

@@ -1,5 +1,7 @@
 """Tests for the allocation engine: stepping, runs, traces, and accessors."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,12 @@ from thinlab.engine import (
     run_summary,
     run_with_streams,
     step,
+    summary_peak_bytes,
     trace_from_json,
 )
 from thinlab.errors import ConfigurationError
 from thinlab.rng import FixedStream, RngStream, mix_seeds
-from thinlab.strategies import StrategySpec
+from thinlab.strategies import StrategySpec, parse_strategy
 
 THRESHOLD_1 = StrategySpec("threshold", ell=1)
 ONE_CHOICE = StrategySpec("always_accept")
@@ -184,6 +187,14 @@ def test_retry_kernel_refills_the_pool_exactly():
     trace, secondary = assert_paths_agree(3000, 9000, spec, seed=3)
     # More pool draws than rejected primaries: the first block ran out.
     assert secondary.draws > int((trace.reject_counts > 0).sum())
+
+
+def test_retry_kernel_across_scan_segments(monkeypatch):
+    # Short segments make balls straddle pool blocks and segment ends.
+    monkeypatch.setattr(engine, "_RETRY_SEGMENT", 7)
+    for ell, k in ((1, 4), (2, 2)):
+        spec = StrategySpec("threshold", ell=ell, retry_budget=k)
+        assert_paths_agree(3000, 9000, spec, seed=3)
 
 
 def test_two_choices_kernel_across_blocks():
@@ -365,3 +376,28 @@ def test_run_properties(config):
     assert np.all(np.diff(consumed) > 0) if consumed.size > 1 else True
     if spec.kind != "two_choices_greedy" and spec.retry_budget == 1:
         assert consumed.tolist() == list(range(state.rejections))
+
+
+@pytest.mark.parametrize(
+    "strategy, n, t",
+    [
+        ("one-choice", 20_000, 200_000),
+        ("always-reject", 20_000, 200_000),
+        ("threshold:auto", 200_000, 200_000),
+        ("threshold:1", 10, 200_000),  # nearly every ball rejected
+        ("threshold:4,k=2", 100_000, 100_000),
+        ("threshold:1,k=3", 1_000, 30_000),  # nearly every ball retries
+        ("two-choices", 200_000, 200_000),
+        ("two-choices", 1_000, 100_000),
+    ],
+)
+def test_summary_peak_within_estimate(strategy, n, t):
+    spec = parse_strategy(strategy, n=n)
+    run_summary(n, t, spec, 1)  # any lazy set-up happens outside the trace
+    tracemalloc.start()
+    try:
+        run_summary(n, t, spec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= summary_peak_bytes(n, t, spec)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinlab.errors import ConfigurationError
-from thinlab.rng import MASK64, FixedStream, RngStream, fmix64, mix_seeds
+from thinlab.rng import _CHUNK, MASK64, FixedStream, RngStream, fmix64, mix_seeds
 
 # Raw-word vectors computed by an independent C implementation of the
 # published SplitMix64 algorithm (state += 0x9E3779B97F4A7C15, then the
@@ -82,6 +82,35 @@ def test_block_resumes_mid_stream():
     second = a.bounded_block(13, 100)
     whole = b.bounded_block(13, 200)
     assert np.concatenate([first, second]).tolist() == whole.tolist()
+
+
+# 3 * 2**61 rejects the top quarter of the raw words.
+REJECTING_BOUND = 3 * 2**61
+
+
+@pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+@pytest.mark.parametrize("n", [10**6, REJECTING_BOUND])
+def test_block_matches_sequential_across_chunks(n, count):
+    a, b = RngStream(11), RngStream(11)
+    block = a.bounded_block(n, count)
+    seq = [b.next_bounded(n) for _ in range(count)]
+    assert block.tolist() == seq
+    assert (a.counter, a.draws) == (b.counter, b.draws)
+    if n == REJECTING_BOUND:
+        assert a.counter > a.draws * 1.3  # about a third more words than draws
+
+
+@pytest.mark.parametrize("n", [97, REJECTING_BOUND])
+def test_block_resumes_mid_chunk(n):
+    a, b = RngStream(5), RngStream(5)
+    a.bounded_block(n, 1000)
+    for _ in range(1000):
+        b.next_bounded(n)
+    assert a.counter == b.counter > 0
+    block = a.bounded_block(n, 2 * _CHUNK + 7)
+    seq = [b.next_bounded(n) for _ in range(2 * _CHUNK + 7)]
+    assert block.tolist() == seq
+    assert (a.counter, a.draws) == (b.counter, b.draws)
 
 
 def test_power_of_two_bound_has_no_rejection():
