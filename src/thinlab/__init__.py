@@ -46,6 +46,7 @@ from .errors import (
     ResourceLimitError,
     StateSpaceLimitError,
     ThinlabError,
+    WorkerError,
 )
 from .experiments import (
     ExperimentConfig,
@@ -145,4 +146,5 @@ __all__ = [
     "DomainError",
     "StateSpaceLimitError",
     "ResourceLimitError",
+    "WorkerError",
 ]

@@ -12,8 +12,8 @@ the usual bin-labeling convention; tally arrays are 0-indexed internally.
 :func:`step` allocates one ball at a time and is the reference oracle.
 :func:`run` and :func:`run_summary` go through one vectorized kernel,
 :func:`_columns`, which draws whole blocks and yields bit-identical traces
-and stream positions (``run_summary`` skips it where bincounts of the draw
-blocks already give the loads):
+and stream positions (``run_summary`` skips it where counts of the draw
+blocks, or the two-choices peeling loads, already give the final loads):
 
 - one-choice, always-reject and threshold with retry budget 1: a ball's
   primary is rejected iff its occurrence index among the primaries is at
@@ -391,7 +391,7 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
     primary_bins = primary_stream.bounded_block(n, t)
     if spec.kind == TWO_CHOICES_GREEDY:
         candidates = secondary_stream.bounded_block(n, t)
-        final_bins = _two_choices_final_bins(n, primary_bins, candidates)
+        final_bins, _ = _two_choices_final_bins(n, primary_bins, candidates)
         rejected = final_bins != primary_bins  # a tie goes to the primary
         pool_indices = np.where(rejected, np.arange(t, dtype=np.int64), -1)
         return primary_bins, final_bins, rejected.astype(np.int64), pool_indices
@@ -462,8 +462,8 @@ def _retry_columns(n, spec, primary_bins, occurrence, rejected, secondary_stream
     return final_bins, reject_counts, pool_indices
 
 
-def _two_choices_final_bins(n, primary_bins, candidates) -> np.ndarray:
-    """Two-choices landing bins by peeling rounds over blocks of balls.
+def _two_choices_final_bins(n, primary_bins, candidates):
+    """Two-choices landing bins and final loads by peeling rounds.
 
     A ball is ready when no earlier unplaced ball of its block touches
     either of its bins; ready balls share no bins, so a whole round is
@@ -493,7 +493,7 @@ def _two_choices_final_bins(n, primary_bins, candidates) -> np.ndarray:
             chosen = np.where(load[ready_s] < load[ready_p], ready_s, ready_p)
             load[chosen] += 1
             final_bins[ready_balls] = chosen
-    return final_bins
+    return final_bins, load
 
 
 def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
@@ -541,10 +541,10 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     """Loads and rejection count of :func:`run`, skipping per-ball records.
 
     For retry-budget-1 thinning strategies the loads depend on the draw
-    blocks only through tallies, so this path is pure bincount arithmetic.
-    Retry budgets above 1 and two-choices count the final bins of the
-    vectorized kernel.  Either way it returns exactly the final loads and
-    rejections the full trace would.
+    blocks only through tallies, so this path is pure counting arithmetic.
+    Two-choices takes the loads its peeling kernel keeps, and retry budgets
+    above 1 count the final bins of the vectorized kernel.  Either way it
+    returns exactly the final loads and rejections the full trace would.
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
@@ -556,15 +556,23 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     if spec.kind == ALWAYS_ACCEPT:
         return np.bincount(primary_stream.bounded_block(n, t), minlength=n), 0
     if spec.kind == ALWAYS_REJECT:
-        primary_stream.bounded_block(n, t)
+        # The loads come from the pool alone, and the primary stream is
+        # discarded here, so its draws are skipped.
         return np.bincount(secondary_stream.bounded_block(n, t), minlength=n), t
     if spec.kind == THRESHOLD and spec.retry_budget == 1:
         # A bin keeps min(suggested, ell) primaries; the rest are rejected.
         loads = np.bincount(primary_stream.bounded_block(n, t), minlength=n)
         np.minimum(loads, spec.ell, out=loads)
         rejections = t - int(loads.sum())
-        loads += np.bincount(secondary_stream.bounded_block(n, rejections), minlength=n)
+        # Few balls are rejected at the usual ell, so counting them in place
+        # beats an n-length bincount, and it is no slower when most are.
+        np.add.at(loads, secondary_stream.bounded_block(n, rejections), 1)
         return loads, rejections
+    if spec.kind == TWO_CHOICES_GREEDY:
+        primary_bins = primary_stream.bounded_block(n, t)
+        candidates = secondary_stream.bounded_block(n, t)
+        final_bins, loads = _two_choices_final_bins(n, primary_bins, candidates)
+        return loads, t - int(np.count_nonzero(final_bins == primary_bins))
     _, final_bins, reject_counts, _ = _columns(n, t, spec, primary_stream, secondary_stream)
     return np.bincount(final_bins, minlength=n), int(reject_counts.sum())
 
@@ -582,9 +590,9 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     if spec.kind in (ALWAYS_ACCEPT, ALWAYS_REJECT):
         words += t + n  # one draw block and its bincount
     elif spec.kind == THRESHOLD and spec.retry_budget == 1:
-        # The primary block and its bincount, then the loads, the pool
-        # block (at most t draws) and its bincount.
-        words += t + 2 * n
+        # The primary block and its bincount, then the loads and the pool
+        # block (at most t draws), which np.add.at counts in place.
+        words += t + n
     elif spec.kind == THRESHOLD:
         # _occurrence_index holds at most seven t-word arrays and a mask.
         # The retry scan holds the bins, occurrences, two masks and cut
@@ -596,9 +604,9 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
         words += (7 + 2 * k) * t + n + 16 * _RETRY_SEGMENT
     else:
         # Two-choices: both draw blocks, final bins, load and first (n
-        # each) and a peeling block's temporaries; then the columns: the
-        # blocks, final bins, a bool mask, pool indices and reject counts.
-        words += max(3 * t + 2 * n + 16 * _TWO_CHOICES_BLOCK, 41 * t // 8 + 1)
+        # each), and either a peeling block's temporaries or the bool mask
+        # that counts the balls landed at their primary.
+        words += 3 * t + 2 * n + max(16 * _TWO_CHOICES_BLOCK, t // 8 + 1)
     return 8 * words
 
 

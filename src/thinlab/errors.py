@@ -19,3 +19,7 @@ class StateSpaceLimitError(ThinlabError, ValueError):
 
 class ResourceLimitError(ThinlabError, RuntimeError):
     """Experiment refused because it would exceed the memory budget."""
+
+
+class WorkerError(ThinlabError, RuntimeError):
+    """A worker process of a campaign died before returning its trials."""

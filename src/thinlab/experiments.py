@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -25,7 +26,7 @@ import numpy as np
 
 from .bounds import rejection_budget, stage_params, target_maxload
 from .engine import Trace, run_summary, summary_peak_bytes
-from .errors import ConfigurationError, ResourceLimitError
+from .errors import ConfigurationError, ResourceLimitError, WorkerError
 from .rng import mix_seeds
 from .strategies import StrategySpec, parse_strategy
 
@@ -220,8 +221,13 @@ def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryS
         outcomes = [_one_trial(job) for job in jobs]
     else:
         chunk = max(1, trials // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_one_trial, jobs, chunksize=chunk))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                outcomes = list(pool.map(_one_trial, jobs, chunksize=chunk))
+        except BrokenProcessPool as exc:
+            raise WorkerError(
+                f"a worker process died during the campaign ({exc})"
+            ) from exc
     maxloads = tuple(m for m, _ in outcomes)
     rejections = tuple(r for _, r in outcomes)
     ordered = sorted(maxloads)

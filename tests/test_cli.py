@@ -1,12 +1,13 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
-from thinlab import cli
+from thinlab import cli, experiments
 from thinlab.checks import CheckResult
-from thinlab.errors import ConfigurationError
+from thinlab.errors import ConfigurationError, WorkerError
 
 
 def run_cli(capsys, argv):
@@ -265,6 +266,27 @@ def test_io_error_exit_code(capsys):
     assert code == 3
     code, _, err = run_cli(capsys, ["simulate", "--config", "/nonexistent/c.json"])
     assert code == 3
+
+
+def _die(*args):
+    os._exit(1)
+
+
+def test_dead_worker_is_a_thinlab_error(capsys, monkeypatch):
+    # Forked workers inherit the patch and die on their first trial.
+    monkeypatch.setattr(experiments, "run_summary", _die)
+    with pytest.raises(WorkerError):
+        experiments.run_trials(
+            experiments.ExperimentConfig(n=50, strategy="one-choice", trials=4,
+                                         base_seed=1, rho=1),
+            workers=2,
+        )
+    code, out, err = run_cli(
+        capsys, ["simulate", "-n", "50", "--trials", "4", "--workers", "2", "--no-meta"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("thinlab: error: a worker process died")
 
 
 def test_unknown_subcommand_is_usage_error(capsys):

@@ -230,6 +230,22 @@ def test_run_summary_matches_full_run(spec):
         assert rejections == trace.final_state.rejections
 
 
+@pytest.mark.parametrize(
+    "strategy, n, t",
+    [
+        ("threshold:1", 1_000, 200_000),  # most balls rejected: a large pool
+        ("threshold:auto", 200_000, 200_000),
+        ("always-reject", 200_000, 200_000),
+        ("two-choices", 20_000, 300_000),
+    ],
+)
+def test_run_summary_matches_full_run_across_chunks(strategy, n, t):
+    state = run(n, t, strategy, seed=8).final_state
+    loads, rejections = run_summary(n, t, strategy, seed=8)
+    assert np.array_equal(loads, state.load)
+    assert rejections == state.rejections
+
+
 def test_threshold_above_ball_count_equals_one_choice():
     relaxed = StrategySpec("threshold", ell=50)
     threshold_trace = run(6, 50, relaxed, seed=77)

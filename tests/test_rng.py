@@ -100,6 +100,17 @@ def test_block_matches_sequential_across_chunks(n, count):
         assert a.counter > a.draws * 1.3  # about a third more words than draws
 
 
+# The reduction divides by a scalar, and numpy picks its division method by
+# the divisor: 1 and powers of two take other branches than other bounds.
+@pytest.mark.parametrize("n", [1, 2, 3, 2**32, 2**32 + 1, 2**63 - 1, 2**63])
+def test_block_reduction_matches_sequential(n):
+    a, b = RngStream(23), RngStream(23)
+    block = a.bounded_block(n, _CHUNK + 1)
+    seq = [b.next_bounded(n) for _ in range(_CHUNK + 1)]
+    assert block.tolist() == seq
+    assert (a.counter, a.draws) == (b.counter, b.draws)
+
+
 @pytest.mark.parametrize("n", [97, REJECTING_BOUND])
 def test_block_resumes_mid_chunk(n):
     a, b = RngStream(5), RngStream(5)
