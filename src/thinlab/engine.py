@@ -13,7 +13,7 @@ the usual bin-labeling convention; tally arrays are 0-indexed internally.
 :func:`run` and :func:`run_summary` go through one vectorized kernel,
 :func:`_columns`, which draws whole blocks and yields bit-identical traces
 and stream positions (``run_summary`` skips it where counts of the draw
-blocks, or the two-choices peeling loads, already give the final loads):
+blocks, or the two-choices kernel's loads, already give the final loads):
 
 - one-choice, always-reject and threshold with retry budget 1: a ball's
   primary is rejected iff its occurrence index among the primaries is at
@@ -22,9 +22,9 @@ blocks, or the two-choices peeling loads, already give the final loads):
   scan over the rejected balls only, since a pool draw to bin b for ball j
   is accepted iff j comes before b's ell-th primary suggestion;
 - two-choices (outside the thinning class: it sees both candidate bins,
-  and consumes one secondary draw per ball): peeling rounds over blocks of
-  balls, each round placing at once every ball that no earlier unplaced
-  ball of its block shares a bin with.
+  and consumes one secondary draw per ball): blocks of balls, each placing
+  at once every ball that no earlier ball of its block shares a bin with,
+  then the block's other balls one by one in ball order.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ResourceLimitError
 from .rng import _CHUNK, RngStream, mix_seeds
 from .strategies import (
     ALWAYS_ACCEPT,
@@ -50,11 +50,14 @@ from .strategies import (
 
 _TALLY_FIELDS = ("load", "primary_suggested", "primary_accepted", "secondary_used")
 
-# Most balls in one peeling block of the two-choices kernel (a block never
-# holds more balls than there are bins, or its rounds grow with t / n).
-# Short blocks keep the per-bin lookups in cache: on a 2-vCPU Xeon, the
-# kernel took 79-92 ms at n = t = 10**6 with 2**12 and 157-175 ms with 2**17.
+# Balls in one block of the two-choices kernel.  Longer blocks leave more
+# balls to its scalar tail, shorter ones pay more numpy calls: on a 2-vCPU
+# Xeon at n = t = 10**6 the kernel took 93-101 ms with 2**11 and 2**12,
+# 105-113 ms with 2**10, 100-105 ms with 2**13 and 119-125 ms with 2**14.
+# Block offsets are held as uint16 below the sentinel _UNTOUCHED, so the
+# block must stay below 2**16.
 _TWO_CHOICES_BLOCK = 1 << 12
+_UNTOUCHED = 0xFFFF
 
 # Most rejected balls, and most pool draws, that the retry kernel's scan
 # holds as Python lists at once.
@@ -346,17 +349,33 @@ def _assemble_trace(n, t, spec, seed, primary_bins, final_bins, reject_counts,
     )
 
 
-def _occurrence_index(values: np.ndarray) -> np.ndarray:
-    """occ[i] = how many earlier entries equal values[i] (vectorized)."""
+def _occurrence_index(values: np.ndarray, n: int) -> np.ndarray:
+    """occ[i] = how many earlier entries equal values[i], for values in [0, n).
+
+    Each value is packed above its index into one int64 key.  The keys are
+    unique, so numpy's default sort of them yields the stable order of the
+    values, which is several times faster than a stable argsort.  A bound
+    and length whose keys would need more than 63 bits raise
+    ResourceLimitError; tallies that large could not be allocated anyway.
+    """
     t = len(values)
-    order = np.argsort(values, kind="stable")
-    sorted_values = values[order]
+    shift = t.bit_length()
+    if (n - 1).bit_length() + shift > 63:
+        raise ResourceLimitError(
+            f"cannot pack {t} draws below {n} into 63-bit occurrence keys"
+        )
+    keys = values << shift
+    keys |= np.arange(t, dtype=np.int64)
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    sorted_values = np.right_shift(keys, shift, out=keys)
     positions = np.arange(t, dtype=np.int64)
     run_start = np.ones(t, dtype=bool)
     run_start[1:] = sorted_values[1:] != sorted_values[:-1]
     start_positions = np.maximum.accumulate(np.where(run_start, positions, 0))
+    positions -= start_positions
     occurrence = np.empty(t, dtype=np.int64)
-    occurrence[order] = positions - start_positions
+    occurrence[order] = positions
     return occurrence
 
 
@@ -396,7 +415,7 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
         pool_indices = np.where(rejected, np.arange(t, dtype=np.int64), -1)
         return primary_bins, final_bins, rejected.astype(np.int64), pool_indices
     if spec.kind == THRESHOLD:
-        occurrence = _occurrence_index(primary_bins)
+        occurrence = _occurrence_index(primary_bins, n)
         rejected = occurrence >= spec.ell
         if spec.retry_budget > 1:
             return (primary_bins, *_retry_columns(
@@ -463,37 +482,43 @@ def _retry_columns(n, spec, primary_bins, occurrence, rejected, secondary_stream
 
 
 def _two_choices_final_bins(n, primary_bins, candidates):
-    """Two-choices landing bins and final loads by peeling rounds.
+    """Two-choices landing bins and final loads, one block of balls at a time.
 
-    A ball is ready when no earlier unplaced ball of its block touches
-    either of its bins; ready balls share no bins, so a whole round is
-    placed at once with the loads that sequential placement would see.
-    ``first[b]`` is the first unplaced ball of the block touching bin b
-    (``t`` when none), rebuilt each round.
+    ``first[b]`` is the block offset of the first ball of the block that
+    touches bin b (``_UNTOUCHED`` when none).  A ball that is the first
+    toucher of both its bins is ready: ready balls share no bin with each
+    other or with any earlier ball of the block, so all of them are placed
+    at once with the loads that sequential placement would show them.  The
+    block's other balls are then placed one by one in ball order.
     """
     t = len(primary_bins)
-    load = np.zeros(n, dtype=np.int64)
+    load = np.zeros(n, dtype=np.min_scalar_type(t))
     final_bins = np.empty(t, dtype=np.int64)
-    first = np.full(n, t, dtype=np.int64)
-    block = min(_TWO_CHOICES_BLOCK, n)
-    for start in range(0, t, block):
-        stop = min(start + block, t)
-        balls = np.arange(start, stop, dtype=np.int64)
+    first = np.full(n, _UNTOUCHED, dtype=np.uint16)
+    offsets = np.arange(_TWO_CHOICES_BLOCK, dtype=np.uint16)
+    for start in range(0, t, _TWO_CHOICES_BLOCK):
+        stop = min(start + _TWO_CHOICES_BLOCK, t)
         p = primary_bins[start:stop]
         s = candidates[start:stop]
-        while balls.size:
-            np.minimum.at(first, p, balls)
-            np.minimum.at(first, s, balls)
-            ready = (first[p] == balls) & (first[s] == balls)
-            first[p] = t
-            first[s] = t
-            ready_p, ready_s, ready_balls = p[ready], s[ready], balls[ready]
-            waiting = ~ready
-            balls, p, s = balls[waiting], p[waiting], s[waiting]
-            chosen = np.where(load[ready_s] < load[ready_p], ready_s, ready_p)
-            load[chosen] += 1
-            final_bins[ready_balls] = chosen
-    return final_bins, load
+        local = offsets[: stop - start]
+        np.minimum.at(first, p, local)
+        np.minimum.at(first, s, local)
+        ready = (first[p] == local) & (first[s] == local)
+        first[p] = _UNTOUCHED
+        first[s] = _UNTOUCHED
+        ready_p, ready_s = p[ready], s[ready]
+        chosen = np.where(load[ready_s] < load[ready_p], ready_s, ready_p)
+        load[chosen] += 1
+        final_bins[start:stop][ready] = chosen
+        waiting = np.flatnonzero(~ready)
+        landed = []
+        for a, b in zip(p[waiting].tolist(), s[waiting].tolist()):
+            if load[b] < load[a]:
+                a = b
+            load[a] += 1
+            landed.append(a)
+        final_bins[start + waiting] = landed
+    return final_bins, load.astype(np.int64)
 
 
 def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
@@ -542,9 +567,11 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
 
     For retry-budget-1 thinning strategies the loads depend on the draw
     blocks only through tallies, so this path is pure counting arithmetic.
-    Two-choices takes the loads its peeling kernel keeps, and retry budgets
-    above 1 count the final bins of the vectorized kernel.  Either way it
-    returns exactly the final loads and rejections the full trace would.
+    Two-choices takes the loads its block kernel keeps (one vectorized
+    round per block of balls, then a scalar pass over the block's balls
+    that share a bin with an earlier one), and retry budgets above 1 count
+    the final bins of the vectorized kernel.  Either way it returns exactly
+    the final loads and rejections the full trace would.
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
@@ -594,19 +621,24 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
         # block (at most t draws), which np.add.at counts in place.
         words += t + n
     elif spec.kind == THRESHOLD:
-        # _occurrence_index holds at most seven t-word arrays and a mask.
-        # The retry scan holds the bins, occurrences, two masks and cut
-        # (n); per rejected ball its index, landing and up to k pool draws;
-        # then final bins, the concatenated pool and a gather; every ball
-        # rejected at worst.  Its Python lists and a cut lookup add at most
-        # 16 words per _RETRY_SEGMENT entry.
+        # _occurrence_index holds the bins and at most five t-word arrays
+        # and two masks, fewer than the retry scan.  At its end the scan holds
+        # the bins, occurrences, the rejected balls and their landings,
+        # final bins, a gather by landing, two masks, cut (n), and the pool
+        # draws twice over, the blocks and their concatenation (k per ball);
+        # every ball rejected at worst.  Its Python lists and a cut lookup
+        # add at most 16 words per _RETRY_SEGMENT entry.
         k = spec.retry_budget
-        words += (7 + 2 * k) * t + n + 16 * _RETRY_SEGMENT
+        words += (6 + 2 * k) * t + t // 4 + 1 + n + 16 * _RETRY_SEGMENT
     else:
-        # Two-choices: both draw blocks, final bins, load and first (n
-        # each), and either a peeling block's temporaries or the bool mask
-        # that counts the balls landed at their primary.
-        words += 3 * t + 2 * n + max(16 * _TWO_CHOICES_BLOCK, t // 8 + 1)
+        # Two-choices: both draw blocks and final bins; load (the narrowest
+        # unsigned type that holds t) and first (uint16) per bin; then
+        # either a block's temporaries, with the Python lists of its
+        # waiting balls, or the int64 loads and the mask that counts the
+        # balls landed at their primary.
+        load_bytes = np.min_scalar_type(t).itemsize
+        words += 3 * t + (n * (load_bytes + 2) + 7) // 8
+        words += max(16 * _TWO_CHOICES_BLOCK, n + t // 8 + 1)
     return 8 * words
 
 

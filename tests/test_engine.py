@@ -22,7 +22,7 @@ from thinlab.engine import (
     summary_peak_bytes,
     trace_from_json,
 )
-from thinlab.errors import ConfigurationError
+from thinlab.errors import ConfigurationError, ResourceLimitError
 from thinlab.rng import FixedStream, RngStream, mix_seeds
 from thinlab.strategies import StrategySpec, parse_strategy
 
@@ -200,6 +200,43 @@ def test_retry_kernel_across_scan_segments(monkeypatch):
 def test_two_choices_kernel_across_blocks():
     trace, _ = assert_paths_agree(20_000, 300_000, TWO_CHOICES, seed=5)
     assert trace.t > 2 * engine._TWO_CHOICES_BLOCK
+
+
+@pytest.mark.parametrize("n, t", [(1, 5000), (2, 5000), (10, 20_000), (100, 20_000)])
+def test_two_choices_kernel_when_balls_far_exceed_bins(n, t):
+    # Nearly every ball shares a bin with an earlier ball of its block, so
+    # the scalar tail places most of them.
+    assert engine._TWO_CHOICES_BLOCK < engine._UNTOUCHED
+    assert_paths_agree(n, t, TWO_CHOICES, seed=11)
+
+
+def occurrence_by_counting(values):
+    seen = {}
+    out = []
+    for value in values:
+        out.append(seen.get(value, 0))
+        seen[value] = out[-1] + 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, t",
+    [(5, 0), (5, 1), (1, 300), (7, 63), (7, 64), (7, 65), (1000, 1023), (1000, 1024),
+     (1000, 1025), (2**40, 500)],
+)
+def test_occurrence_index_matches_counting(n, t):
+    values = RngStream(mix_seeds(t, 2)).bounded_block(n, t)
+    assert engine._occurrence_index(values, n).tolist() == occurrence_by_counting(
+        values.tolist())
+    same = np.full(t, n - 1, dtype=np.int64)  # every value equal
+    assert engine._occurrence_index(same, n).tolist() == list(range(t))
+
+
+def test_occurrence_index_refuses_keys_wider_than_63_bits():
+    values = np.zeros(1000, dtype=np.int64)  # shift = 10 bits
+    assert engine._occurrence_index(values, 2**53).tolist() == list(range(1000))
+    with pytest.raises(ResourceLimitError):
+        engine._occurrence_index(values, 2**53 + 1)
 
 
 def test_vectorized_retry_consumes_no_extra_fixed_draws():
@@ -405,6 +442,7 @@ def test_run_properties(config):
         ("threshold:1,k=3", 1_000, 30_000),  # nearly every ball retries
         ("two-choices", 200_000, 200_000),
         ("two-choices", 1_000, 100_000),
+        ("two-choices", 10, 100_000),  # the scalar tail places most balls
     ],
 )
 def test_summary_peak_within_estimate(strategy, n, t):
