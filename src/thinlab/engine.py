@@ -24,7 +24,10 @@ blocks, or the two-choices kernel's loads, already give the final loads):
 - two-choices (outside the thinning class: it sees both candidate bins,
   and consumes one secondary draw per ball): blocks of balls, each placing
   at once every ball that no earlier ball of its block shares a bin with,
-  then the block's other balls one by one in ball order.
+  then the block's other balls one by one in ball order.  The kernel keeps
+  loads in a uint8 table, widened once before any bin could pass 255, and
+  returns a per-ball mask of the balls that took their secondary, from
+  which ``run`` derives the final bins and ``run_summary`` the rejections.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ _TALLY_FIELDS = ("load", "primary_suggested", "primary_accepted", "secondary_use
 
 # Balls in one block of the two-choices kernel.  Longer blocks leave more
 # balls to its scalar tail, shorter ones pay more numpy calls: on a 2-vCPU
-# Xeon at n = t = 10**6 the kernel took 93-101 ms with 2**11 and 2**12,
-# 105-113 ms with 2**10, 100-105 ms with 2**13 and 119-125 ms with 2**14.
+# Xeon at n = t = 10**6 the uint8-table kernel took 40-41 ms (medians
+# 47-58) with 2**12, 42-46 ms (49-58) with 2**11 and 42-45 ms (50-61) with
+# 2**13, best of 7 in two interleaved sweeps.
 # Block offsets are held as uint16 below the sentinel _UNTOUCHED, so the
 # block must stay below 2**16.
 _TWO_CHOICES_BLOCK = 1 << 12
@@ -282,8 +286,11 @@ class Trace:
 def trace_from_json(text: str) -> Trace:
     """Rebuild a trace from its JSON form, re-deriving the final state.
 
-    The embedded loads are checked against the replayed records, so a
-    corrupted payload is rejected rather than silently trusted.
+    Every record's ``decision`` must be the one its reject count allows, and
+    its ``sec_idx`` the one its strategy consumes (see
+    :func:`_check_rejections`); the embedded loads are checked against the
+    replayed records.  So a corrupted or impossible payload is rejected
+    with ``ConfigurationError`` rather than silently trusted.
     """
     try:
         payload = json.loads(text)
@@ -304,12 +311,18 @@ def trace_from_json(text: str) -> Trace:
     final_bins = np.zeros(t, dtype=np.int64)
     reject_counts = np.zeros(t, dtype=np.int64)
     pool_indices = np.full(t, -1, dtype=np.int64)
+    first_ball = {}  # each distinct decision list, and the first ball with it
     try:
         for i, row in enumerate(raw_records):
+            decision = tuple(row["decision"])
+            first_ball.setdefault(decision, i)
             primary_bins[i] = row["primary"] - 1
             final_bins[i] = row["final"] - 1
-            reject_counts[i] = sum(1 for d in row["decision"] if d == "reject")
-            pool_indices[i] = -1 if row["sec_idx"] is None else row["sec_idx"]
+            reject_counts[i] = decision.count("reject")
+            if row["sec_idx"] is not None:
+                if row["sec_idx"] < 0:
+                    raise ValueError(f"negative sec_idx {row['sec_idx']}")
+                pool_indices[i] = row["sec_idx"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed trace record: {exc}") from None
     if primary_bins.size and not (
@@ -320,9 +333,59 @@ def trace_from_json(text: str) -> Trace:
     trace = _assemble_trace(
         n, t, strategy, seed, primary_bins, final_bins, reject_counts, pool_indices
     )
+    wrong = [
+        i for decision, i in first_ball.items()
+        if decision != trace._decisions_for(int(reject_counts[i]))
+    ]
+    if wrong:
+        i = min(wrong)
+        raise ConfigurationError(
+            f"ball {i + 1} has decision {list(raw_records[i]['decision'])}, "
+            f"which no run of {strategy.label} records"
+        )
+    _check_rejections(trace)
     if trace.final_state.load.tolist() != list(loads):
         raise ConfigurationError("trace payload loads disagree with its records")
     return trace
+
+
+def _pool_indices(kind: str, reject_counts: np.ndarray) -> np.ndarray:
+    """The pool index each ball consumes last, -1 where it was never rejected.
+
+    Thinning kinds take one pool draw per reject, so a ball's last one is
+    the running reject total minus 1; two-choices draws a candidate for
+    every ball, so a ball that takes it consumes its own index.
+    """
+    if kind == TWO_CHOICES_GREEDY:
+        last = np.arange(len(reject_counts), dtype=np.int64)
+    else:
+        last = np.cumsum(reject_counts) - 1
+    return np.where(reject_counts > 0, last, -1)
+
+
+def _check_rejections(trace: Trace) -> None:
+    """Raise ConfigurationError unless the strategy can yield these columns.
+
+    A ball is rejected at most ``retry_budget`` times (once for
+    two-choices), and its pool index is fixed by the reject counts.
+    """
+    counts = trace.reject_counts
+    over = np.flatnonzero(counts > trace.strategy.retry_budget)
+    if over.size:
+        i = int(over[0])
+        raise ConfigurationError(
+            f"ball {i + 1} has {int(counts[i])} rejects, more than "
+            f"{trace.strategy.label} allows"
+        )
+    expected = _pool_indices(trace.strategy.kind, counts)
+    wrong = np.flatnonzero(trace.pool_indices != expected)
+    if wrong.size:
+        i = int(wrong[0])
+        got, want = (None if v < 0 else int(v)
+                     for v in (trace.pool_indices[i], expected[i]))
+        raise ConfigurationError(
+            f"ball {i + 1} has sec_idx {got}, but its rejects give {want}"
+        )
 
 
 def _assemble_trace(n, t, spec, seed, primary_bins, final_bins, reject_counts,
@@ -410,10 +473,11 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
     primary_bins = primary_stream.bounded_block(n, t)
     if spec.kind == TWO_CHOICES_GREEDY:
         candidates = secondary_stream.bounded_block(n, t)
-        final_bins, _ = _two_choices_final_bins(n, primary_bins, candidates)
-        rejected = final_bins != primary_bins  # a tie goes to the primary
-        pool_indices = np.where(rejected, np.arange(t, dtype=np.int64), -1)
-        return primary_bins, final_bins, rejected.astype(np.int64), pool_indices
+        rejected, _ = _two_choices_kernel(n, primary_bins, candidates)
+        final_bins = np.where(rejected, candidates, primary_bins)
+        reject_counts = rejected.astype(np.int64)
+        return (primary_bins, final_bins, reject_counts,
+                _pool_indices(TWO_CHOICES_GREEDY, reject_counts))
     if spec.kind == THRESHOLD:
         occurrence = _occurrence_index(primary_bins, n)
         rejected = occurrence >= spec.ell
@@ -481,44 +545,78 @@ def _retry_columns(n, spec, primary_bins, occurrence, rejected, secondary_stream
     return final_bins, reject_counts, pool_indices
 
 
-def _two_choices_final_bins(n, primary_bins, candidates):
-    """Two-choices landing bins and final loads, one block of balls at a time.
+def _two_choices_kernel(n, primary_bins, candidates):
+    """Two-choices placement, one block of balls at a time.
+
+    Returns ``rejected``, a bool per ball that is True where the ball took
+    its secondary candidate, and the final int64 loads.  A ball moves only
+    when the candidate's load is strictly lower, so ``rejected`` is exactly
+    ``final_bins != primary_bins`` and the landing bin is
+    ``candidates[i] if rejected[i] else primary_bins[i]``.
 
     ``first[b]`` is the block offset of the first ball of the block that
     touches bin b (``_UNTOUCHED`` when none).  A ball that is the first
     toucher of both its bins is ready: ready balls share no bin with each
     other or with any earlier ball of the block, so all of them are placed
-    at once with the loads that sequential placement would show them.  The
-    block's other balls are then placed one by one in ball order.
+    at once with the loads that sequential placement would show them, by a
+    plain scatter of ``min(lp, ls) + 1``.  The block's other balls are then
+    placed one by one in ball order, through a memoryview of ``load``.
+
+    ``load`` starts as uint8, so the table of a million bins fits in L2,
+    and ``top``, the exact maximum load so far, says when it could wrap: a
+    ready step raises a bin by at most 1 and the tail by at most the number
+    of waiting balls, so ``load`` is widened once, to the narrowest type
+    that holds t, before a step that could pass 255.
     """
     t = len(primary_bins)
-    load = np.zeros(n, dtype=np.min_scalar_type(t))
-    final_bins = np.empty(t, dtype=np.int64)
+    wide = np.min_scalar_type(t)
+    load = np.zeros(n, dtype=np.uint8)
+    top = 0
+    rejected = np.empty(t, dtype=bool)
     first = np.full(n, _UNTOUCHED, dtype=np.uint16)
     offsets = np.arange(_TWO_CHOICES_BLOCK, dtype=np.uint16)
     for start in range(0, t, _TWO_CHOICES_BLOCK):
         stop = min(start + _TWO_CHOICES_BLOCK, t)
         p = primary_bins[start:stop]
         s = candidates[start:stop]
+        took = rejected[start:stop]
         local = offsets[: stop - start]
         np.minimum.at(first, p, local)
         np.minimum.at(first, s, local)
         ready = (first[p] == local) & (first[s] == local)
         first[p] = _UNTOUCHED
         first[s] = _UNTOUCHED
+        if top == 255 and load.dtype != wide:
+            load = load.astype(wide)
         ready_p, ready_s = p[ready], s[ready]
-        chosen = np.where(load[ready_s] < load[ready_p], ready_s, ready_p)
-        load[chosen] += 1
-        final_bins[start:stop][ready] = chosen
+        lp, ls = load[ready_p], load[ready_s]
+        took_ready = ls < lp
+        took[ready] = took_ready
+        np.minimum(lp, ls, out=lp)
+        lp += 1
+        load[np.where(took_ready, ready_s, ready_p)] = lp
+        if lp.size:
+            top = max(top, int(lp.max()))
         waiting = np.flatnonzero(~ready)
-        landed = []
+        if top + waiting.size > 255 and load.dtype != wide:
+            load = load.astype(wide)
+        view = memoryview(load)
+        flags = []
         for a, b in zip(p[waiting].tolist(), s[waiting].tolist()):
-            if load[b] < load[a]:
+            la = view[a]
+            lb = view[b]
+            if lb < la:
                 a = b
-            load[a] += 1
-            landed.append(a)
-        final_bins[start + waiting] = landed
-    return final_bins, load.astype(np.int64)
+                la = lb
+                flags.append(True)
+            else:
+                flags.append(False)
+            la += 1
+            view[a] = la
+            if la > top:
+                top = la
+        took[waiting] = flags
+    return rejected, load.astype(np.int64)
 
 
 def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
@@ -569,9 +667,10 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     blocks only through tallies, so this path is pure counting arithmetic.
     Two-choices takes the loads its block kernel keeps (one vectorized
     round per block of balls, then a scalar pass over the block's balls
-    that share a bin with an earlier one), and retry budgets above 1 count
-    the final bins of the vectorized kernel.  Either way it returns exactly
-    the final loads and rejections the full trace would.
+    that share a bin with an earlier one) and counts the balls its mask
+    marks as moved to their secondary, with no per-ball bins; retry budgets
+    above 1 count the final bins of the vectorized kernel.  Either way it
+    returns exactly the final loads and rejections the full trace would.
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
@@ -598,8 +697,8 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     if spec.kind == TWO_CHOICES_GREEDY:
         primary_bins = primary_stream.bounded_block(n, t)
         candidates = secondary_stream.bounded_block(n, t)
-        final_bins, loads = _two_choices_final_bins(n, primary_bins, candidates)
-        return loads, t - int(np.count_nonzero(final_bins == primary_bins))
+        rejected, loads = _two_choices_kernel(n, primary_bins, candidates)
+        return loads, int(np.count_nonzero(rejected))
     _, final_bins, reject_counts, _ = _columns(n, t, spec, primary_stream, secondary_stream)
     return np.bincount(final_bins, minlength=n), int(reject_counts.sum())
 
@@ -607,19 +706,22 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
 def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     """Upper bound on the memory one :func:`run_summary` call holds at once.
 
-    Counted in 8-byte words from the buffers each path keeps alive together
-    (a bool array counts as t / 8 words), with the most rejections a run
-    can have; the tests check it against ``tracemalloc`` for every kind.
+    Counted in 8-byte words from the buffers each phase of a path keeps
+    alive together (a bool array counts as t / 8 words), with the most
+    rejections a run can have; the bound is the largest phase, since a
+    phase frees its temporaries before the next begins.  The tests check it
+    against ``tracemalloc`` for every kind.
     """
     # bounded_block's two chunk buffers, plus an index and a gathered copy
-    # on a chunk with a rejected word.
-    words = 4 * min(t, _CHUNK)
+    # on a chunk with a rejected word; freed when the block is returned.
+    draw = 4 * min(t, _CHUNK)
     if spec.kind in (ALWAYS_ACCEPT, ALWAYS_REJECT):
-        words += t + n  # one draw block and its bincount
+        # One draw block, then its bincount.
+        words = t + max(draw, n)
     elif spec.kind == THRESHOLD and spec.retry_budget == 1:
-        # The primary block and its bincount, then the loads and the pool
-        # block (at most t draws), which np.add.at counts in place.
-        words += t + n
+        # The primary block and its bincount; then the loads while the pool
+        # block (at most t draws) is drawn, and np.add.at counts it in place.
+        words = n + t + draw
     elif spec.kind == THRESHOLD:
         # _occurrence_index holds the bins and at most five t-word arrays
         # and two masks, fewer than the retry scan.  At its end the scan holds
@@ -627,18 +729,25 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
         # final bins, a gather by landing, two masks, cut (n), and the pool
         # draws twice over, the blocks and their concatenation (k per ball);
         # every ball rejected at worst.  Its Python lists and a cut lookup
-        # add at most 16 words per _RETRY_SEGMENT entry.
+        # add at most 16 words per _RETRY_SEGMENT entry.  A pool draw's chunk
+        # buffers (at most 4 words per draw) are freed before that end,
+        # which holds 2 + k more words per ball.
         k = spec.retry_budget
-        words += (6 + 2 * k) * t + t // 4 + 1 + n + 16 * _RETRY_SEGMENT
+        words = (6 + 2 * k) * t + t // 4 + 1 + n + 16 * _RETRY_SEGMENT
     else:
-        # Two-choices: both draw blocks and final bins; load (the narrowest
-        # unsigned type that holds t) and first (uint16) per bin; then
-        # either a block's temporaries, with the Python lists of its
-        # waiting balls, or the int64 loads and the mask that counts the
-        # balls landed at their primary.
-        load_bytes = np.min_scalar_type(t).itemsize
-        words += 3 * t + (n * (load_bytes + 2) + 7) // 8
-        words += max(16 * _TWO_CHOICES_BLOCK, n + t // 8 + 1)
+        # Two-choices.  Drawing: the primary block is held while the
+        # candidates are drawn.  The kernel and its return both hold the two
+        # blocks, the mask (t bytes) and first (uint16 per bin).  The kernel
+        # adds the uint8 load with its one widened copy, at w bytes per bin,
+        # and a block's temporaries with the Python lists of its waiting
+        # balls; the return adds the load at w bytes and the int64 loads.
+        w = np.min_scalar_type(t).itemsize
+        held = 2 * t + (t + 2 * n + 7) // 8
+        words = max(
+            2 * t + draw,
+            held + (n * (1 + w) + 7) // 8 + 16 * _TWO_CHOICES_BLOCK,
+            held + (n * w + 7) // 8 + n,
+        )
     return 8 * words
 
 
@@ -646,8 +755,11 @@ def replay(trace: Trace) -> ProcessState:
     """Re-apply a trace's records to a fresh state and return the result.
 
     The reconstruction must match ``trace.final_state`` exactly; callers
-    use this as the integrity check for stored or transmitted traces.
+    use this as the integrity check for stored or transmitted traces.  A
+    trace whose reject counts or pool indices its strategy cannot produce
+    raises ``ConfigurationError``.
     """
+    _check_rejections(trace)
     state = new_process(trace.n, trace.strategy)
     for record in trace.records:
         primary = record.primary_bin - 1

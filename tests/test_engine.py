@@ -1,5 +1,8 @@
 """Tests for the allocation engine: stepping, runs, traces, and accessors."""
 
+import dataclasses
+import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -202,12 +205,54 @@ def test_two_choices_kernel_across_blocks():
     assert trace.t > 2 * engine._TWO_CHOICES_BLOCK
 
 
-@pytest.mark.parametrize("n, t", [(1, 5000), (2, 5000), (10, 20_000), (100, 20_000)])
+@pytest.mark.parametrize(
+    "n, t", [(1, 300), (1, 5000), (2, 5000), (10, 20_000), (100, 20_000)]
+)
 def test_two_choices_kernel_when_balls_far_exceed_bins(n, t):
     # Nearly every ball shares a bin with an earlier ball of its block, so
-    # the scalar tail places most of them.
+    # the scalar tail places most of them; from t = 300 on it widens the
+    # uint8 load table first.
     assert engine._TWO_CHOICES_BLOCK < engine._UNTOUCHED
     assert_paths_agree(n, t, TWO_CHOICES, seed=11)
+
+
+def test_two_choices_kernel_widens_the_load_table():
+    block = engine._TWO_CHOICES_BLOCK
+    # One bin per ball of a block: every ball is ready, and the ready step
+    # must widen before a bin passes load 255.
+    tiled = np.tile(np.arange(block, dtype=np.int64), 300)
+    # The tail raises bin 0 to exactly 255 without widening, so the next
+    # block's ready step widens only if the running maximum counts the tail.
+    tail_then_ready = np.arange(2 * block, dtype=np.int64) % block
+    tail_then_ready[:255] = 0
+    tail_then_ready[block] = 0
+    # One bin: the tail places all balls but the first, past 255 and 65535.
+    one_bin = np.zeros(70_000, dtype=np.int64)
+    for n, bins in ((block, tiled), (block, tail_then_ready), (1, one_bin)):
+        rejected, loads = engine._two_choices_kernel(n, bins, bins.copy())
+        assert not rejected.any()
+        assert loads.dtype == np.int64
+        assert np.array_equal(loads, np.bincount(bins, minlength=n))
+    assert loads.tolist() == [70_000]
+
+
+# sha256 of run_summary's loads (little-endian int64) and rejection count at
+# the benchmark's size, recorded before the two-choices kernel moved to a
+# uint8 load table and a rejected mask.
+BENCHMARK_SIZE_DIGESTS = {
+    ("two-choices", 0): "f0a20653d0c1d63951e5b9084d953d717d93cb3fbd99f23762b8b9625ade5422",
+    ("two-choices", 1): "2d9fff8f5d0857547b433ea61548d195b755c0784d6a5c4e14545fc18ad008c1",
+    ("two-choices", 2): "af5a7ad77465fd40a5b1e1f0b0666c16edb833a3f4448b9a8abd6eaa97dd9ef4",
+    ("threshold:auto", 0): "e25097175e5472504b49701cb6978b993808f91ed3bd8f9607b0674e59d4b7b6",
+}
+
+
+@pytest.mark.parametrize("strategy, seed", sorted(BENCHMARK_SIZE_DIGESTS))
+def test_run_summary_is_pinned_at_benchmark_size(strategy, seed):
+    loads, rejections = run_summary(10**6, 10**6, strategy, seed)
+    digest = hashlib.sha256(np.ascontiguousarray(loads, dtype="<i8").tobytes())
+    digest.update(str(rejections).encode())
+    assert digest.hexdigest() == BENCHMARK_SIZE_DIGESTS[strategy, seed]
 
 
 def occurrence_by_counting(values):
@@ -332,6 +377,76 @@ def test_json_rejects_corruption():
         trace_from_json("{}")
 
 
+def _first(records, rejected):
+    return next(r for r in records if (r["sec_idx"] is not None) == rejected)
+
+
+def _sec_idx_999(records):
+    _first(records, True)["sec_idx"] = 999
+
+
+def _three_rejects_then_accept(records):
+    _first(records, False)["decision"] = ["reject", "reject", "reject", "accept"]
+
+
+def _sec_idx_without_reject(records):
+    _first(records, False)["sec_idx"] = 0
+
+
+def _negative_sec_idx(records):
+    _first(records, False)["sec_idx"] = -1
+
+
+def _rejects_beyond_budget(records):
+    _first(records, True)["decision"] = ["reject", "reject"]
+
+
+def _accept_before_reject(records):
+    row = next(r for r in records if r["decision"] == ["reject", "accept"])
+    row["decision"] = ["accept", "reject"]
+
+
+def _two_choices_sec_idx_by_rank(records):
+    # The thinning numbering (running reject total) is wrong for two-choices.
+    rejected = [r for r in records if r["sec_idx"] is not None]
+    row = next(r for k, r in enumerate(rejected) if r["ball"] - 1 != k)
+    row["sec_idx"] = rejected.index(row)
+
+
+@pytest.mark.parametrize(
+    "strategy, edit",
+    [
+        ("threshold:1", _sec_idx_999),
+        ("threshold:1", _three_rejects_then_accept),
+        ("threshold:1", _sec_idx_without_reject),
+        ("threshold:1", _negative_sec_idx),
+        ("threshold:1", _rejects_beyond_budget),
+        ("threshold:1,k=2", _accept_before_reject),
+        ("threshold:1,k=2", _sec_idx_999),
+        ("two-choices", _two_choices_sec_idx_by_rank),
+        ("two-choices", _rejects_beyond_budget),
+    ],
+)
+def test_json_rejects_impossible_records(strategy, edit):
+    # Each edit keeps the final bins, so the loads still agree: only the
+    # decision and sec_idx checks can catch it.
+    payload = json.loads(run(20, 40, strategy, seed=3).to_json())
+    edit(payload["records"])
+    with pytest.raises(ConfigurationError):
+        trace_from_json(json.dumps(payload))
+
+
+def test_replay_rejects_impossible_pool_indices():
+    trace = run(20, 40, THRESHOLD_1, seed=3)
+    shifted = trace.pool_indices.copy()
+    shifted[shifted >= 0] += 1
+    with pytest.raises(ConfigurationError):
+        replay(dataclasses.replace(trace, pool_indices=shifted))
+    over = trace.reject_counts * 2
+    with pytest.raises(ConfigurationError):
+        replay(dataclasses.replace(trace, reject_counts=over))
+
+
 def test_replay_reproduces_final_state():
     for spec in (THRESHOLD_1, ONE_CHOICE, ALWAYS_REJECT, TWO_CHOICES):
         trace = run(9, 80, spec, seed=31)
@@ -443,6 +558,8 @@ def test_run_properties(config):
         ("two-choices", 200_000, 200_000),
         ("two-choices", 1_000, 100_000),
         ("two-choices", 10, 100_000),  # the scalar tail places most balls
+        ("two-choices", 1_000, 8192),  # the kernel's block temporaries bind
+        ("two-choices", 200_000, 1_000_000),  # the mask and returned loads bind
     ],
 )
 def test_summary_peak_within_estimate(strategy, n, t):
@@ -454,4 +571,9 @@ def test_summary_peak_within_estimate(strategy, n, t):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= summary_peak_bytes(n, t, spec)
+    estimate = summary_peak_bytes(n, t, spec)
+    assert peak <= estimate
+    if t >= 100_000 and spec.kind != "threshold":
+        # No term is padded beyond the chunk buffers of a rejecting chunk;
+        # threshold estimates assume every ball is rejected, so are exempt.
+        assert estimate <= 1.5 * peak
