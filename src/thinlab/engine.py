@@ -11,9 +11,10 @@ the usual bin-labeling convention; tally arrays are 0-indexed internally.
 
 :func:`step` allocates one ball at a time and is the reference oracle.
 :func:`run` and :func:`run_summary` go through one vectorized kernel,
-:func:`_columns`, which draws whole blocks and yields bit-identical traces
-and stream positions (``run_summary`` skips it where counts of the draw
-blocks, or the two-choices kernel's loads, already give the final loads):
+:func:`_columns`, which draws blocks of balls and yields bit-identical
+traces and stream positions (``run_summary`` skips it where counts of the
+draw blocks, or the two-choices kernel's loads, already give the final
+loads):
 
 - one-choice, always-reject and threshold with retry budget 1: a ball's
   primary is rejected iff its occurrence index among the primaries is at
@@ -22,12 +23,15 @@ blocks, or the two-choices kernel's loads, already give the final loads):
   scan over the rejected balls only, since a pool draw to bin b for ball j
   is accepted iff j comes before b's ell-th primary suggestion;
 - two-choices (outside the thinning class: it sees both candidate bins,
-  and consumes one secondary draw per ball): blocks of balls, each placing
-  at once every ball that no earlier ball of its block shares a bin with,
-  then the block's other balls one by one in ball order.  The kernel keeps
-  loads in a uint8 table, widened once before any bin could pass 255, and
-  returns a per-ball mask of the balls that took their secondary, from
-  which ``run`` derives the final bins and ``run_summary`` the rejections.
+  and consumes one secondary draw per ball): one chunk of ``_CHUNK`` balls
+  at a time, drawn primaries first, then candidates, so the kernel holds
+  no t-length array.  Per block of balls, an index pass finds the balls that no
+  earlier ball of the block shares a bin with, and a load pass places all
+  of them at once, then the block's other balls one by one in ball order.
+  The kernel keeps loads in a uint8 table, widened once before any bin
+  could pass 255, and yields per chunk a mask of the balls that took their
+  secondary, from which ``run`` derives the final bins and ``run_summary``
+  the rejections.
 """
 
 from __future__ import annotations
@@ -55,9 +59,9 @@ _TALLY_FIELDS = ("load", "primary_suggested", "primary_accepted", "secondary_use
 
 # Balls in one block of the two-choices kernel.  Longer blocks leave more
 # balls to its scalar tail, shorter ones pay more numpy calls: on a 2-vCPU
-# Xeon at n = t = 10**6 the uint8-table kernel took 40-41 ms (medians
-# 47-58) with 2**12, 42-46 ms (49-58) with 2**11 and 42-45 ms (50-61) with
-# 2**13, best of 7 in two interleaved sweeps.
+# Xeon, run_summary at n = t = 10**6 on the chunked kernel took 40-41 ms
+# (medians 42-45) with 2**12, 43-46 ms (46-49) with 2**11 and 41-43 ms
+# (42-46) with 2**13, best of 14 in two interleaved sweeps.
 # Block offsets are held as uint16 below the sentinel _UNTOUCHED, so the
 # block must stay below 2**16.
 _TWO_CHOICES_BLOCK = 1 << 12
@@ -286,11 +290,12 @@ class Trace:
 def trace_from_json(text: str) -> Trace:
     """Rebuild a trace from its JSON form, re-deriving the final state.
 
-    Every record's ``decision`` must be the one its reject count allows, and
-    its ``sec_idx`` the one its strategy consumes (see
-    :func:`_check_rejections`); the embedded loads are checked against the
-    replayed records.  So a corrupted or impossible payload is rejected
-    with ``ConfigurationError`` rather than silently trusted.
+    Every record's ``ball`` must be its 1-based position, its ``decision``
+    the one its reject count allows, and its ``sec_idx`` the one its
+    strategy consumes (see :func:`_check_rejections`); the embedded loads
+    are checked against the replayed records.  So a corrupted or impossible
+    payload is rejected with ``ConfigurationError`` rather than silently
+    trusted.
     """
     try:
         payload = json.loads(text)
@@ -314,6 +319,9 @@ def trace_from_json(text: str) -> Trace:
     first_ball = {}  # each distinct decision list, and the first ball with it
     try:
         for i, row in enumerate(raw_records):
+            ball = row["ball"]
+            if type(ball) is not int or ball != i + 1:  # bools are not balls
+                raise ValueError(f"record {i + 1} has ball {ball!r}")
             decision = tuple(row["decision"])
             first_ball.setdefault(decision, i)
             primary_bins[i] = row["primary"] - 1
@@ -470,14 +478,17 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
     indices (-1 where a ball landed at its primary), bit-identical to what
     :func:`step` records, and leaves both streams where it leaves them.
     """
-    primary_bins = primary_stream.bounded_block(n, t)
     if spec.kind == TWO_CHOICES_GREEDY:
-        candidates = secondary_stream.bounded_block(n, t)
-        rejected, _ = _two_choices_kernel(n, primary_bins, candidates)
-        final_bins = np.where(rejected, candidates, primary_bins)
+        chunks = [
+            (p, np.where(took, s, p), took)
+            for p, s, took, _ in _two_choices_kernel(
+                n, t, primary_stream, secondary_stream)
+        ]
+        primary_bins, final_bins, rejected = (np.concatenate(c) for c in zip(*chunks))
         reject_counts = rejected.astype(np.int64)
         return (primary_bins, final_bins, reject_counts,
                 _pool_indices(TWO_CHOICES_GREEDY, reject_counts))
+    primary_bins = primary_stream.bounded_block(n, t)
     if spec.kind == THRESHOLD:
         occurrence = _occurrence_index(primary_bins, n)
         rejected = occurrence >= spec.ell
@@ -545,78 +556,92 @@ def _retry_columns(n, spec, primary_bins, occurrence, rejected, secondary_stream
     return final_bins, reject_counts, pool_indices
 
 
-def _two_choices_kernel(n, primary_bins, candidates):
-    """Two-choices placement, one block of balls at a time.
+def _two_choices_kernel(n, t, primary_stream, secondary_stream):
+    """Two-choices placement, drawn and placed one chunk of balls at a time.
 
-    Returns ``rejected``, a bool per ball that is True where the ball took
-    its secondary candidate, and the final int64 loads.  A ball moves only
-    when the candidate's load is strictly lower, so ``rejected`` is exactly
-    ``final_bins != primary_bins`` and the landing bin is
-    ``candidates[i] if rejected[i] else primary_bins[i]``.
+    A generator: for each chunk of ``_CHUNK`` balls it draws the primary
+    chunk, then the candidate chunk, places the chunk's balls and yields
+    ``(p, s, took, load)``: the chunk's primary and candidate bins, a bool
+    per ball that is True where the ball took its candidate, and the load
+    table so far, whose first n entries are the loads.  It yields once, an
+    empty chunk, when t is 0.  Each stream is read in chunks exactly as one
+    block draw of t would read it, so draws and stream positions match
+    :func:`step`.  A ball moves only when the candidate's load is strictly
+    lower, so ``took`` is exactly ``final_bins != primary_bins`` and the
+    landing bin is ``s[i] if took[i] else p[i]``.
 
-    ``first[b]`` is the block offset of the first ball of the block that
-    touches bin b (``_UNTOUCHED`` when none).  A ball that is the first
-    toucher of both its bins is ready: ready balls share no bin with each
-    other or with any earlier ball of the block, so all of them are placed
-    at once with the loads that sequential placement would show them, by a
-    plain scatter of ``min(lp, ls) + 1``.  The block's other balls are then
-    placed one by one in ball order, through a memoryview of ``load``.
+    Each chunk takes two passes over its blocks of ``_TWO_CHOICES_BLOCK``
+    balls.  The index pass finds the ready balls: ``first[b]`` is the block
+    offset of the first ball of the block that touches bin b (``_UNTOUCHED``
+    when none), and a ball that is the first toucher of both its bins is
+    ready.  Ready balls share no bin with each other or with any earlier
+    ball of the block, so the load pass places all of them at once with the
+    loads that sequential placement would show them: it gathers both loads
+    of every ball of the block and scatters ``min(lp, ls) + 1``, sending the
+    waiting balls to the sink bin n, which no ball reads.  The block's
+    waiting balls are then placed one by one in ball order, through a
+    memoryview of ``load``.
 
-    ``load`` starts as uint8, so the table of a million bins fits in L2,
-    and ``top``, the exact maximum load so far, says when it could wrap: a
-    ready step raises a bin by at most 1 and the tail by at most the number
-    of waiting balls, so ``load`` is widened once, to the narrowest type
-    that holds t, before a step that could pass 255.
+    ``load`` starts as uint8, so the table of a million bins fits in L2.
+    ``top`` is an upper bound on the loads so far: a ready step raises a bin
+    by at most 1, and the tail by at most the number of waiting balls, so
+    ``load`` is widened once, to the narrowest type that holds t, before a
+    step that could pass 255.
     """
-    t = len(primary_bins)
     wide = np.min_scalar_type(t)
-    load = np.zeros(n, dtype=np.uint8)
+    load = np.zeros(n + 1, dtype=np.uint8)
     top = 0
-    rejected = np.empty(t, dtype=bool)
     first = np.full(n, _UNTOUCHED, dtype=np.uint16)
     offsets = np.arange(_TWO_CHOICES_BLOCK, dtype=np.uint16)
-    for start in range(0, t, _TWO_CHOICES_BLOCK):
-        stop = min(start + _TWO_CHOICES_BLOCK, t)
-        p = primary_bins[start:stop]
-        s = candidates[start:stop]
-        took = rejected[start:stop]
-        local = offsets[: stop - start]
-        np.minimum.at(first, p, local)
-        np.minimum.at(first, s, local)
-        ready = (first[p] == local) & (first[s] == local)
-        first[p] = _UNTOUCHED
-        first[s] = _UNTOUCHED
-        if top == 255 and load.dtype != wide:
-            load = load.astype(wide)
-        ready_p, ready_s = p[ready], s[ready]
-        lp, ls = load[ready_p], load[ready_s]
-        took_ready = ls < lp
-        took[ready] = took_ready
-        np.minimum(lp, ls, out=lp)
-        lp += 1
-        load[np.where(took_ready, ready_s, ready_p)] = lp
-        if lp.size:
+    ready = np.empty(min(t, _CHUNK), dtype=bool)
+    for begin in range(0, max(t, 1), _CHUNK):
+        m = min(t - begin, _CHUNK)
+        p = primary_stream.bounded_block(n, m)
+        s = secondary_stream.bounded_block(n, m)
+        took = np.empty(m, dtype=bool)
+        blocks = [slice(start, min(start + _TWO_CHOICES_BLOCK, m))
+                  for start in range(0, m, _TWO_CHOICES_BLOCK)]
+        for block in blocks:
+            bp, bs = p[block], s[block]
+            local = offsets[: len(bp)]
+            np.minimum.at(first, bp, local)
+            np.minimum.at(first, bs, local)
+            np.equal(first[bp], local, out=ready[block])
+            ready[block] &= first[bs] == local
+            first[bp] = _UNTOUCHED
+            first[bs] = _UNTOUCHED
+        for block in blocks:
+            bp, bs, bt = p[block], s[block], took[block]
+            if top == 255 and load.dtype != wide:
+                load = load.astype(wide)
+            lp, ls = load[bp], load[bs]
+            np.less(ls, lp, out=bt)
+            target = np.where(bt, bs, bp)
+            waiting = np.flatnonzero(~ready[block])
+            target[waiting] = n
+            np.minimum(lp, ls, out=lp)
+            lp += 1
+            load[target] = lp
             top = max(top, int(lp.max()))
-        waiting = np.flatnonzero(~ready)
-        if top + waiting.size > 255 and load.dtype != wide:
-            load = load.astype(wide)
-        view = memoryview(load)
-        flags = []
-        for a, b in zip(p[waiting].tolist(), s[waiting].tolist()):
-            la = view[a]
-            lb = view[b]
-            if lb < la:
-                a = b
-                la = lb
-                flags.append(True)
-            else:
-                flags.append(False)
-            la += 1
-            view[a] = la
-            if la > top:
-                top = la
-        took[waiting] = flags
-    return rejected, load.astype(np.int64)
+            if top + waiting.size > 255 and load.dtype != wide:
+                load = load.astype(wide)
+            view = memoryview(load)
+            flags = []
+            for a, b in zip(bp[waiting].tolist(), bs[waiting].tolist()):
+                la = view[a]
+                lb = view[b]
+                if lb < la:
+                    a = b
+                    la = lb
+                    flags.append(True)
+                else:
+                    flags.append(False)
+                la += 1
+                view[a] = la
+                if la > top:
+                    top = la
+            bt[waiting] = flags
+        yield p, s, took, load
 
 
 def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
@@ -665,12 +690,13 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
 
     For retry-budget-1 thinning strategies the loads depend on the draw
     blocks only through tallies, so this path is pure counting arithmetic.
-    Two-choices takes the loads its block kernel keeps (one vectorized
-    round per block of balls, then a scalar pass over the block's balls
-    that share a bin with an earlier one) and counts the balls its mask
-    marks as moved to their secondary, with no per-ball bins; retry budgets
-    above 1 count the final bins of the vectorized kernel.  Either way it
-    returns exactly the final loads and rejections the full trace would.
+    Two-choices takes the loads its kernel keeps (one chunk of draws at a
+    time; per block of balls, one vectorized round, then a scalar pass over
+    the block's balls that share a bin with an earlier one) and counts the
+    balls its masks mark as moved to their secondary, holding no t-length
+    array; retry budgets above 1 count the final bins of the vectorized
+    kernel.  Either way it returns exactly the final loads and rejections
+    the full trace would.
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
@@ -695,10 +721,12 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
         np.add.at(loads, secondary_stream.bounded_block(n, rejections), 1)
         return loads, rejections
     if spec.kind == TWO_CHOICES_GREEDY:
-        primary_bins = primary_stream.bounded_block(n, t)
-        candidates = secondary_stream.bounded_block(n, t)
-        rejected, loads = _two_choices_kernel(n, primary_bins, candidates)
-        return loads, int(np.count_nonzero(rejected))
+        rejections = 0
+        # The kernel yields at least once, so load is always bound.
+        for _, _, took, load in _two_choices_kernel(
+                n, t, primary_stream, secondary_stream):
+            rejections += int(np.count_nonzero(took))
+        return load[:n].astype(np.int64), rejections
     _, final_bins, reject_counts, _ = _columns(n, t, spec, primary_stream, secondary_stream)
     return np.bincount(final_bins, minlength=n), int(reject_counts.sum())
 
@@ -713,8 +741,10 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     against ``tracemalloc`` for every kind.
     """
     # bounded_block's two chunk buffers, plus an index and a gathered copy
-    # on a chunk with a rejected word; freed when the block is returned.
-    draw = 4 * min(t, _CHUNK)
+    # on a chunk with a rejected word; freed when the block is returned.  A
+    # bound that divides 2**64 rejects no word.
+    per_draw = 4 if (1 << 64) % n else 2
+    draw = per_draw * min(t, _CHUNK)
     if spec.kind in (ALWAYS_ACCEPT, ALWAYS_REJECT):
         # One draw block, then its bincount.
         words = t + max(draw, n)
@@ -735,19 +765,35 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
         k = spec.retry_budget
         words = (6 + 2 * k) * t + t // 4 + 1 + n + 16 * _RETRY_SEGMENT
     else:
-        # Two-choices.  Drawing: the primary block is held while the
-        # candidates are drawn.  The kernel and its return both hold the two
-        # blocks, the mask (t bytes) and first (uint16 per bin).  The kernel
-        # adds the uint8 load with its one widened copy, at w bytes per bin,
-        # and a block's temporaries with the Python lists of its waiting
-        # balls; the return adds the load at w bytes and the int64 loads.
+        # Two-choices draws and places one chunk at a time: c balls in the
+        # first, c2 in the second, and no later chunk is longer.  Counted in
+        # bytes, with at most 16 KiB of Python objects in every phase (the
+        # generator, its block slices and array headers).  The kernel holds
+        # first (uint16 per bin), the load table of n + 1 bins at w bytes
+        # once widened, and the block offsets.
+        # - Drawing a chunk's candidates: the ready mask, the new primary
+        #   chunk and the block being drawn (2 + per_draw words per ball);
+        #   from the second chunk on, also the previous chunk's bins and
+        #   took mask, and the last block's temporaries (at most 6 words
+        #   per block ball).
+        # - Placing a chunk: its bins and masks, the previous candidates
+        #   and mask that the caller still holds, the uint8 table beside
+        #   its widened copy, and a block's temporaries with the Python
+        #   lists of its waiting balls (at most 17 words per block ball).
+        # - Returning: the table, the int64 loads, and the last chunk's
+        #   candidates and mask.
         w = np.min_scalar_type(t).itemsize
-        held = 2 * t + (t + 2 * n + 7) // 8
-        words = max(
-            2 * t + draw,
-            held + (n * (1 + w) + 7) // 8 + 16 * _TWO_CHOICES_BLOCK,
-            held + (n * w + 7) // 8 + n,
+        c = min(t, _CHUNK)
+        c2 = min(t - c, _CHUNK)
+        block = _TWO_CHOICES_BLOCK
+        per_ball = 8 * (2 + per_draw)
+        tables = 2 * n + (n + 1) * w + 2 * block
+        peak = 16 * 1024 + max(
+            tables + max(c + per_ball * c, 18 * c + 48 * block + per_ball * c2),
+            tables + (n + 1) + max(18 * c, 10 * c + 17 * c2) + 136 * block,
+            (n + 1) * w + 8 * n + 9 * c,
         )
+        words = (peak + 7) // 8
     return 8 * words
 
 

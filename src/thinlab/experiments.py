@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -220,6 +218,11 @@ def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryS
     if workers == 1 or trials == 1:
         outcomes = [_one_trial(job) for job in jobs]
     else:
+        # Imported here, so that importing thinlab does not pay for the
+        # process pool machinery that single-worker runs never use.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         chunk = max(1, trials // (workers * 4))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:

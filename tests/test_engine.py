@@ -26,7 +26,7 @@ from thinlab.engine import (
     trace_from_json,
 )
 from thinlab.errors import ConfigurationError, ResourceLimitError
-from thinlab.rng import FixedStream, RngStream, mix_seeds
+from thinlab.rng import _CHUNK, FixedStream, RngStream, mix_seeds
 from thinlab.strategies import StrategySpec, parse_strategy
 
 THRESHOLD_1 = StrategySpec("threshold", ell=1)
@@ -229,11 +229,42 @@ def test_two_choices_kernel_widens_the_load_table():
     # One bin: the tail places all balls but the first, past 255 and 65535.
     one_bin = np.zeros(70_000, dtype=np.int64)
     for n, bins in ((block, tiled), (block, tail_then_ready), (1, one_bin)):
-        rejected, loads = engine._two_choices_kernel(n, bins, bins.copy())
+        chunks = list(engine._two_choices_kernel(
+            n, len(bins), FixedStream(bins.tolist()), FixedStream(bins.tolist())))
+        rejected = np.concatenate([took for _, _, took, _ in chunks])
+        load = chunks[-1][3]
         assert not rejected.any()
-        assert loads.dtype == np.int64
-        assert np.array_equal(loads, np.bincount(bins, minlength=n))
-    assert loads.tolist() == [70_000]
+        assert load.dtype == np.min_scalar_type(len(bins))
+        assert np.array_equal(load[:n], np.bincount(bins, minlength=n))
+    assert load[:n].tolist() == [70_000]
+    # run_summary returns the kernel's table as int64 loads.
+    loads, rejections = run_summary(1, 300, TWO_CHOICES, 0)
+    assert loads.dtype == np.int64
+    assert loads.tolist() == [300] and rejections == 0
+
+
+@pytest.mark.parametrize(
+    "t", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+)
+def test_two_choices_kernel_at_chunk_edges(t):
+    trace, secondary = assert_paths_agree(5_000, t, TWO_CHOICES, seed=17)
+    assert secondary.draws == t
+
+
+def test_two_choices_kernel_reads_exactly_t_fixed_draws():
+    # The streams hold exactly t draws, so a kernel that drew ahead of the
+    # chunk it places would exhaust them.
+    n, t = 300, _CHUNK + 7
+    primaries = RngStream(mix_seeds(4, 0)).bounded_block(n, t).tolist()
+    candidates = RngStream(mix_seeds(4, 1)).bounded_block(n, t).tolist()
+    runs = []
+    for method in ("vectorized", "reference"):
+        streams = FixedStream(primaries), FixedStream(candidates)
+        runs.append(run_with_streams(n, t, TWO_CHOICES, *streams, method=method))
+        assert [stream.draws for stream in streams] == [t, t]
+    fast, slow = runs
+    assert np.array_equal(fast.final_bins, slow.final_bins)
+    assert fast.final_state == slow.final_state
 
 
 # sha256 of run_summary's loads (little-endian int64) and rejection count at
@@ -375,6 +406,20 @@ def test_json_rejects_corruption():
         trace_from_json("{not json")
     with pytest.raises(ConfigurationError):
         trace_from_json("{}")
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [{0: 999}, {0: "x"}, {0: True}, {0: 3.0}, {0: 2, 1: 1}, {3: 999, 5: "x"}],
+)
+def test_json_rejects_wrong_ball_numbers(edits):
+    # A record's ball must be its 1-based position, as an int.
+    payload = json.loads(run(5, 8, "threshold:1", seed=1).to_json())
+    assert [row["ball"] for row in payload["records"]] == list(range(1, 9))
+    for i, ball in edits.items():
+        payload["records"][i]["ball"] = ball
+    with pytest.raises(ConfigurationError):
+        trace_from_json(json.dumps(payload))
 
 
 def _first(records, rejected):
@@ -559,7 +604,12 @@ def test_run_properties(config):
         ("two-choices", 1_000, 100_000),
         ("two-choices", 10, 100_000),  # the scalar tail places most balls
         ("two-choices", 1_000, 8192),  # the kernel's block temporaries bind
-        ("two-choices", 200_000, 1_000_000),  # the mask and returned loads bind
+        ("two-choices", 200_000, 1_000_000),  # many chunks: their draws bind
+        # A bound that divides 2**64 rejects no word, so the draw term is
+        # exact, and the table widens to uint32 in the first chunk: first
+        # (2n bytes) and the widened table (4n bytes) bind.
+        ("two-choices", 2**17, 2**18),
+        ("two-choices", 2**17, 100_000),  # a shorter second chunk
     ],
 )
 def test_summary_peak_within_estimate(strategy, n, t):

@@ -1,10 +1,14 @@
 """Tests for Monte Carlo campaigns, estimates, and diagnostics."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import thinlab
 from thinlab.bounds import rejection_budget, target_maxload
 from thinlab.engine import run
 from thinlab.errors import ConfigurationError, ResourceLimitError
@@ -241,3 +245,18 @@ def test_one_choice_empirical_matches_dp():
     empirical = pmf_from_counts(counts)
     exact = exact_one_choice_maxload(4, 4)
     assert tv_distance(empirical, exact) < 0.02
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only campaigns with more than one worker import the pool machinery.
+    src = os.path.dirname(os.path.dirname(thinlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys, thinlab; "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "False"
