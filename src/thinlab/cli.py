@@ -24,9 +24,10 @@ from fractions import Fraction
 
 from . import __version__, bounds
 from .checks import SUITE_NAMES, oracle_suite, run_suite
-from .engine import run
-from .errors import ConfigurationError, ThinlabError
+from .engine import run, trace_peak_bytes
+from .errors import ConfigurationError, ResourceLimitError, ThinlabError
 from .experiments import (
+    MEMORY_BUDGET_BYTES,
     ExperimentConfig,
     parse_rho,
     rejection_stats,
@@ -35,6 +36,7 @@ from .experiments import (
     stage_diagnostics,
 )
 from .oracle import exact_maxload_distribution
+from .strategies import parse_strategy
 
 _FORMATS = ("csv", "json")
 _REQUIRED = object()
@@ -508,7 +510,14 @@ def _run_diagnose(params: dict) -> int:
         rho = Fraction(t, n)
     else:
         t = int(rho * n)
-    trace = run(n, t, params["strategy"], params["seed"])
+    spec = parse_strategy(params["strategy"], n=n)
+    needed = trace_peak_bytes(n, t, spec)
+    if needed > MEMORY_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"a trace of {t} balls in {n} bins needs about {needed} bytes, "
+            f"beyond the budget of {MEMORY_BUDGET_BYTES}"
+        )
+    trace = run(n, t, spec, params["seed"])
     diagnostics = stage_diagnostics(trace, rho, params["epsilon"])
     rejections = rejection_stats(trace)
     header = ["k", "rich_bins", "count_below_zeta", "load_below_target"]

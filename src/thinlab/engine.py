@@ -32,11 +32,18 @@ loads):
   could pass 255, and yields per chunk a mask of the balls that took their
   secondary, from which ``run`` derives the final bins and ``run_summary``
   the rejections.
+
+Inside a campaign, ``run_summary``'s counting branches (one-choice,
+always-reject, threshold with k = 1) draw into one int64 buffer that is kept
+between calls (per thread, see :func:`_keep_draw_buffer`), so a trial does
+not fault a fresh t-word block in from the OS.  The draws, and so every
+result, are the same as a bare call's, which allocates its blocks.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -70,6 +77,40 @@ _UNTOUCHED = 0xFFFF
 # Most rejected balls, and most pool draws, that the retry kernel's scan
 # holds as Python lists at once.
 _RETRY_SEGMENT = 1 << 16
+
+
+class _KeptDraws(threading.local):
+    """The draw buffer that run_summary's counting branches keep, per thread.
+
+    ``array`` is None unless :func:`_keep_draw_buffer` switched keeping on.
+    A fresh t-word block per call would be handed back to the OS when freed
+    (glibc trims the top of the heap) and faulted in again by the next call,
+    about 1300 minor page faults per call at t = 10**6.
+    """
+
+    array: np.ndarray | None = None
+
+
+_kept_draws = _KeptDraws()
+
+
+def _keep_draw_buffer(on: bool) -> None:
+    """Keep one draw buffer across run_summary calls (on), or drop it (off)."""
+    _kept_draws.array = np.empty(0, dtype=np.int64) if on else None
+
+
+def _draw(stream: RngStream, n: int, count: int) -> np.ndarray:
+    """``stream.bounded_block(n, count)``, into the kept buffer if there is one.
+
+    A kept buffer shorter than ``count`` is replaced by one of ``count``
+    words; a longer one is drawn into from its start.
+    """
+    kept = _kept_draws.array
+    if kept is None:
+        return stream.bounded_block(n, count)
+    if len(kept) < count:
+        kept = _kept_draws.array = np.empty(count, dtype=np.int64)
+    return stream._block(n, count, kept)
 
 
 def _coerce_spec(strategy, n: int | None = None) -> StrategySpec:
@@ -697,6 +738,11 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     array; retry budgets above 1 count the final bins of the vectorized
     kernel.  Either way it returns exactly the final loads and rejections
     the full trace would.
+
+    While a draw buffer is kept (``experiments.run_trials`` keeps one for
+    its trials), the counting branches draw into it rather than into fresh
+    blocks, and threshold with k = 1 draws its pool into it too once the
+    primaries are counted.  A bare call allocates its blocks.
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
@@ -706,19 +752,20 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     primary_stream = RngStream(mix_seeds(seed, 0))
     secondary_stream = RngStream(mix_seeds(seed, 1))
     if spec.kind == ALWAYS_ACCEPT:
-        return np.bincount(primary_stream.bounded_block(n, t), minlength=n), 0
+        return np.bincount(_draw(primary_stream, n, t), minlength=n), 0
     if spec.kind == ALWAYS_REJECT:
         # The loads come from the pool alone, and the primary stream is
         # discarded here, so its draws are skipped.
-        return np.bincount(secondary_stream.bounded_block(n, t), minlength=n), t
+        return np.bincount(_draw(secondary_stream, n, t), minlength=n), t
     if spec.kind == THRESHOLD and spec.retry_budget == 1:
         # A bin keeps min(suggested, ell) primaries; the rest are rejected.
-        loads = np.bincount(primary_stream.bounded_block(n, t), minlength=n)
+        loads = np.bincount(_draw(primary_stream, n, t), minlength=n)
         np.minimum(loads, spec.ell, out=loads)
         rejections = t - int(loads.sum())
         # Few balls are rejected at the usual ell, so counting them in place
         # beats an n-length bincount, and it is no slower when most are.
-        np.add.at(loads, secondary_stream.bounded_block(n, rejections), 1)
+        # The pool may reuse the kept buffer: bincount is done with it.
+        np.add.at(loads, _draw(secondary_stream, n, rejections), 1)
         return loads, rejections
     if spec.kind == TWO_CHOICES_GREEDY:
         rejections = 0
@@ -738,7 +785,9 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     alive together (a bool array counts as t / 8 words), with the most
     rejections a run can have; the bound is the largest phase, since a
     phase frees its temporaries before the next begins.  The tests check it
-    against ``tracemalloc`` for every kind.
+    against ``tracemalloc`` for every kind.  A kept draw buffer (see
+    :func:`_keep_draw_buffer`) takes the place of the t-word draw block
+    counted here, so the bound holds for a campaign worker too.
     """
     # bounded_block's two chunk buffers, plus an index and a gathered copy
     # on a chunk with a rejected word; freed when the block is returned.  A
@@ -795,6 +844,44 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
         )
         words = (peak + 7) // 8
     return 8 * words
+
+
+def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
+    """Upper bound on the memory one :func:`run` call holds at once.
+
+    Counted like :func:`summary_peak_bytes`, in words, as the largest phase
+    of ``_columns`` and then of ``_assemble_trace``, with the most
+    rejections a run can have, plus 16 KiB of Python objects.  The tests
+    check it against ``tracemalloc`` for every kind.
+    """
+    per_draw = 4 if (1 << 64) % n else 2
+    draw = per_draw * min(t, _CHUNK)
+    mask = t // 8 + 1  # a bool per ball
+    if spec.kind == TWO_CHOICES_GREEDY:
+        # The kernel's buffers beside the chunks kept so far (primary bins,
+        # final bins and took mask, and at most 1 KiB of array headers and a
+        # tuple per chunk); then, beside those chunks, their concatenation,
+        # the int64 reject counts, and _pool_indices' arange, mask and result.
+        kept = 2 * t + mask + 128 * -(-t // _CHUNK)
+        columns = max(kept + summary_peak_bytes(n, t, spec) // 8, 2 * kept + 3 * t + mask)
+    elif spec.kind == THRESHOLD and spec.retry_budget > 1:
+        # run_summary runs _columns whole and then only counts final bins.
+        columns = summary_peak_bytes(n, t, spec) // 8
+    else:
+        # The primary bins, the occurrences (threshold only), the rejected
+        # mask, the final bins and the pool block (at most t draws, with its
+        # draw buffers); at the end, pool indices and int64 reject counts
+        # in place of the block.  _occurrence_index holds the bins, five
+        # t-word arrays and two masks.
+        occurrence = t if spec.kind == THRESHOLD else 0
+        columns = 4 * t + mask + occurrence + draw
+        if spec.kind == THRESHOLD:
+            columns = max(columns, 6 * t + 2 * mask)
+    # _assemble_trace: the four columns, four n-word tallies, one bincount
+    # at a time, the landed mask and its complement, and a gather of the
+    # final bins on one side of it.
+    assembly = 5 * t + 2 * mask + 5 * n
+    return 8 * max(columns, assembly) + 16 * 1024
 
 
 def replay(trace: Trace) -> ProcessState:

@@ -113,7 +113,7 @@ class RngStream:
                 self.draws += 1
                 return word % n
 
-    def bounded_block(self, n: int, count: int) -> np.ndarray:
+    def bounded_block(self, n: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
         """Vectorized batch of ``count`` bounded draws.
 
         Produces exactly the sequence ``[next_bounded(n) for _ in
@@ -121,7 +121,18 @@ class RngStream:
         leaves the stream in the identical position.  The result is an int64
         array, so the bound must not exceed 2**63; use ``next_bounded`` for
         larger bounds.
+
+        With ``out``, a one-dimensional int64 array of at least ``count``
+        entries, the draws are written to ``out[:count]`` and that view is
+        returned; entries past ``count`` are left as they were.  Values,
+        ``counter`` and ``draws`` are the same with or without it.
         """
+        return self._block(n, count, out)
+
+    def _block(self, n: int, count: int, out: np.ndarray | None) -> np.ndarray:
+        # bounded_block's body.  The engine's reusable-buffer path calls it
+        # under this name, so that a wrapper swapped in for bounded_block
+        # with its (n, count) signature, such as a tracer's, keeps working.
         if n <= 0:
             raise ConfigurationError(f"draw bound must be positive, got {n}")
         if n > 1 << 63:
@@ -133,7 +144,15 @@ class RngStream:
         remainder = (1 << 64) % n
         limit = np.uint64((1 << 64) - remainder) if remainder else None
         bound = np.uint64(n)
-        out = np.empty(count, dtype=np.int64)
+        if out is None:
+            out = np.empty(count, dtype=np.int64)
+        elif (isinstance(out, np.ndarray) and out.dtype == np.int64
+              and out.ndim == 1 and len(out) >= count):
+            out = out[:count]
+        else:
+            raise ConfigurationError(
+                f"draw buffer must be a 1-d int64 array of at least {count} entries"
+            )
         values = out.view(np.uint64)  # draws are below 2**63, so the view is exact
         words = np.empty(min(count, _CHUNK), dtype=np.uint64)
         shifted = np.empty_like(words)

@@ -203,6 +203,19 @@ def test_diagnose_outputs(capsys):
     assert len(lines) == 3
 
 
+def _no_run(*args):
+    raise AssertionError("diagnose ran a trace it should have refused")
+
+
+def test_diagnose_refuses_a_trace_beyond_the_memory_budget(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", _no_run)  # refused before anything is allocated
+    code, out, err = run_cli(
+        capsys, ["diagnose", "-n", "1000000000", "--rho", "1", "--no-meta"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("thinlab: error: a trace of 1000000000 balls")
+
+
 def test_check_subcommand_passes(capsys):
     code, out, _ = run_cli(capsys, ["check", "--suite", "engine", "--no-meta"])
     assert code == 0

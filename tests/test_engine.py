@@ -24,6 +24,7 @@ from thinlab.engine import (
     step,
     summary_peak_bytes,
     trace_from_json,
+    trace_peak_bytes,
 )
 from thinlab.errors import ConfigurationError, ResourceLimitError
 from thinlab.rng import _CHUNK, FixedStream, RngStream, mix_seeds
@@ -627,3 +628,66 @@ def test_summary_peak_within_estimate(strategy, n, t):
         # No term is padded beyond the chunk buffers of a rejecting chunk;
         # threshold estimates assume every ball is rejected, so are exempt.
         assert estimate <= 1.5 * peak
+
+
+# The run_summary branches that count draw blocks, and so keep a draw buffer
+# inside a campaign.  At n = 1000, threshold:1 rejects most balls, so its
+# pool block fills most of the buffer that its primaries used.
+COUNTING_KINDS = ["one-choice", "always-reject", "threshold:1", "threshold:auto"]
+
+
+@pytest.mark.parametrize("strategy", COUNTING_KINDS)
+def test_kept_draw_buffer_is_reused(strategy):
+    n, t = 1000, 300_000
+    spec = parse_strategy(strategy, n=n)
+    engine._keep_draw_buffer(True)  # what each campaign worker runs first
+    try:
+        run_summary(n, t, spec, 1)  # the first call allocates the buffer
+        tracemalloc.start()
+        try:
+            run_summary(n, t, spec, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    finally:
+        engine._keep_draw_buffer(False)
+    # The buffer was allocated before tracing began, so the second call's
+    # peak holds no t-word block.
+    assert peak <= summary_peak_bytes(n, t, spec) - 8 * t
+
+
+@pytest.mark.parametrize("strategy", COUNTING_KINDS)
+def test_kept_draw_buffer_gives_fresh_results(strategy):
+    n = 1000
+    spec = parse_strategy(strategy, n=n)
+    # Each run is longer, then shorter, than the buffer the one before kept.
+    sizes = [(_CHUNK + 5, 1), (3 * _CHUNK + 1, 2), (7, 3), (2 * _CHUNK, 4)]
+    engine._keep_draw_buffer(True)
+    try:
+        kept = [run_summary(n, t, spec, seed) for t, seed in sizes]
+    finally:
+        engine._keep_draw_buffer(False)
+    for (t, seed), (loads, rejections) in zip(sizes, kept):
+        fresh_loads, fresh_rejections = run_summary(n, t, spec, seed)
+        assert loads.tolist() == fresh_loads.tolist()
+        assert rejections == fresh_rejections
+
+
+# At the first size the columns of _columns bind, at the second the tallies
+# of _assemble_trace.
+@pytest.mark.parametrize("n, t", [(20_000, 300_000), (200_000, 200_000)])
+@pytest.mark.parametrize(
+    "strategy",
+    ["one-choice", "always-reject", "threshold:auto", "threshold:1", "threshold:20,k=2",
+     "two-choices"],
+)
+def test_trace_peak_within_estimate(strategy, n, t):
+    spec = parse_strategy(strategy, n=n)
+    run(n, t, spec, 1)  # any lazy set-up happens outside the trace
+    tracemalloc.start()
+    try:
+        run(n, t, spec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= trace_peak_bytes(n, t, spec)

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import thinlab
+from thinlab import engine, experiments
 from thinlab.bounds import rejection_budget, target_maxload
-from thinlab.engine import run
+from thinlab.engine import run, run_summary
 from thinlab.errors import ConfigurationError, ResourceLimitError
 from thinlab.experiments import (
     ExperimentConfig,
@@ -24,7 +25,7 @@ from thinlab.experiments import (
     wilson_interval,
 )
 from thinlab.oracle import exact_one_choice_maxload, pmf_from_counts, tv_distance
-from thinlab.rng import mix_seeds
+from thinlab.rng import _CHUNK, mix_seeds
 from thinlab.strategies import StrategySpec
 
 
@@ -83,6 +84,38 @@ def test_run_trials_matches_direct_runs():
         assert stats.per_trial_maxload[i] == int(trace.loads.max())
         assert stats.per_trial_rejections[i] == trace.final_state.rejections
         assert stats.per_trial_seeds[i] == config.trial_seed(i)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "strategy", ["one-choice", "always-reject", "threshold:1", "threshold:auto"])
+def test_run_trials_with_kept_draws_matches_run_summary(strategy, workers):
+    # At n = 1000, threshold:1 rejects most balls, so its pool block fills
+    # most of the draw buffer that each trial keeps for the next.
+    config = ExperimentConfig(n=1000, strategy=strategy, trials=4, base_seed=3, t=_CHUNK + 5)
+    stats = run_trials(config, workers=workers)
+    for i, seed in enumerate(stats.per_trial_seeds):
+        loads, rejections = run_summary(config.n, config.ball_count, config.spec, seed)
+        assert stats.per_trial_maxload[i] == int(loads.max())
+        assert stats.per_trial_rejections[i] == rejections
+
+
+def test_run_trials_drops_the_draw_buffer(monkeypatch):
+    run_trials(small_config(trials=3), workers=1)
+    assert engine._kept_draws.array is None
+    kept_during_trial = []
+
+    def fail_second_trial(*args):
+        kept_during_trial.append(engine._kept_draws.array is not None)
+        if len(kept_during_trial) == 2:
+            raise RuntimeError("trial failed")
+        return run_summary(*args)
+
+    monkeypatch.setattr(experiments, "run_summary", fail_second_trial)
+    with pytest.raises(RuntimeError):
+        run_trials(small_config(trials=3), workers=1)
+    assert kept_during_trial == [True, True]
+    assert engine._kept_draws.array is None
 
 
 def test_summary_statistics_shape():
@@ -178,6 +211,20 @@ def test_scaling_study_composition():
     assert row.target == pytest.approx(target_maxload(50))
     assert row.ratio == pytest.approx(stats.median_maxload / target_maxload(50))
     assert row.trials == 20
+
+
+def test_scaling_study_with_growing_ball_counts():
+    # Each grid point has more balls than the last, so a draw buffer kept
+    # from the one before would be too short.
+    grid = [100, 1000, 40_000]
+    rows = scaling_study(grid, rho=2, strategy="threshold:1", trials=3, base_seed=9)
+    for row in rows:
+        campaign_seed = mix_seeds(9, row.n)
+        maxloads = sorted(
+            int(run_summary(row.n, 2 * row.n, "threshold:1", mix_seeds(campaign_seed, i))[0].max())
+            for i in range(3)
+        )
+        assert row.median_maxload == type1_quantile(maxloads, 0.5)
 
 
 def test_scaling_study_grid_validation():

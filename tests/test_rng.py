@@ -100,6 +100,19 @@ def test_block_matches_sequential_across_chunks(n, count):
         assert a.counter > a.draws * 1.3  # about a third more words than draws
 
 
+@pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+@pytest.mark.parametrize("n", [10**6, REJECTING_BOUND])
+def test_block_into_a_buffer_matches_a_fresh_block(n, count):
+    a, b = RngStream(11), RngStream(11)
+    out = np.full(count + 9, -7, dtype=np.int64)
+    block = a.bounded_block(n, count, out=out)
+    fresh = b.bounded_block(n, count)
+    assert block.base is out and len(block) == count
+    assert out[:count].tolist() == fresh.tolist()
+    assert (a.counter, a.draws) == (b.counter, b.draws)
+    assert out[count:].tolist() == [-7] * 9
+
+
 # The reduction divides by a scalar, and numpy picks its division method by
 # the divisor: 1 and powers of two take other branches than other bounds.
 @pytest.mark.parametrize("n", [1, 2, 3, 2**32, 2**32 + 1, 2**63 - 1, 2**63])
@@ -159,6 +172,11 @@ def test_invalid_bounds_raise():
         stream.bounded_block(4, -1)
     with pytest.raises(ConfigurationError):
         stream.bounded_block(MASK64, 1)  # exceeds int64 index range
+    for out in (np.empty(4, dtype=np.int64), np.empty(5, dtype=np.uint64),
+                np.empty((5, 1), dtype=np.int64), [0] * 5):
+        with pytest.raises(ConfigurationError):
+            stream.bounded_block(4, 5, out=out)
+    assert stream.counter == 0  # no bad call consumed a word
     assert 0 <= stream.next_bounded(MASK64) < MASK64  # sequential path is fine
 
 
