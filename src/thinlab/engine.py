@@ -13,8 +13,7 @@ the usual bin-labeling convention; tally arrays are 0-indexed internally.
 :func:`run` and :func:`run_summary` go through one vectorized kernel,
 :func:`_columns`, which draws blocks of balls and yields bit-identical
 traces and stream positions (``run_summary`` skips it where counts of the
-draw blocks, or the two-choices kernel's loads, already give the final
-loads):
+draws, or the two-choices kernel's loads, already give the final loads):
 
 - one-choice, always-reject and threshold with retry budget 1: a ball's
   primary is rejected iff its occurrence index among the primaries is at
@@ -33,24 +32,24 @@ loads):
   secondary, from which ``run`` derives the final bins and ``run_summary``
   the rejections.
 
-Inside a campaign, ``run_summary``'s counting branches (one-choice,
-always-reject, threshold with k = 1) draw into one int64 buffer that is kept
-between calls (per thread, see :func:`_keep_draw_buffer`), so a trial does
-not fault a fresh t-word block in from the OS.  The draws, and so every
-result, are the same as a bare call's, which allocates its blocks.
+``run_summary``'s counting branches (one-choice, always-reject, threshold
+with k = 1) stream their draws one chunk at a time into a uint8 load table
+(see :func:`_count_loads`), so they hold no t-length array and no int64
+table; a run in which a bin passes 255 is counted again into a table of
+``np.min_scalar_type(t)``.  ``run_summary`` returns the table it counted
+into, so its loads are exact but often narrower than int64.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ResourceLimitError
-from .rng import _CHUNK, RngStream, mix_seeds
+from .rng import _CHUNK, RngStream, _chunk_buffer_bytes, mix_seeds
 from .strategies import (
     ALWAYS_ACCEPT,
     ALWAYS_REJECT,
@@ -77,40 +76,6 @@ _UNTOUCHED = 0xFFFF
 # Most rejected balls, and most pool draws, that the retry kernel's scan
 # holds as Python lists at once.
 _RETRY_SEGMENT = 1 << 16
-
-
-class _KeptDraws(threading.local):
-    """The draw buffer that run_summary's counting branches keep, per thread.
-
-    ``array`` is None unless :func:`_keep_draw_buffer` switched keeping on.
-    A fresh t-word block per call would be handed back to the OS when freed
-    (glibc trims the top of the heap) and faulted in again by the next call,
-    about 1300 minor page faults per call at t = 10**6.
-    """
-
-    array: np.ndarray | None = None
-
-
-_kept_draws = _KeptDraws()
-
-
-def _keep_draw_buffer(on: bool) -> None:
-    """Keep one draw buffer across run_summary calls (on), or drop it (off)."""
-    _kept_draws.array = np.empty(0, dtype=np.int64) if on else None
-
-
-def _draw(stream: RngStream, n: int, count: int) -> np.ndarray:
-    """``stream.bounded_block(n, count)``, into the kept buffer if there is one.
-
-    A kept buffer shorter than ``count`` is replaced by one of ``count``
-    words; a longer one is drawn into from its start.
-    """
-    kept = _kept_draws.array
-    if kept is None:
-        return stream.bounded_block(n, count)
-    if len(kept) < count:
-        kept = _kept_draws.array = np.empty(count, dtype=np.int64)
-    return stream._block(n, count, kept)
 
 
 def _coerce_spec(strategy, n: int | None = None) -> StrategySpec:
@@ -729,121 +694,145 @@ def run(n: int, t: int, strategy, seed: int, method: str = "auto") -> Trace:
 def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     """Loads and rejection count of :func:`run`, skipping per-ball records.
 
-    For retry-budget-1 thinning strategies the loads depend on the draw
-    blocks only through tallies, so this path is pure counting arithmetic.
-    Two-choices takes the loads its kernel keeps (one chunk of draws at a
-    time; per block of balls, one vectorized round, then a scalar pass over
-    the block's balls that share a bin with an earlier one) and counts the
-    balls its masks mark as moved to their secondary, holding no t-length
-    array; retry budgets above 1 count the final bins of the vectorized
-    kernel.  Either way it returns exactly the final loads and rejections
-    the full trace would.
+    Returns ``(loads, rejections)``.  ``loads`` holds exactly the final
+    per-bin loads of ``run(n, t, strategy, seed)``, in whatever integer
+    dtype the path counted them in: one that holds every load, often uint8,
+    and never int64 where a narrower type holds t.  So widen it before
+    arithmetic that could leave that range; comparisons, ``max()`` and
+    ``tolist()`` are exact as they are.
 
-    While a draw buffer is kept (``experiments.run_trials`` keeps one for
-    its trials), the counting branches draw into it rather than into fresh
-    blocks, and threshold with k = 1 draws its pool into it too once the
-    primaries are counted.  A bare call allocates its blocks.
+    One-choice, always-reject and threshold with k = 1 count their draws
+    chunk by chunk (see :func:`_count_loads`).  Two-choices takes the load
+    table its kernel keeps (one chunk of draws at a time; per block of
+    balls, one vectorized round, then a scalar pass over the block's balls
+    that share a bin with an earlier one) and counts the balls its masks
+    mark as moved to their secondary.  None of these holds a t-length
+    array.  Retry budgets above 1 count the final bins of the vectorized
+    kernel into int64 loads.
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
     if not isinstance(t, (int, np.integer)) or isinstance(t, bool) or t < 0:
         raise ConfigurationError(f"ball count must be a non-negative integer, got {t!r}")
     t = int(t)
-    primary_stream = RngStream(mix_seeds(seed, 0))
-    secondary_stream = RngStream(mix_seeds(seed, 1))
-    if spec.kind == ALWAYS_ACCEPT:
-        return np.bincount(_draw(primary_stream, n, t), minlength=n), 0
-    if spec.kind == ALWAYS_REJECT:
-        # The loads come from the pool alone, and the primary stream is
-        # discarded here, so its draws are skipped.
-        return np.bincount(_draw(secondary_stream, n, t), minlength=n), t
-    if spec.kind == THRESHOLD and spec.retry_budget == 1:
-        # A bin keeps min(suggested, ell) primaries; the rest are rejected.
-        loads = np.bincount(_draw(primary_stream, n, t), minlength=n)
-        np.minimum(loads, spec.ell, out=loads)
-        rejections = t - int(loads.sum())
-        # Few balls are rejected at the usual ell, so counting them in place
-        # beats an n-length bincount, and it is no slower when most are.
-        # The pool may reuse the kept buffer: bincount is done with it.
-        np.add.at(loads, _draw(secondary_stream, n, rejections), 1)
-        return loads, rejections
+
+    def streams():
+        return RngStream(mix_seeds(seed, 0)), RngStream(mix_seeds(seed, 1))
+
+    if spec.kind != TWO_CHOICES_GREEDY and spec.retry_budget == 1:
+        return _count_loads(n, t, spec, streams)
     if spec.kind == TWO_CHOICES_GREEDY:
         rejections = 0
         # The kernel yields at least once, so load is always bound.
-        for _, _, took, load in _two_choices_kernel(
-                n, t, primary_stream, secondary_stream):
+        for _, _, took, load in _two_choices_kernel(n, t, *streams()):
             rejections += int(np.count_nonzero(took))
-        return load[:n].astype(np.int64), rejections
-    _, final_bins, reject_counts, _ = _columns(n, t, spec, primary_stream, secondary_stream)
+        return load[:n], rejections
+    _, final_bins, reject_counts, _ = _columns(n, t, spec, *streams())
     return np.bincount(final_bins, minlength=n), int(reject_counts.sum())
+
+
+def _count_loads(n, t, spec, streams):
+    """Loads and rejections of one-choice, always-reject or threshold k = 1.
+
+    ``streams()`` returns a fresh (primary, secondary) stream pair.  Each
+    chunk of draws is counted into a uint8 table by ``np.add.at``, so no
+    t-length array and no int64 table is held.  A threshold table is capped
+    at ell once the primaries are counted: a bin keeps min(suggested, ell)
+    of them and the rest are rejected, landing on consecutive pool draws,
+    which are counted into the same table.  A bin that passes 255 wraps, so
+    the table then sums to less than t; that is checked after the primaries
+    (before the cap could hide it) and at the end, and the run is counted
+    again from fresh streams into a table of ``np.min_scalar_type(t)``,
+    which holds every load.
+    """
+    wide = np.min_scalar_type(t)
+    for dtype, top in ((np.uint8, 255), (wide, t)):
+        loads = np.zeros(n, dtype=dtype)
+        primary, secondary = streams()
+        rejections = t if spec.kind == ALWAYS_REJECT else 0
+        # Always-reject's loads come from the pool alone, so its primaries
+        # are not drawn.
+        stream = secondary if spec.kind == ALWAYS_REJECT else primary
+        _add_chunks(loads, stream.bounded_chunks(n, t))
+        # Only a table whose top is below t can wrap, so the wide pass
+        # always returns.  A sum of counts never passes t, so summing in
+        # wide is exact, and faster than numpy's default uint64 accumulator.
+        exact = top >= t
+        if spec.kind == THRESHOLD and (exact or loads.sum(dtype=wide) == t):
+            # A cap above top could not bind, nor fit the table's dtype.
+            np.minimum(loads, min(spec.ell, top), out=loads)
+            rejections = t - int(loads.sum(dtype=wide))
+            _add_chunks(loads, secondary.bounded_chunks(n, rejections))
+        if exact or loads.sum(dtype=wide) == t:
+            return loads, rejections
+        del loads  # freed before the wide table is allocated
+
+
+def _add_chunks(loads, chunks) -> None:
+    """Count each chunk of bins into ``loads``, which may wrap.
+
+    The last chunk, and so its buffer, is released on return, before the
+    caller draws again.
+    """
+    one = loads.dtype.type(1)  # a Python int would take numpy's slow path
+    for chunk in chunks:
+        np.add.at(loads, chunk, one)
 
 
 def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     """Upper bound on the memory one :func:`run_summary` call holds at once.
 
-    Counted in 8-byte words from the buffers each phase of a path keeps
-    alive together (a bool array counts as t / 8 words), with the most
-    rejections a run can have; the bound is the largest phase, since a
-    phase frees its temporaries before the next begins.  The tests check it
-    against ``tracemalloc`` for every kind.  A kept draw buffer (see
-    :func:`_keep_draw_buffer`) takes the place of the t-word draw block
-    counted here, so the bound holds for a campaign worker too.
+    Counted from the buffers each phase of a path keeps alive together,
+    with the most rejections a run can have and the widest load table it
+    can need; the bound is the largest phase, since a phase frees its
+    temporaries before the next begins.  The tests check it against
+    ``tracemalloc`` for every kind, and for the counting kinds on the path
+    that counts again into a wide table too.
     """
-    # bounded_block's two chunk buffers, plus an index and a gathered copy
-    # on a chunk with a rejected word; freed when the block is returned.  A
-    # bound that divides 2**64 rejects no word.
-    per_draw = 4 if (1 << 64) % n else 2
-    draw = per_draw * min(t, _CHUNK)
-    if spec.kind in (ALWAYS_ACCEPT, ALWAYS_REJECT):
-        # One draw block, then its bincount.
-        words = t + max(draw, n)
-    elif spec.kind == THRESHOLD and spec.retry_budget == 1:
-        # The primary block and its bincount; then the loads while the pool
-        # block (at most t draws) is drawn, and np.add.at counts it in place.
-        words = n + t + draw
-    elif spec.kind == THRESHOLD:
-        # _occurrence_index holds the bins and at most five t-word arrays
-        # and two masks, fewer than the retry scan.  At its end the scan holds
-        # the bins, occurrences, the rejected balls and their landings,
-        # final bins, a gather by landing, two masks, cut (n), and the pool
-        # draws twice over, the blocks and their concatenation (k per ball);
-        # every ball rejected at worst.  Its Python lists and a cut lookup
-        # add at most 16 words per _RETRY_SEGMENT entry.  A pool draw's chunk
-        # buffers (at most 4 words per draw) are freed before that end,
-        # which holds 2 + k more words per ball.
+    w = np.min_scalar_type(t).itemsize  # bytes per bin of a table that holds t
+    if spec.kind == THRESHOLD and spec.retry_budget > 1:
+        # In words.  _occurrence_index holds the bins and at most five
+        # t-word arrays and two masks, fewer than the retry scan.  At its end
+        # the scan holds the bins, occurrences, the rejected balls and their
+        # landings, final bins, a gather by landing, two masks, cut (n), and
+        # the pool draws twice over, the blocks and their concatenation (k
+        # per ball); every ball rejected at worst.  Its Python lists and a
+        # cut lookup add at most 16 words per _RETRY_SEGMENT entry.  A pool
+        # draw's chunk buffers (at most 17 bytes per draw) are freed before
+        # that end, which holds 2 + k more words per ball.
         k = spec.retry_budget
-        words = (6 + 2 * k) * t + t // 4 + 1 + n + 16 * _RETRY_SEGMENT
-    else:
-        # Two-choices draws and places one chunk at a time: c balls in the
-        # first, c2 in the second, and no later chunk is longer.  Counted in
-        # bytes, with at most 16 KiB of Python objects in every phase (the
-        # generator, its block slices and array headers).  The kernel holds
-        # first (uint16 per bin), the load table of n + 1 bins at w bytes
-        # once widened, and the block offsets.
-        # - Drawing a chunk's candidates: the ready mask, the new primary
-        #   chunk and the block being drawn (2 + per_draw words per ball);
-        #   from the second chunk on, also the previous chunk's bins and
-        #   took mask, and the last block's temporaries (at most 6 words
-        #   per block ball).
-        # - Placing a chunk: its bins and masks, the previous candidates
-        #   and mask that the caller still holds, the uint8 table beside
-        #   its widened copy, and a block's temporaries with the Python
-        #   lists of its waiting balls (at most 17 words per block ball).
-        # - Returning: the table, the int64 loads, and the last chunk's
-        #   candidates and mask.
-        w = np.min_scalar_type(t).itemsize
-        c = min(t, _CHUNK)
-        c2 = min(t - c, _CHUNK)
-        block = _TWO_CHOICES_BLOCK
-        per_ball = 8 * (2 + per_draw)
-        tables = 2 * n + (n + 1) * w + 2 * block
-        peak = 16 * 1024 + max(
-            tables + max(c + per_ball * c, 18 * c + 48 * block + per_ball * c2),
-            tables + (n + 1) + max(18 * c, 10 * c + 17 * c2) + 136 * block,
-            (n + 1) * w + 8 * n + 9 * c,
-        )
-        words = (peak + 7) // 8
-    return 8 * words
+        return 8 * ((6 + 2 * k) * t + t // 4 + 1 + n + 16 * _RETRY_SEGMENT)
+    if spec.kind != TWO_CHOICES_GREEDY:
+        # _count_loads holds its table and one stream's chunk buffers: a
+        # uint8 table, or, counting again after a bin wrapped, a table of w
+        # bytes per bin, allocated once the uint8 one is freed.
+        return n * w + _chunk_buffer_bytes(n, t) + 16 * 1024
+    # Two-choices draws and places one chunk at a time: c balls in the
+    # first, c2 in the second, and no later chunk is longer.  At most 16 KiB
+    # of Python objects in every phase (the generator, its block slices and
+    # array headers).  The kernel holds first (uint16 per bin), the load
+    # table of n + 1 bins at w bytes once widened, and the block offsets.
+    # - Drawing a chunk's candidates: the ready mask, the new primary chunk,
+    #   the block being drawn and its chunk buffers; from the second chunk
+    #   on, also the previous chunk's bins and took mask, and the last
+    #   block's temporaries (at most 6 words per block ball).
+    # - Placing a chunk: its bins and masks, the previous candidates and
+    #   mask that the caller still holds, the uint8 table beside its widened
+    #   copy, and a block's temporaries with the Python lists of its waiting
+    #   balls (at most 17 words per block ball).
+    # run_summary returns a view of the table, so returning holds less.
+    c = min(t, _CHUNK)
+    c2 = min(t - c, _CHUNK)
+    block = _TWO_CHOICES_BLOCK
+
+    def drawing(m):  # a chunk's primaries, the block being drawn, its buffers
+        return 16 * m + _chunk_buffer_bytes(n, m)
+
+    tables = 2 * n + (n + 1) * w + 2 * block
+    return 16 * 1024 + tables + max(
+        max(c + drawing(c), 18 * c + 48 * block + drawing(c2)),
+        (n + 1) + max(18 * c, 10 * c + 17 * c2) + 136 * block,
+    )
 
 
 def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
@@ -854,8 +843,7 @@ def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     rejections a run can have, plus 16 KiB of Python objects.  The tests
     check it against ``tracemalloc`` for every kind.
     """
-    per_draw = 4 if (1 << 64) % n else 2
-    draw = per_draw * min(t, _CHUNK)
+    draw = -(-_chunk_buffer_bytes(n, t) // 8)
     mask = t // 8 + 1  # a bool per ball
     if spec.kind == TWO_CHOICES_GREEDY:
         # The kernel's buffers beside the chunks kept so far (primary bins,

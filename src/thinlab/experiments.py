@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bounds import rejection_budget, stage_params, target_maxload
-from .engine import Trace, _keep_draw_buffer, run_summary, summary_peak_bytes
+from .engine import Trace, run_summary, summary_peak_bytes
 from .errors import ConfigurationError, ResourceLimitError, WorkerError
 from .rng import mix_seeds
 from .strategies import StrategySpec, parse_strategy
@@ -188,9 +188,8 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 def _check_memory(n: int, t: int, spec: StrategySpec, trials: int, workers: int) -> None:
-    # Each worker runs one trial at a time; between trials it keeps only the
-    # draw buffer that the next trial draws into, which the per-trial peak
-    # already counts.  Results add a few words per trial.
+    # Each worker runs one trial at a time and keeps nothing between trials;
+    # results add a few words per trial.
     needed = summary_peak_bytes(n, t, spec) * workers + 64 * trials
     if needed > MEMORY_BUDGET_BYTES:
         raise ResourceLimitError(
@@ -218,11 +217,7 @@ def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryS
     seeds = [config.trial_seed(i) for i in range(trials)]
     jobs = [(n, t, spec, seed) for seed in seeds]
     if workers == 1 or trials == 1:
-        _keep_draw_buffer(True)
-        try:
-            outcomes = [_one_trial(job) for job in jobs]
-        finally:
-            _keep_draw_buffer(False)
+        outcomes = [_one_trial(job) for job in jobs]
     else:
         # Imported here, so that importing thinlab does not pay for the
         # process pool machinery that single-worker runs never use.
@@ -231,10 +226,7 @@ def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryS
 
         chunk = max(1, trials // (workers * 4))
         try:
-            # A worker runs this campaign's trials until the pool shuts down,
-            # so the draw buffer it keeps between them dies with it.
-            with ProcessPoolExecutor(max_workers=workers, initializer=_keep_draw_buffer,
-                                     initargs=(True,)) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(_one_trial, jobs, chunksize=chunk))
         except BrokenProcessPool as exc:
             raise WorkerError(

@@ -13,13 +13,17 @@ counts.  ``RngStream.bounded_block`` makes its words in fixed chunks of
 ``_CHUNK`` (2**16): each chunk adds ``seed + counter * GAMMA`` to a table of
 ``(j + 1) * GAMMA`` built once at import, applies the finalizer in place in
 two reused 512 KiB buffers that stay in cache, and reduces straight into the
-result.  The reduction is exact floor division, ``w - (w // n) * n``: since
-``(w // n) * n <= w < 2**64`` nothing wraps, so it equals ``w % n`` word for
-word, and numpy divides a uint64 array by a scalar with a multiply-high and
-shift rather than a hardware divide per word.  A chunk never holds more
-words than draws still needed, so every word of it is consumed, exactly as
-the sequential path would consume it, and the stream position after a block
-does not depend on the chunk size.
+result.  ``RngStream.bounded_chunks`` runs the same loop but reduces each
+chunk in place and yields it, so a caller that only counts its draws never
+holds a block.  A chunk with a rejected word is compacted, in order, into
+the second buffer through a bool mask allocated beside the buffers, so the
+loop allocates nothing per chunk.  The reduction is exact floor division,
+``w - (w // n) * n``: since ``(w // n) * n <= w < 2**64`` nothing wraps, so
+it equals ``w % n`` word for word, and numpy divides a uint64 array by a
+scalar with a multiply-high and shift rather than a hardware divide per
+word.  A chunk never holds more words than draws still needed, so every
+word of it is consumed, exactly as the sequential path would consume it,
+and the stream position after a block does not depend on the chunk size.
 
 Bounded draws on ``[0, n)`` use rejection sampling against the largest
 multiple of ``n`` below 2**64, so there is no modulo bias.  A rejected raw
@@ -33,7 +37,7 @@ i.e. entry ``i`` of the SplitMix64 output stream for ``seed``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -113,7 +117,7 @@ class RngStream:
                 self.draws += 1
                 return word % n
 
-    def bounded_block(self, n: int, count: int, out: np.ndarray | None = None) -> np.ndarray:
+    def bounded_block(self, n: int, count: int) -> np.ndarray:
         """Vectorized batch of ``count`` bounded draws.
 
         Produces exactly the sequence ``[next_bounded(n) for _ in
@@ -121,41 +125,34 @@ class RngStream:
         leaves the stream in the identical position.  The result is an int64
         array, so the bound must not exceed 2**63; use ``next_bounded`` for
         larger bounds.
-
-        With ``out``, a one-dimensional int64 array of at least ``count``
-        entries, the draws are written to ``out[:count]`` and that view is
-        returned; entries past ``count`` are left as they were.  Values,
-        ``counter`` and ``draws`` are the same with or without it.
         """
-        return self._block(n, count, out)
+        limit = _rejection_limit(n, count)
+        out = np.empty(count, dtype=np.int64)
+        for _ in self._chunks(n, count, limit, out.view(np.uint64)):
+            pass
+        return out
 
-    def _block(self, n: int, count: int, out: np.ndarray | None) -> np.ndarray:
-        # bounded_block's body.  The engine's reusable-buffer path calls it
-        # under this name, so that a wrapper swapped in for bounded_block
-        # with its (n, count) signature, such as a tracer's, keeps working.
-        if n <= 0:
-            raise ConfigurationError(f"draw bound must be positive, got {n}")
-        if n > 1 << 63:
-            raise ConfigurationError(
-                f"vectorized draws support bounds up to 2**63, got {n}"
-            )
-        if count < 0:
-            raise ConfigurationError(f"draw count must be non-negative, got {count}")
-        remainder = (1 << 64) % n
-        limit = np.uint64((1 << 64) - remainder) if remainder else None
+    def bounded_chunks(self, n: int, count: int) -> Iterator[np.ndarray]:
+        """The draws of ``bounded_block(n, count)``, one chunk at a time.
+
+        Yields int64 arrays of at most ``_CHUNK`` draws that together are
+        ``bounded_block(n, count)``, with ``counter`` and ``draws`` advanced
+        past each chunk as it is yielded.  Every chunk is a view of one of
+        the loop's two reused buffers, so it is valid only until the next
+        one is requested; the draws of a whole block are never held at
+        once.  The arguments are checked when this is called, before any
+        word is consumed.
+        """
+        return self._chunks(n, count, _rejection_limit(n, count), None)
+
+    def _chunks(self, n, count, limit, out):
+        # The one chunk loop behind bounded_block (which passes a uint64
+        # view of its result as out) and bounded_chunks (out None: each
+        # chunk is reduced in place in the second buffer and yielded).
         bound = np.uint64(n)
-        if out is None:
-            out = np.empty(count, dtype=np.int64)
-        elif (isinstance(out, np.ndarray) and out.dtype == np.int64
-              and out.ndim == 1 and len(out) >= count):
-            out = out[:count]
-        else:
-            raise ConfigurationError(
-                f"draw buffer must be a 1-d int64 array of at least {count} entries"
-            )
-        values = out.view(np.uint64)  # draws are below 2**63, so the view is exact
         words = np.empty(min(count, _CHUNK), dtype=np.uint64)
         shifted = np.empty_like(words)
+        keep = np.empty(words.size if limit is not None else 0, dtype=bool)
         filled = 0
         while filled < count:
             m = min(count - filled, _CHUNK)
@@ -173,14 +170,46 @@ class RngStream:
             # would consume every word of the chunk, rejected ones included.
             self.counter += m
             if limit is not None and w.max() >= limit:
-                w = w[np.flatnonzero(w < limit)]
-                s = s[: w.size]
+                # Compact the accepted words into the second buffer, in
+                # order, and use the first for the quotients.
+                mask = keep[:m]
+                np.less(w, limit, out=mask)
+                m = int(np.count_nonzero(mask))
+                np.compress(mask, w, out=s[:m])
+                w, s = s[:m], w[:m]
             np.floor_divide(w, bound, out=s)
             s *= bound
-            np.subtract(w, s, out=values[filled : filled + w.size])
-            filled += w.size
-        self.draws += count
-        return out
+            dest = s if out is None else out[filled : filled + m]
+            np.subtract(w, s, out=dest)
+            filled += m
+            self.draws += m
+            yield dest.view(np.int64)  # draws are below 2**63, so the view is exact
+
+
+def _rejection_limit(n: int, count: int) -> np.uint64 | None:
+    """Check a draw request and return its rejection limit.
+
+    Raw words at or above the limit are rejected; it is None when ``n``
+    divides 2**64, so that no word ever is.
+    """
+    if n <= 0:
+        raise ConfigurationError(f"draw bound must be positive, got {n}")
+    if n > 1 << 63:
+        raise ConfigurationError(
+            f"vectorized draws support bounds up to 2**63, got {n}"
+        )
+    if count < 0:
+        raise ConfigurationError(f"draw count must be non-negative, got {count}")
+    remainder = (1 << 64) % n
+    return np.uint64((1 << 64) - remainder) if remainder else None
+
+
+def _chunk_buffer_bytes(n: int, count: int) -> int:
+    """Bytes the chunk loop holds besides a block's result, for ``count``
+    draws below ``n``: two uint64 chunk buffers, and a bool per chunk word
+    when ``n`` does not divide 2**64, so that a word can be rejected."""
+    m = min(count, _CHUNK)
+    return 16 * m + (m if (1 << 64) % n else 0)
 
 
 class FixedStream:
@@ -211,3 +240,6 @@ class FixedStream:
 
     def bounded_block(self, n: int, count: int) -> np.ndarray:
         return np.array([self.next_bounded(n) for _ in range(count)], dtype=np.int64)
+
+    def bounded_chunks(self, n: int, count: int) -> Iterator[np.ndarray]:
+        yield self.bounded_block(n, count)

@@ -238,9 +238,9 @@ def test_two_choices_kernel_widens_the_load_table():
         assert load.dtype == np.min_scalar_type(len(bins))
         assert np.array_equal(load[:n], np.bincount(bins, minlength=n))
     assert load[:n].tolist() == [70_000]
-    # run_summary returns the kernel's table as int64 loads.
+    # run_summary returns the kernel's table, widened to hold t.
     loads, rejections = run_summary(1, 300, TWO_CHOICES, 0)
-    assert loads.dtype == np.int64
+    assert loads.dtype == np.min_scalar_type(300)
     assert loads.tolist() == [300] and rejections == 0
 
 
@@ -611,6 +611,12 @@ def test_run_properties(config):
         # (2n bytes) and the widened table (4n bytes) bind.
         ("two-choices", 2**17, 2**18),
         ("two-choices", 2**17, 100_000),  # a shorter second chunk
+        # A bin passes 255, so the counting kinds count again into a wide
+        # table (threshold:1 at n = 10 above does too).
+        ("one-choice", 10, 200_000),
+        ("always-reject", 1_000, 300_000),
+        ("threshold:2", 1_000, 300_000),
+        ("one-choice", 20_000, 5_000_000),  # the uint8 table is freed first
     ],
 )
 def test_summary_peak_within_estimate(strategy, n, t):
@@ -624,62 +630,114 @@ def test_summary_peak_within_estimate(strategy, n, t):
         tracemalloc.stop()
     estimate = summary_peak_bytes(n, t, spec)
     assert peak <= estimate
-    if t >= 100_000 and spec.kind != "threshold":
-        # No term is padded beyond the chunk buffers of a rejecting chunk;
-        # threshold estimates assume every ball is rejected, so are exempt.
+    if t >= 100_000 and spec.retry_budget == 1:
+        # No term is padded beyond the wide table of a recount; k > 1
+        # estimates assume every ball is rejected, so are exempt.
         assert estimate <= 1.5 * peak
 
 
-# The run_summary branches that count draw blocks, and so keep a draw buffer
-# inside a campaign.  At n = 1000, threshold:1 rejects most balls, so its
-# pool block fills most of the buffer that its primaries used.
+# The run_summary branches that count draws chunk by chunk.  At n = 1000,
+# threshold:1 rejects most balls, so its pool is nearly as long as its
+# primaries.
 COUNTING_KINDS = ["one-choice", "always-reject", "threshold:1", "threshold:auto"]
 
 
 @pytest.mark.parametrize("strategy", COUNTING_KINDS)
-def test_kept_draw_buffer_is_reused(strategy):
+def test_counting_kinds_hold_no_draw_block(strategy):
     n, t = 1000, 300_000
     spec = parse_strategy(strategy, n=n)
-    engine._keep_draw_buffer(True)  # what each campaign worker runs first
+    run_summary(n, t, spec, 1)  # any lazy set-up happens outside the trace
+    tracemalloc.start()
     try:
-        run_summary(n, t, spec, 1)  # the first call allocates the buffer
-        tracemalloc.start()
-        try:
-            run_summary(n, t, spec, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        run_summary(n, t, spec, 2)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        engine._keep_draw_buffer(False)
-    # The buffer was allocated before tracing began, so the second call's
-    # peak holds no t-word block.
-    assert peak <= summary_peak_bytes(n, t, spec) - 8 * t
+        tracemalloc.stop()
+    # Less than one t-word block: only the table (which widens at n = 1000)
+    # and one stream's chunk buffers.
+    assert peak < 8 * t
+    assert peak <= summary_peak_bytes(n, t, spec)
 
 
-@pytest.mark.parametrize("strategy", COUNTING_KINDS)
-def test_kept_draw_buffer_gives_fresh_results(strategy):
-    n = 1000
+@pytest.mark.parametrize("n, t", [(1, 300), (2, 10_000), (3, 70_000)])
+@pytest.mark.parametrize(
+    "strategy", ["one-choice", "always-reject", "threshold:1", "threshold:2", "threshold:300"])
+def test_counting_kinds_recount_past_255(strategy, n, t):
+    # Some bin passes 255, so the uint8 table wraps and the run is counted
+    # again into a table of min_scalar_type(t); at n = 1 threshold:300
+    # wraps in its primaries before any cap.
+    state = run(n, t, strategy, seed=3).final_state
+    loads, rejections = run_summary(n, t, strategy, seed=3)
+    assert loads.dtype == np.min_scalar_type(t)
+    assert np.array_equal(loads, state.load)
+    assert rejections == state.rejections
+
+
+@pytest.mark.parametrize(
+    "strategy, primaries, pool",
+    [
+        # Only the pool passes 255: each bin keeps one of its 150 primaries,
+        # and all 298 rejected balls land on bin 0.
+        ("threshold:1", [0, 1] * 150, [0] * 298),
+        # The primaries of bin 0 wrap to 1, below ell = 3, so the cap would
+        # keep too few of them, yet with the pool split evenly the table
+        # would still sum to t; only the check before the cap sees the wrap.
+        ("threshold:3", [0] * 257 + [1] * 43, [0, 1] * 150),
+        ("one-choice", [1] * 300, []),
+        ("always-reject", [0] * 300, [1] * 299 + [0]),  # primaries unread
+    ],
+)
+def test_counting_kernel_recounts_a_wrapped_table(strategy, primaries, pool):
+    n, t = 2, 300
     spec = parse_strategy(strategy, n=n)
-    # Each run is longer, then shorter, than the buffer the one before kept.
-    sizes = [(_CHUNK + 5, 1), (3 * _CHUNK + 1, 2), (7, 3), (2 * _CHUNK, 4)]
-    engine._keep_draw_buffer(True)
+    passes = []
+
+    def streams():
+        passes.append((FixedStream(primaries), FixedStream(pool)))
+        return passes[-1]
+
+    loads, rejections = engine._count_loads(n, t, spec, streams)
+    reference = run_with_streams(
+        n, t, spec, FixedStream(primaries), FixedStream(pool), method="reference")
+    assert loads.dtype == np.min_scalar_type(t)
+    assert loads.tolist() == reference.final_state.load.tolist()
+    assert rejections == reference.final_state.rejections
+    # One uint8 pass that wrapped, then one wide pass.
+    assert len(passes) == 2
+
+
+def test_counting_kernel_frees_the_uint8_table_before_the_wide_one():
+    # With 2 * 10**6 bins the tables outweigh the chunk buffers, so the
+    # estimate holds only if the wrapped uint8 table is gone before the
+    # uint16 one is allocated.
+    n, t = 2 * 10**6, 300
+    bins = [0] * t
+
+    def streams():
+        return FixedStream(bins), FixedStream([])
+
+    tracemalloc.start()
     try:
-        kept = [run_summary(n, t, spec, seed) for t, seed in sizes]
+        loads, _ = engine._count_loads(n, t, ONE_CHOICE, streams)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        engine._keep_draw_buffer(False)
-    for (t, seed), (loads, rejections) in zip(sizes, kept):
-        fresh_loads, fresh_rejections = run_summary(n, t, spec, seed)
-        assert loads.tolist() == fresh_loads.tolist()
-        assert rejections == fresh_rejections
+        tracemalloc.stop()
+    assert loads.dtype == np.uint16 and int(loads[0]) == t
+    assert peak <= summary_peak_bytes(n, t, ONE_CHOICE)
 
 
 # At the first size the columns of _columns bind, at the second the tallies
-# of _assemble_trace.
-@pytest.mark.parametrize("n, t", [(20_000, 300_000), (200_000, 200_000)])
+# of _assemble_trace.  threshold:1,k=2 at n = 1000 rejects nearly every
+# ball, so its retry scan binds; it is not run at the two sizes, where
+# tracemalloc makes its per-ball scan take seconds.
 @pytest.mark.parametrize(
-    "strategy",
-    ["one-choice", "always-reject", "threshold:auto", "threshold:1", "threshold:20,k=2",
-     "two-choices"],
+    "strategy, n, t",
+    [
+        (strategy, n, t)
+        for n, t in ((20_000, 300_000), (200_000, 200_000))
+        for strategy in ("one-choice", "always-reject", "threshold:auto", "threshold:1",
+                         "threshold:20,k=2", "two-choices")
+    ] + [("threshold:1,k=2", 1_000, 50_000)],
 )
 def test_trace_peak_within_estimate(strategy, n, t):
     spec = parse_strategy(strategy, n=n)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import thinlab
-from thinlab import engine, experiments
+from thinlab import experiments
 from thinlab.bounds import rejection_budget, target_maxload
 from thinlab.engine import run, run_summary
 from thinlab.errors import ConfigurationError, ResourceLimitError
@@ -90,32 +90,15 @@ def test_run_trials_matches_direct_runs():
 @pytest.mark.parametrize(
     "strategy", ["one-choice", "always-reject", "threshold:1", "threshold:auto"])
 def test_run_trials_with_kept_draws_matches_run_summary(strategy, workers):
-    # At n = 1000, threshold:1 rejects most balls, so its pool block fills
-    # most of the draw buffer that each trial keeps for the next.
+    # Campaign trials, in this process or in pool workers, keep nothing
+    # between them, so each equals a bare run_summary call.  At n = 1000,
+    # threshold:1 rejects most balls, and t spans two draw chunks.
     config = ExperimentConfig(n=1000, strategy=strategy, trials=4, base_seed=3, t=_CHUNK + 5)
     stats = run_trials(config, workers=workers)
     for i, seed in enumerate(stats.per_trial_seeds):
         loads, rejections = run_summary(config.n, config.ball_count, config.spec, seed)
         assert stats.per_trial_maxload[i] == int(loads.max())
         assert stats.per_trial_rejections[i] == rejections
-
-
-def test_run_trials_drops_the_draw_buffer(monkeypatch):
-    run_trials(small_config(trials=3), workers=1)
-    assert engine._kept_draws.array is None
-    kept_during_trial = []
-
-    def fail_second_trial(*args):
-        kept_during_trial.append(engine._kept_draws.array is not None)
-        if len(kept_during_trial) == 2:
-            raise RuntimeError("trial failed")
-        return run_summary(*args)
-
-    monkeypatch.setattr(experiments, "run_summary", fail_second_trial)
-    with pytest.raises(RuntimeError):
-        run_trials(small_config(trials=3), workers=1)
-    assert kept_during_trial == [True, True]
-    assert engine._kept_draws.array is None
 
 
 def test_summary_statistics_shape():
@@ -155,6 +138,16 @@ def test_memory_guard():
     )
     with pytest.raises(ResourceLimitError):
         run_trials(config)
+
+
+@pytest.mark.parametrize(
+    "strategy", ["threshold:auto", "one-choice", "always-reject", "two-choices"])
+def test_memory_guard_admits_two_workers_at_1e8_balls(strategy):
+    # Checked without running: each trial holds a load table of at most
+    # 4 bytes per bin and chunk buffers, no t-word block and no int64 loads.
+    n = t = 10**8
+    config = ExperimentConfig(n=n, strategy=strategy, trials=100, base_seed=1, t=t)
+    experiments._check_memory(n, t, config.spec, config.trials, workers=2)
 
 
 def test_workers_env_is_honored(monkeypatch):
@@ -214,8 +207,8 @@ def test_scaling_study_composition():
 
 
 def test_scaling_study_with_growing_ball_counts():
-    # Each grid point has more balls than the last, so a draw buffer kept
-    # from the one before would be too short.
+    # Each grid point has more balls than the last; every median equals
+    # the one of bare run_summary calls on the campaign's trial seeds.
     grid = [100, 1000, 40_000]
     rows = scaling_study(grid, rho=2, strategy="threshold:1", trials=3, base_seed=9)
     for row in rows:

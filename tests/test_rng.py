@@ -103,14 +103,23 @@ def test_block_matches_sequential_across_chunks(n, count):
 @pytest.mark.parametrize("count", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
 @pytest.mark.parametrize("n", [10**6, REJECTING_BOUND])
 def test_block_into_a_buffer_matches_a_fresh_block(n, count):
+    # bounded_chunks draws each chunk into one of two reused buffers.
     a, b = RngStream(11), RngStream(11)
-    out = np.full(count + 9, -7, dtype=np.int64)
-    block = a.bounded_block(n, count, out=out)
-    fresh = b.bounded_block(n, count)
-    assert block.base is out and len(block) == count
-    assert out[:count].tolist() == fresh.tolist()
+    chunks, positions, buffers = [], [], []
+    for chunk in a.bounded_chunks(n, count):
+        assert chunk.dtype == np.int64 and len(chunk) <= _CHUNK
+        chunks.append(chunk.copy())  # the next chunk overwrites this one
+        positions.append((a.counter, a.draws))
+        buffers.append(chunk.base)
+    block = b.bounded_block(n, count)
+    streamed = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+    assert streamed.tolist() == block.tolist()
     assert (a.counter, a.draws) == (b.counter, b.draws)
-    assert out[count:].tolist() == [-7] * 9
+    # Each chunk is counted by the time it is yielded.
+    assert [draws for _, draws in positions] == np.cumsum([len(c) for c in chunks]).tolist()
+    assert [counter for counter, _ in positions] == sorted(counter for counter, _ in positions)
+    # Every chunk lives in one of the loop's two reused buffers.
+    assert len({id(buffer) for buffer in buffers}) <= 2
 
 
 # The reduction divides by a scalar, and numpy picks its division method by
@@ -172,10 +181,9 @@ def test_invalid_bounds_raise():
         stream.bounded_block(4, -1)
     with pytest.raises(ConfigurationError):
         stream.bounded_block(MASK64, 1)  # exceeds int64 index range
-    for out in (np.empty(4, dtype=np.int64), np.empty(5, dtype=np.uint64),
-                np.empty((5, 1), dtype=np.int64), [0] * 5):
+    for n, count in ((-3, 5), (4, -1), (MASK64, 1)):
         with pytest.raises(ConfigurationError):
-            stream.bounded_block(4, 5, out=out)
+            stream.bounded_chunks(n, count)  # raises before a chunk is asked for
     assert stream.counter == 0  # no bad call consumed a word
     assert 0 <= stream.next_bounded(MASK64) < MASK64  # sequential path is fine
 
