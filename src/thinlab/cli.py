@@ -24,10 +24,9 @@ from fractions import Fraction
 
 from . import __version__, bounds
 from .checks import SUITE_NAMES, oracle_suite, run_suite
-from .engine import run, trace_peak_bytes
-from .errors import ConfigurationError, ResourceLimitError, ThinlabError
+from .engine import run
+from .errors import ConfigurationError, ThinlabError
 from .experiments import (
-    MEMORY_BUDGET_BYTES,
     ExperimentConfig,
     parse_rho,
     rejection_stats,
@@ -511,12 +510,6 @@ def _run_diagnose(params: dict) -> int:
     else:
         t = int(rho * n)
     spec = parse_strategy(params["strategy"], n=n)
-    needed = trace_peak_bytes(n, t, spec)
-    if needed > MEMORY_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"a trace of {t} balls in {n} bins needs about {needed} bytes, "
-            f"beyond the budget of {MEMORY_BUDGET_BYTES}"
-        )
     trace = run(n, t, spec, params["seed"])
     diagnostics = stage_diagnostics(trace, rho, params["epsilon"])
     rejections = rejection_stats(trace)

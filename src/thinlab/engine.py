@@ -32,6 +32,13 @@ draws, or the two-choices kernel's loads, already give the final loads):
   secondary, from which ``run`` derives the final bins and ``run_summary``
   the rejections.
 
+A :class:`Trace` stores three per-ball columns: primary bins, final bins
+and reject counts.  Rejected balls take the secondary pool's draws in ball
+order, so the pool index a ball consumes is derived from the reject counts
+(:func:`_pool_indices`), never stored; ``replay``, ``to_json`` and
+``records`` all work from the three columns, and :func:`_check_rejections`
+is the one check that a strategy can yield them.
+
 ``run_summary``'s counting branches (one-choice, always-reject, threshold
 with k = 1) stream their draws one chunk at a time into a uint8 load table
 (see :func:`_count_loads`), so they hold no t-length array and no int64
@@ -62,6 +69,9 @@ from .strategies import (
 )
 
 _TALLY_FIELDS = ("load", "primary_suggested", "primary_accepted", "secondary_used")
+
+# Most memory one run, trace or campaign may hold at once.
+MEMORY_BUDGET_BYTES = 2 * 1024**3
 
 # Balls in one block of the two-choices kernel.  Longer blocks leave more
 # balls to its scalar tail, shorter ones pay more numpy calls: on a 2-vCPU
@@ -94,6 +104,12 @@ def _check_bin_count(n) -> int:
     if n < 1:
         raise ConfigurationError(f"bin count must be at least 1, got {n}")
     return int(n)
+
+
+def _check_ball_count(t) -> int:
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 0:
+        raise ConfigurationError(f"ball count must be a non-negative integer, got {t!r}")
+    return int(t)
 
 
 @dataclass(eq=False)
@@ -132,18 +148,6 @@ class ProcessState:
                 np.array_equal(getattr(self, name), getattr(other, name))
                 for name in _TALLY_FIELDS
             )
-        )
-
-    def copy(self) -> "ProcessState":
-        return ProcessState(
-            n=self.n,
-            strategy=self.strategy,
-            t=self.t,
-            load=self.load.copy(),
-            primary_suggested=self.primary_suggested.copy(),
-            primary_accepted=self.primary_accepted.copy(),
-            secondary_used=self.secondary_used.copy(),
-            rejections=self.rejections,
         )
 
 
@@ -226,9 +230,11 @@ def step(state: ProcessState, primary_stream, secondary_stream) -> AllocationRec
 class Trace:
     """Complete, replayable record of one run.
 
-    Stored in columnar form: per-ball primary bins, final bins, reject
-    counts, and consumed pool indices (-1 where a ball landed at its
-    primary).  ``records`` materializes the per-ball view on demand.
+    Stored in columnar form: per-ball primary bins, final bins and reject
+    counts.  Rejected balls take the secondary pool's draws in ball order,
+    so the pool index each ball consumes follows from the reject counts
+    (``pool_indices``).  ``records`` materializes the per-ball view on
+    demand.
     """
 
     n: int
@@ -238,12 +244,16 @@ class Trace:
     primary_bins: np.ndarray
     final_bins: np.ndarray
     reject_counts: np.ndarray
-    pool_indices: np.ndarray
     final_state: ProcessState
 
     @property
     def loads(self) -> np.ndarray:
         return self.final_state.load
+
+    @property
+    def pool_indices(self) -> np.ndarray:
+        """The pool index each ball consumes last, -1 where it was never rejected."""
+        return _pool_indices(self.strategy.kind, self.reject_counts)
 
     def _decisions_for(self, reject_count: int) -> tuple[str, ...]:
         if reject_count == 0:
@@ -254,54 +264,56 @@ class Trace:
             return ("reject",) * reject_count + ("accept",)
         return ("reject",) * reject_count
 
+    def _ball_columns(self):
+        """Per ball, as Python values: the 1-based primary bin, the reject
+        count, the 1-based final bin, and the pool index or None."""
+        return zip(
+            (self.primary_bins + 1).tolist(),
+            self.reject_counts.tolist(),
+            (self.final_bins + 1).tolist(),
+            [None if i < 0 else i for i in self.pool_indices.tolist()],
+        )
+
     @property
     def records(self) -> tuple[AllocationRecord, ...]:
-        out = []
-        for i in range(self.t):
-            pool_index = int(self.pool_indices[i])
-            out.append(
-                AllocationRecord(
-                    ball_index=i + 1,
-                    primary_bin=int(self.primary_bins[i]) + 1,
-                    decisions=self._decisions_for(int(self.reject_counts[i])),
-                    final_bin=int(self.final_bins[i]) + 1,
-                    secondary_pool_index=None if pool_index < 0 else pool_index,
-                )
-            )
-        return tuple(out)
+        decisions = {c: self._decisions_for(c) for c in np.unique(self.reject_counts).tolist()}
+        return tuple(
+            AllocationRecord(ball, primary, decisions[count], final, pool_index)
+            for ball, (primary, count, final, pool_index) in enumerate(self._ball_columns(), 1)
+        )
 
     def to_json(self) -> str:
-        """Serialize with stable field names; bins are 1-based."""
-        records = [
-            {
-                "ball": record.ball_index,
-                "primary": record.primary_bin,
-                "decision": list(record.decisions),
-                "final": record.final_bin,
-                "sec_idx": record.secondary_pool_index,
-            }
-            for record in self.records
-        ]
-        payload = {
-            "n": self.n,
-            "t": self.t,
-            "strategy": self.strategy.label,
-            "seed": self.seed,
-            "records": records,
-            "loads": self.final_state.load.tolist(),
+        """Serialize with stable field names; bins are 1-based.
+
+        The output is exactly ``json.dumps`` of the payload, built from the
+        columns with one decision fragment per distinct reject count.
+        """
+        head = json.dumps(
+            {"n": self.n, "t": self.t, "strategy": self.strategy.label, "seed": self.seed}
+        )
+        fragments = {
+            c: f', "decision": {json.dumps(list(self._decisions_for(c)))}, "final": '
+            for c in np.unique(self.reject_counts).tolist()
         }
-        return json.dumps(payload)
+        records = ", ".join(
+            f'{{"ball": {ball}, "primary": {primary}{fragments[count]}{final}, '
+            f'"sec_idx": {"null" if pool_index is None else pool_index}}}'
+            for ball, (primary, count, final, pool_index) in enumerate(self._ball_columns(), 1)
+        )
+        loads = json.dumps(self.final_state.load.tolist())
+        return f'{head[:-1]}, "records": [{records}], "loads": {loads}}}'
 
 
 def trace_from_json(text: str) -> Trace:
     """Rebuild a trace from its JSON form, re-deriving the final state.
 
     Every record's ``ball`` must be its 1-based position, its ``decision``
-    the one its reject count allows, and its ``sec_idx`` the one its
-    strategy consumes (see :func:`_check_rejections`); the embedded loads
-    are checked against the replayed records.  So a corrupted or impossible
-    payload is rejected with ``ConfigurationError`` rather than silently
-    trusted.
+    the one its reject count allows, its ``final`` its ``primary`` unless it
+    was rejected, and its ``sec_idx`` the pool index its reject counts give
+    (see :func:`_check_rejections` and :attr:`Trace.pool_indices`); the
+    embedded loads are checked against the replayed records.  So a
+    corrupted or impossible payload is rejected with ``ConfigurationError``
+    rather than silently trusted.
     """
     try:
         payload = json.loads(text)
@@ -321,7 +333,7 @@ def trace_from_json(text: str) -> Trace:
     primary_bins = np.zeros(t, dtype=np.int64)
     final_bins = np.zeros(t, dtype=np.int64)
     reject_counts = np.zeros(t, dtype=np.int64)
-    pool_indices = np.full(t, -1, dtype=np.int64)
+    sec_idx = np.full(t, -1, dtype=np.int64)
     first_ball = {}  # each distinct decision list, and the first ball with it
     try:
         for i, row in enumerate(raw_records):
@@ -333,10 +345,11 @@ def trace_from_json(text: str) -> Trace:
             primary_bins[i] = row["primary"] - 1
             final_bins[i] = row["final"] - 1
             reject_counts[i] = decision.count("reject")
-            if row["sec_idx"] is not None:
-                if row["sec_idx"] < 0:
-                    raise ValueError(f"negative sec_idx {row['sec_idx']}")
-                pool_indices[i] = row["sec_idx"]
+            pool_index = row["sec_idx"]
+            if pool_index is not None:
+                if type(pool_index) is not int or pool_index < 0:
+                    raise ValueError(f"record {i + 1} has sec_idx {pool_index!r}")
+                sec_idx[i] = pool_index
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed trace record: {exc}") from None
     if primary_bins.size and not (
@@ -344,9 +357,7 @@ def trace_from_json(text: str) -> Trace:
         and 0 <= final_bins.min() and final_bins.max() < n
     ):
         raise ConfigurationError(f"trace payload bin numbers must lie in 1..{n}")
-    trace = _assemble_trace(
-        n, t, strategy, seed, primary_bins, final_bins, reject_counts, pool_indices
-    )
+    trace = _assemble_trace(n, t, strategy, seed, primary_bins, final_bins, reject_counts)
     wrong = [
         i for decision, i in first_ball.items()
         if decision != trace._decisions_for(int(reject_counts[i]))
@@ -358,6 +369,14 @@ def trace_from_json(text: str) -> Trace:
             f"which no run of {strategy.label} records"
         )
     _check_rejections(trace)
+    expected = trace.pool_indices
+    wrong = np.flatnonzero(sec_idx != expected)
+    if wrong.size:
+        i = int(wrong[0])
+        raise ConfigurationError(
+            f"ball {i + 1} has sec_idx {raw_records[i]['sec_idx']}, but its rejects "
+            f"give {None if expected[i] < 0 else int(expected[i])}"
+        )
     if trace.final_state.load.tolist() != list(loads):
         raise ConfigurationError("trace payload loads disagree with its records")
     return trace
@@ -381,7 +400,8 @@ def _check_rejections(trace: Trace) -> None:
     """Raise ConfigurationError unless the strategy can yield these columns.
 
     A ball is rejected at most ``retry_budget`` times (once for
-    two-choices), and its pool index is fixed by the reject counts.
+    two-choices), and a ball that was never rejected took no pool draw, so
+    it lands at its primary.
     """
     counts = trace.reject_counts
     over = np.flatnonzero(counts > trace.strategy.retry_budget)
@@ -391,28 +411,22 @@ def _check_rejections(trace: Trace) -> None:
             f"ball {i + 1} has {int(counts[i])} rejects, more than "
             f"{trace.strategy.label} allows"
         )
-    expected = _pool_indices(trace.strategy.kind, counts)
-    wrong = np.flatnonzero(trace.pool_indices != expected)
-    if wrong.size:
-        i = int(wrong[0])
-        got, want = (None if v < 0 else int(v)
-                     for v in (trace.pool_indices[i], expected[i]))
+    moved = np.flatnonzero((counts == 0) & (trace.final_bins != trace.primary_bins))
+    if moved.size:
         raise ConfigurationError(
-            f"ball {i + 1} has sec_idx {got}, but its rejects give {want}"
+            f"ball {int(moved[0]) + 1} landed away from its primary bin "
+            "without a pool draw"
         )
 
 
-def _assemble_trace(n, t, spec, seed, primary_bins, final_bins, reject_counts,
-                    pool_indices) -> Trace:
+def _assemble_trace(n, t, spec, seed, primary_bins, final_bins, reject_counts) -> Trace:
     """Build the Trace and its final state from columnar ball data."""
-    state = ProcessState(n=n, strategy=spec)
-    landed_secondary = pool_indices >= 0
+    state = ProcessState(n=n, strategy=spec, t=int(t), rejections=int(reject_counts.sum()))
+    landed_secondary = reject_counts > 0
     state.primary_suggested += np.bincount(primary_bins, minlength=n)
     state.load += np.bincount(final_bins, minlength=n)
     state.secondary_used += np.bincount(final_bins[landed_secondary], minlength=n)
     state.primary_accepted += np.bincount(final_bins[~landed_secondary], minlength=n)
-    state.t = int(t)
-    state.rejections = int(reject_counts.sum())
     return Trace(
         n=n,
         t=int(t),
@@ -421,7 +435,6 @@ def _assemble_trace(n, t, spec, seed, primary_bins, final_bins, reject_counts,
         primary_bins=primary_bins,
         final_bins=final_bins,
         reject_counts=reject_counts,
-        pool_indices=pool_indices,
         final_state=state,
     )
 
@@ -469,20 +482,19 @@ def _run_reference(n, t, spec, seed, primary_stream, secondary_stream) -> Trace:
         reject_counts[i] = sum(1 for d in record.decisions if d == "reject")
         if record.secondary_pool_index is not None:
             pool_indices[i] = record.secondary_pool_index
-    trace = _assemble_trace(
-        n, t, spec, seed, primary_bins, final_bins, reject_counts, pool_indices
-    )
+    trace = _assemble_trace(n, t, spec, seed, primary_bins, final_bins, reject_counts)
     if trace.final_state != state:
         raise AssertionError("columnar state assembly diverged from stepping")
+    if not np.array_equal(trace.pool_indices, pool_indices):
+        raise AssertionError("pool indices derived from reject counts diverged from stepping")
     return trace
 
 
 def _columns(n, t, spec, primary_stream, secondary_stream):
     """The vectorized kernel: per-ball columns of a run.
 
-    Returns primary bins, final bins, reject counts and consumed pool
-    indices (-1 where a ball landed at its primary), bit-identical to what
-    :func:`step` records, and leaves both streams where it leaves them.
+    Returns primary bins, final bins and reject counts, bit-identical to
+    what :func:`step` records, and leaves both streams where it leaves them.
     """
     if spec.kind == TWO_CHOICES_GREEDY:
         chunks = [
@@ -491,9 +503,7 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
                 n, t, primary_stream, secondary_stream)
         ]
         primary_bins, final_bins, rejected = (np.concatenate(c) for c in zip(*chunks))
-        reject_counts = rejected.astype(np.int64)
-        return (primary_bins, final_bins, reject_counts,
-                _pool_indices(TWO_CHOICES_GREEDY, reject_counts))
+        return primary_bins, final_bins, rejected.astype(np.int64)
     primary_bins = primary_stream.bounded_block(n, t)
     if spec.kind == THRESHOLD:
         occurrence = _occurrence_index(primary_bins, n)
@@ -506,13 +516,11 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
     rejections = int(rejected.sum())
     final_bins = primary_bins.copy()
     final_bins[rejected] = secondary_stream.bounded_block(n, rejections)
-    pool_indices = np.full(t, -1, dtype=np.int64)
-    pool_indices[rejected] = np.arange(rejections, dtype=np.int64)
-    return primary_bins, final_bins, rejected.astype(np.int64), pool_indices
+    return primary_bins, final_bins, rejected.astype(np.int64)
 
 
 def _retry_columns(n, spec, primary_bins, occurrence, rejected, secondary_stream):
-    """Final bins, reject counts and pool indices for retry budgets above 1.
+    """Final bins and reject counts for retry budgets above 1.
 
     :func:`step` counts a ball's primary suggestion before it draws from
     the pool, so a pool draw to bin b made for ball j is accepted iff j
@@ -557,9 +565,7 @@ def _retry_columns(n, spec, primary_bins, occurrence, rejected, secondary_stream
         final_bins[balls] = np.concatenate(blocks)[landing]
     reject_counts = np.zeros(t, dtype=np.int64)
     reject_counts[balls] = np.diff(landing, prepend=-1)
-    pool_indices = np.full(t, -1, dtype=np.int64)
-    pool_indices[balls] = landing
-    return final_bins, reject_counts, pool_indices
+    return final_bins, reject_counts
 
 
 def _two_choices_kernel(n, t, primary_stream, secondary_stream):
@@ -654,21 +660,17 @@ def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
                      seed: int | None = None, method: str = "reference") -> Trace:
     """Run ``t`` balls against caller-provided streams (e.g. preset draws).
 
-    ``method`` is "reference" (step one ball at a time), or "vectorized" or
-    "auto" (the vectorized kernel, for every strategy).  Both paths give
-    bit-identical traces and leave the streams in the same position.
+    ``method`` is "reference" (step one ball at a time) or "auto" (the
+    vectorized kernel, for every strategy).  Both paths give bit-identical
+    traces and leave the streams in the same position.
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
-    if not isinstance(t, (int, np.integer)) or isinstance(t, bool) or t < 0:
-        raise ConfigurationError(f"ball count must be a non-negative integer, got {t!r}")
-    t = int(t)
+    t = _check_ball_count(t)
     if method == "reference":
         return _run_reference(n, t, spec, seed, primary_stream, secondary_stream)
-    if method not in ("auto", "vectorized"):
-        raise ConfigurationError(
-            f"unknown method {method!r}; expected 'auto', 'reference' or 'vectorized'"
-        )
+    if method != "auto":
+        raise ConfigurationError(f"unknown method {method!r}; expected 'auto' or 'reference'")
     columns = _columns(n, t, spec, primary_stream, secondary_stream)
     return _assemble_trace(n, t, spec, seed, *columns)
 
@@ -678,12 +680,21 @@ def run(n: int, t: int, strategy, seed: int, method: str = "auto") -> Trace:
 
     The primary and secondary streams are derived from ``seed`` by index
     mixing, so the two are independent and the derivation is documented and
-    portable.  ``method`` selects the execution path: "auto" and
-    "vectorized" use the vectorized kernel for every strategy, "reference"
-    steps one ball at a time.  All paths produce bit-identical traces.
+    portable.  ``method`` selects the execution path: "auto" uses the
+    vectorized kernel for every strategy, "reference" steps one ball at a
+    time.  Both produce bit-identical traces.  A run whose
+    :func:`trace_peak_bytes` exceeds ``MEMORY_BUDGET_BYTES`` raises
+    ``ResourceLimitError`` before anything is allocated.
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
+    t = _check_ball_count(t)
+    needed = trace_peak_bytes(n, t, spec)
+    if needed > MEMORY_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"a trace of {t} balls in {n} bins needs about {needed} bytes, "
+            f"beyond the budget of {MEMORY_BUDGET_BYTES}"
+        )
     primary_stream = RngStream(mix_seeds(seed, 0))
     secondary_stream = RngStream(mix_seeds(seed, 1))
     return run_with_streams(
@@ -712,9 +723,7 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
-    if not isinstance(t, (int, np.integer)) or isinstance(t, bool) or t < 0:
-        raise ConfigurationError(f"ball count must be a non-negative integer, got {t!r}")
-    t = int(t)
+    t = _check_ball_count(t)
 
     def streams():
         return RngStream(mix_seeds(seed, 0)), RngStream(mix_seeds(seed, 1))
@@ -727,7 +736,7 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
         for _, _, took, load in _two_choices_kernel(n, t, *streams()):
             rejections += int(np.count_nonzero(took))
         return load[:n], rejections
-    _, final_bins, reject_counts, _ = _columns(n, t, spec, *streams())
+    _, final_bins, reject_counts = _columns(n, t, spec, *streams())
     return np.bincount(final_bins, minlength=n), int(reject_counts.sum())
 
 
@@ -848,57 +857,43 @@ def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     if spec.kind == TWO_CHOICES_GREEDY:
         # The kernel's buffers beside the chunks kept so far (primary bins,
         # final bins and took mask, and at most 1 KiB of array headers and a
-        # tuple per chunk); then, beside those chunks, their concatenation,
-        # the int64 reject counts, and _pool_indices' arange, mask and result.
+        # tuple per chunk); then, beside those chunks, their concatenation
+        # and the int64 reject counts.
         kept = 2 * t + mask + 128 * -(-t // _CHUNK)
-        columns = max(kept + summary_peak_bytes(n, t, spec) // 8, 2 * kept + 3 * t + mask)
+        columns = max(kept + summary_peak_bytes(n, t, spec) // 8, 2 * kept + t)
     elif spec.kind == THRESHOLD and spec.retry_budget > 1:
         # run_summary runs _columns whole and then only counts final bins.
         columns = summary_peak_bytes(n, t, spec) // 8
     else:
         # The primary bins, the occurrences (threshold only), the rejected
         # mask, the final bins and the pool block (at most t draws, with its
-        # draw buffers); at the end, pool indices and int64 reject counts
-        # in place of the block.  _occurrence_index holds the bins, five
-        # t-word arrays and two masks.
+        # draw buffers); at the end, the int64 reject counts in place of the
+        # block.  _occurrence_index holds the bins, five t-word arrays and
+        # two masks.
         occurrence = t if spec.kind == THRESHOLD else 0
-        columns = 4 * t + mask + occurrence + draw
+        columns = 3 * t + mask + occurrence + draw
         if spec.kind == THRESHOLD:
             columns = max(columns, 6 * t + 2 * mask)
-    # _assemble_trace: the four columns, four n-word tallies, one bincount
+    # _assemble_trace: the three columns, four n-word tallies, one bincount
     # at a time, the landed mask and its complement, and a gather of the
     # final bins on one side of it.
-    assembly = 5 * t + 2 * mask + 5 * n
+    assembly = 4 * t + 2 * mask + 5 * n
     return 8 * max(columns, assembly) + 16 * 1024
 
 
 def replay(trace: Trace) -> ProcessState:
-    """Re-apply a trace's records to a fresh state and return the result.
+    """Re-derive a trace's final state from its columns.
 
     The reconstruction must match ``trace.final_state`` exactly; callers
     use this as the integrity check for stored or transmitted traces.  A
-    trace whose reject counts or pool indices its strategy cannot produce
-    raises ``ConfigurationError``.
+    trace whose columns its strategy cannot produce (see
+    :func:`_check_rejections`) raises ``ConfigurationError``.
     """
     _check_rejections(trace)
-    state = new_process(trace.n, trace.strategy)
-    for record in trace.records:
-        primary = record.primary_bin - 1
-        final = record.final_bin - 1
-        state.primary_suggested[primary] += 1
-        state.load[final] += 1
-        if record.secondary_pool_index is None:
-            if record.final_bin != record.primary_bin:
-                raise ConfigurationError(
-                    f"ball {record.ball_index} landed away from its primary "
-                    "bin without a pool draw"
-                )
-            state.primary_accepted[final] += 1
-        else:
-            state.secondary_used[final] += 1
-        state.rejections += sum(1 for d in record.decisions if d == "reject")
-        state.t += 1
-    return state
+    return _assemble_trace(
+        trace.n, trace.t, trace.strategy, trace.seed,
+        trace.primary_bins, trace.final_bins, trace.reject_counts,
+    ).final_state
 
 
 def max_load(state: ProcessState, subset: Iterable[int] | None = None) -> int:

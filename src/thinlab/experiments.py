@@ -23,13 +23,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bounds import rejection_budget, stage_params, target_maxload
-from .engine import Trace, run_summary, summary_peak_bytes
+from .engine import MEMORY_BUDGET_BYTES, Trace, run_summary, summary_peak_bytes
 from .errors import ConfigurationError, ResourceLimitError, WorkerError
 from .rng import mix_seeds
 from .strategies import StrategySpec, parse_strategy
 
 WORKERS_ENV = "THINLAB_WORKERS"
-MEMORY_BUDGET_BYTES = 2 * 1024**3
 WILSON_Z95 = 1.959963984540054
 
 

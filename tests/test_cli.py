@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from thinlab import cli, experiments
+from thinlab import cli, engine, experiments
 from thinlab.checks import CheckResult
 from thinlab.errors import ConfigurationError, WorkerError
 
@@ -203,12 +203,13 @@ def test_diagnose_outputs(capsys):
     assert len(lines) == 3
 
 
-def _no_run(*args):
+def _no_run(*args, **kwargs):
     raise AssertionError("diagnose ran a trace it should have refused")
 
 
 def test_diagnose_refuses_a_trace_beyond_the_memory_budget(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run", _no_run)  # refused before anything is allocated
+    # engine.run refuses it before anything is allocated.
+    monkeypatch.setattr(engine, "run_with_streams", _no_run)
     code, out, err = run_cli(
         capsys, ["diagnose", "-n", "1000000000", "--rho", "1", "--no-meta"])
     assert code == 1

@@ -145,6 +145,46 @@ def test_run_is_deterministic():
     assert different.to_json() != first.to_json()
 
 
+# run(4, 3, "threshold:1", seed=0).to_json() as the per-record serializer
+# wrote it, before to_json was built from the columns.
+PINNED_JSON = (
+    '{"n": 4, "t": 3, "strategy": "threshold:1", "seed": 0, "records": ['
+    '{"ball": 1, "primary": 4, "decision": ["accept"], "final": 4, "sec_idx": null}, '
+    '{"ball": 2, "primary": 3, "decision": ["accept"], "final": 3, "sec_idx": null}, '
+    '{"ball": 3, "primary": 4, "decision": ["reject"], "final": 1, "sec_idx": 0}], '
+    '"loads": [1, 0, 1, 1]}'
+)
+
+# sha256 of to_json() per (strategy, n, t, seed), recorded with the same
+# per-record serializer.
+TO_JSON_DIGESTS = {
+    ("one-choice", 7, 30, 1): "f92c9c58f090f5ebdb7d1c6dd6bc41dca178bf270d5268aa54f97723342714ea",
+    ("always-reject", 7, 30, 2): "7762e925dc0b9e5c761dc6bb0c28fe049fed8b905e2210e5e110af8679ad675e",
+    ("threshold:1", 5, 0, 0): "5dd9a68c652410481d6149811f193e5a68043ff0f5bb4ceb0792fb408cf6fdd3",
+    ("threshold:2", 50, 400, 3): "1fc9286d318c1c3e8b99f06c00592049347a4708041a3a950d657f01faa8014e",
+    ("threshold:auto", 1000, 5000, 8):
+        "22c0d049e711317dbe519dfed2eb10883b56dcc5cf72eeb77c063191faf7337a",
+    ("threshold:1,k=3", 20, 200, 4):
+        "8417391a570b722ab32faff2ef31cb74b80cf63a16f187cbae5ce5c990e082ba",
+    ("threshold:3,k=2", 100, 1000, 5):
+        "c5515faebf31f7b8fd4f7d0ef4ddae0c8c4aaddce73d8caf80ba3604e006944f",
+    ("two-choices", 30, 500, 6): "0ac38194b92dd7ef93b1c5164c8fb5dd7f5ff0d09ae0933c24d93011bff04ab2",
+    ("two-choices", 4, 0, 9): "c78437e4c33c8f1919e4cab9d53719c112655f7173e898a9d3a723ee449b1c13",
+    ("two-choices", 2000, 20000, 7):
+        "6e642198e36ab0e0409ee929be62517081d0a743994718e96c5d88b63ff77f19",
+}
+
+
+def test_to_json_is_pinned():
+    assert run(4, 3, "threshold:1", seed=0).to_json() == PINNED_JSON
+
+
+@pytest.mark.parametrize("strategy, n, t, seed", sorted(TO_JSON_DIGESTS))
+def test_to_json_digest_is_pinned(strategy, n, t, seed):
+    text = run(n, t, strategy, seed).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == TO_JSON_DIGESTS[strategy, n, t, seed]
+
+
 def test_zero_balls():
     trace = run(4, 0, THRESHOLD_1, seed=9)
     assert trace.records == ()
@@ -155,7 +195,7 @@ def test_zero_balls():
 def assert_paths_agree(n, t, spec, seed):
     """Vectorized and reference runs agree on every column and stream position."""
     runs = []
-    for method in ("vectorized", "reference"):
+    for method in ("auto", "reference"):
         secondary = RngStream(mix_seeds(seed, 1))
         trace = run_with_streams(
             n, t, spec, RngStream(mix_seeds(seed, 0)), secondary, seed=seed, method=method
@@ -259,7 +299,7 @@ def test_two_choices_kernel_reads_exactly_t_fixed_draws():
     primaries = RngStream(mix_seeds(4, 0)).bounded_block(n, t).tolist()
     candidates = RngStream(mix_seeds(4, 1)).bounded_block(n, t).tolist()
     runs = []
-    for method in ("vectorized", "reference"):
+    for method in ("auto", "reference"):
         streams = FixedStream(primaries), FixedStream(candidates)
         runs.append(run_with_streams(n, t, TWO_CHOICES, *streams, method=method))
         assert [stream.draws for stream in streams] == [t, t]
@@ -319,7 +359,7 @@ def test_occurrence_index_refuses_keys_wider_than_63_bits():
 def test_vectorized_retry_consumes_no_extra_fixed_draws():
     spec = StrategySpec("threshold", ell=1, retry_budget=2)
     fast = run_with_streams(2, 3, spec, FixedStream([0, 0, 0]), FixedStream([0, 1, 1]),
-                            method="vectorized")
+                            method="auto")
     slow = run_with_streams(2, 3, spec, FixedStream([0, 0, 0]), FixedStream([0, 1, 1]))
     assert fast.records == slow.records
     assert fast.final_state == slow.final_state
@@ -447,6 +487,15 @@ def _rejects_beyond_budget(records):
     _first(records, True)["decision"] = ["reject", "reject"]
 
 
+def _moved_without_pool_draw(records):
+    row = _first(records, False)
+    row["final"] = 1 if row["final"] != 1 else 2
+
+
+def _fractional_sec_idx(records):
+    _first(records, True)["sec_idx"] += 0.5
+
+
 def _accept_before_reject(records):
     row = next(r for r in records if r["decision"] == ["reject", "accept"])
     row["decision"] = ["accept", "reject"]
@@ -467,6 +516,8 @@ def _two_choices_sec_idx_by_rank(records):
         ("threshold:1", _sec_idx_without_reject),
         ("threshold:1", _negative_sec_idx),
         ("threshold:1", _rejects_beyond_budget),
+        ("threshold:1", _moved_without_pool_draw),
+        ("threshold:1", _fractional_sec_idx),
         ("threshold:1,k=2", _accept_before_reject),
         ("threshold:1,k=2", _sec_idx_999),
         ("two-choices", _two_choices_sec_idx_by_rank),
@@ -474,20 +525,23 @@ def _two_choices_sec_idx_by_rank(records):
     ],
 )
 def test_json_rejects_impossible_records(strategy, edit):
-    # Each edit keeps the final bins, so the loads still agree: only the
-    # decision and sec_idx checks can catch it.
+    # The loads are recounted from the edited records, so they still agree:
+    # only the decision, sec_idx and landing checks can catch an edit.
     payload = json.loads(run(20, 40, strategy, seed=3).to_json())
     edit(payload["records"])
+    finals = [row["final"] - 1 for row in payload["records"]]
+    payload["loads"] = np.bincount(finals, minlength=20).tolist()
     with pytest.raises(ConfigurationError):
         trace_from_json(json.dumps(payload))
 
 
-def test_replay_rejects_impossible_pool_indices():
+def test_replay_rejects_impossible_columns():
     trace = run(20, 40, THRESHOLD_1, seed=3)
-    shifted = trace.pool_indices.copy()
-    shifted[shifted >= 0] += 1
-    with pytest.raises(ConfigurationError):
-        replay(dataclasses.replace(trace, pool_indices=shifted))
+    moved = trace.final_bins.copy()
+    accepted = np.flatnonzero(trace.reject_counts == 0)[0]
+    moved[accepted] = (moved[accepted] + 1) % trace.n
+    with pytest.raises(ConfigurationError, match="without a pool draw"):
+        replay(dataclasses.replace(trace, final_bins=moved))
     over = trace.reject_counts * 2
     with pytest.raises(ConfigurationError):
         replay(dataclasses.replace(trace, reject_counts=over))
@@ -535,10 +589,11 @@ def test_single_bin_runs():
 
 
 def test_method_validation():
-    with pytest.raises(ConfigurationError):
-        run(5, 5, THRESHOLD_1, seed=1, method="warp")
+    for method in ("warp", "vectorized"):
+        with pytest.raises(ConfigurationError):
+            run(5, 5, THRESHOLD_1, seed=1, method=method)
     retry = StrategySpec("threshold", ell=1, retry_budget=2)
-    fast = run(5, 5, retry, seed=1, method="vectorized")
+    fast = run(5, 5, retry, seed=1, method="auto")
     assert fast.final_state == run(5, 5, retry, seed=1, method="reference").final_state
     with pytest.raises(ConfigurationError):
         run(5, -1, THRESHOLD_1, seed=1)
@@ -583,7 +638,7 @@ def test_run_properties(config):
     loads, rejections = run_summary(n, t, spec, seed=seed)
     assert np.array_equal(loads, state.load)
     assert rejections == state.rejections
-    fast = run(n, t, spec, seed=seed, method="vectorized")
+    fast = run(n, t, spec, seed=seed, method="auto")
     assert np.array_equal(fast.final_bins, trace.final_bins)
     assert fast.final_state == state
     consumed = trace.pool_indices[trace.pool_indices >= 0]
@@ -748,4 +803,18 @@ def test_trace_peak_within_estimate(strategy, n, t):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= trace_peak_bytes(n, t, spec)
+    estimate = trace_peak_bytes(n, t, spec)
+    assert peak <= estimate
+    if spec.retry_budget == 1:
+        # k > 1 estimates assume every ball is rejected, so are exempt.
+        assert estimate <= 1.1 * peak
+
+
+def test_run_refuses_a_trace_beyond_the_memory_budget(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run drew a trace it should have refused")
+
+    monkeypatch.setattr(engine, "run_with_streams", no_run)
+    with pytest.raises(ResourceLimitError, match="a trace of 1000000000 balls"):
+        run(10**9, 10**9, ONE_CHOICE, seed=0)
+    assert trace_peak_bytes(10**9, 10**9, ONE_CHOICE) > engine.MEMORY_BUDGET_BYTES
