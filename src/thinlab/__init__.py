@@ -36,6 +36,7 @@ from .engine import (
     replay,
     run,
     run_summary,
+    run_summary_batch,
     run_with_streams,
     step,
     trace_from_json,
@@ -90,6 +91,7 @@ __all__ = [
     "step",
     "run",
     "run_summary",
+    "run_summary_batch",
     "run_with_streams",
     "replay",
     "trace_from_json",

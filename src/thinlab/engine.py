@@ -39,26 +39,37 @@ order, so the pool index a ball consumes is derived from the reject counts
 ``records`` all work from the three columns, and :func:`_check_rejections`
 is the one check that a strategy can yield them.
 
-``run_summary``'s counting branches (one-choice, always-reject, threshold
-with k = 1) stream their draws one chunk at a time into a uint8 load table
-(see :func:`_count_loads`), so they hold no t-length array and no int64
-table; a run in which a bin passes 255 is counted again into a table of
-``np.min_scalar_type(t)``.  ``run_summary`` returns the table it counted
-into, so its loads are exact but often narrower than int64.
+One-choice, always-reject and threshold with k = 1 have one counting
+kernel (:mod:`thinlab.counting`) behind :func:`run_summary_batch`, of
+which ``run_summary`` is the one-seed case.  Its regime follows from the
+sizes:
+
+- one load table for the whole batch when ``max(n, t)`` is above
+  ``_CHUNK // 2`` (or for a single seed): each run zeroes it, streams its
+  draws into it one chunk at a time, and caps only the bins above ell, so
+  no t-length array is held.  The table starts as uint8; a run in which a
+  bin passes 255 is counted again into a table of
+  ``np.min_scalar_type(t)``, which the rest of the batch keeps;
+- otherwise grids of ``_CHUNK // max(n, t)`` runs: the runs' streams are
+  drawn as one uint64 grid and counted with one bincount, and a run that
+  reads a rejected raw word is counted again on its own.
+
+``run_summary`` returns the table it counted into, so its loads are exact
+but often narrower than int64.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ResourceLimitError
-from .rng import _CHUNK, RngStream, _chunk_buffer_bytes, mix_seeds
+from .counting import _count_groups, _count_peak_bytes, _counts_draws, _seed_streams, _summaries
+from .rng import _CHUNK, _chunk_buffer_bytes
 from .strategies import (
-    ALWAYS_ACCEPT,
     ALWAYS_REJECT,
     THRESHOLD,
     TWO_CHOICES_GREEDY,
@@ -86,6 +97,13 @@ _UNTOUCHED = 0xFFFF
 # Most rejected balls, and most pool draws, that the retry kernel's scan
 # holds as Python lists at once.
 _RETRY_SEGMENT = 1 << 16
+
+# Bytes that trace_from_json holds per character of a payload as to_json
+# writes it, besides the trace it builds: json.loads's objects (3.1 to 4.9
+# bytes per character under tracemalloc, from bin-heavy to ball-heavy
+# payloads) and the two lists of loads that it compares (16 bytes per bin,
+# and a bin takes at least 3 characters).
+_JSON_BYTES_PER_CHAR = 6
 
 
 def _coerce_spec(strategy, n: int | None = None) -> StrategySpec:
@@ -314,7 +332,14 @@ def trace_from_json(text: str) -> Trace:
     embedded loads are checked against the replayed records.  So a
     corrupted or impossible payload is rejected with ``ConfigurationError``
     rather than silently trusted.
+
+    A payload whose parse, at ``_JSON_BYTES_PER_CHAR`` bytes per character,
+    would exceed ``MEMORY_BUDGET_BYTES`` raises ``ResourceLimitError``
+    before it is parsed; one whose parse plus :func:`trace_peak_bytes` of
+    the trace it describes would, raises it before any column is built.
     """
+    parse_bytes = _JSON_BYTES_PER_CHAR * len(text)
+    _check_json_budget(parse_bytes, len(text))
     try:
         payload = json.loads(text)
         n = payload["n"]
@@ -330,6 +355,7 @@ def trace_from_json(text: str) -> Trace:
         raise ConfigurationError(f"trace payload ball count is invalid: {t!r}")
     if len(raw_records) != t or len(loads) != n:
         raise ConfigurationError("trace payload lengths disagree with n, t")
+    _check_json_budget(parse_bytes + trace_peak_bytes(n, t, strategy), len(text))
     primary_bins = np.zeros(t, dtype=np.int64)
     final_bins = np.zeros(t, dtype=np.int64)
     reject_counts = np.zeros(t, dtype=np.int64)
@@ -380,6 +406,14 @@ def trace_from_json(text: str) -> Trace:
     if trace.final_state.load.tolist() != list(loads):
         raise ConfigurationError("trace payload loads disagree with its records")
     return trace
+
+
+def _check_json_budget(needed: int, chars: int) -> None:
+    if needed > MEMORY_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"a trace payload of {chars} characters needs about {needed} bytes, "
+            f"beyond the budget of {MEMORY_BUDGET_BYTES}"
+        )
 
 
 def _pool_indices(kind: str, reject_counts: np.ndarray) -> np.ndarray:
@@ -695,11 +729,7 @@ def run(n: int, t: int, strategy, seed: int, method: str = "auto") -> Trace:
             f"a trace of {t} balls in {n} bins needs about {needed} bytes, "
             f"beyond the budget of {MEMORY_BUDGET_BYTES}"
         )
-    primary_stream = RngStream(mix_seeds(seed, 0))
-    secondary_stream = RngStream(mix_seeds(seed, 1))
-    return run_with_streams(
-        n, t, spec, primary_stream, secondary_stream, seed=seed, method=method
-    )
+    return run_with_streams(n, t, spec, *_seed_streams(seed), seed=seed, method=method)
 
 
 def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
@@ -712,91 +742,66 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     arithmetic that could leave that range; comparisons, ``max()`` and
     ``tolist()`` are exact as they are.
 
-    One-choice, always-reject and threshold with k = 1 count their draws
-    chunk by chunk (see :func:`_count_loads`).  Two-choices takes the load
-    table its kernel keeps (one chunk of draws at a time; per block of
-    balls, one vectorized round, then a scalar pass over the block's balls
-    that share a bin with an earlier one) and counts the balls its masks
-    mark as moved to their secondary.  None of these holds a t-length
+    One-choice, always-reject and threshold with k = 1 are the one-seed
+    case of :func:`run_summary_batch`'s counting kernel.  Two-choices takes
+    the load table its kernel keeps (one chunk of draws at a time; per block
+    of balls, one vectorized round, then a scalar pass over the block's
+    balls that share a bin with an earlier one) and counts the balls its
+    masks mark as moved to their secondary.  None of these holds a t-length
     array.  Retry budgets above 1 count the final bins of the vectorized
     kernel into int64 loads.
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
     t = _check_ball_count(t)
-
-    def streams():
-        return RngStream(mix_seeds(seed, 0)), RngStream(mix_seeds(seed, 1))
-
-    if spec.kind != TWO_CHOICES_GREEDY and spec.retry_budget == 1:
-        return _count_loads(n, t, spec, streams)
+    if _counts_draws(spec):
+        loads, rejections = next(_count_groups(n, t, spec, [seed]))
+        return loads[0], rejections[0]
     if spec.kind == TWO_CHOICES_GREEDY:
         rejections = 0
         # The kernel yields at least once, so load is always bound.
-        for _, _, took, load in _two_choices_kernel(n, t, *streams()):
+        for _, _, took, load in _two_choices_kernel(n, t, *_seed_streams(seed)):
             rejections += int(np.count_nonzero(took))
         return load[:n], rejections
-    _, final_bins, reject_counts = _columns(n, t, spec, *streams())
+    _, final_bins, reject_counts = _columns(n, t, spec, *_seed_streams(seed))
     return np.bincount(final_bins, minlength=n), int(reject_counts.sum())
 
 
-def _count_loads(n, t, spec, streams):
-    """Loads and rejections of one-choice, always-reject or threshold k = 1.
+def run_summary_batch(
+    n: int, t: int, strategy, seeds: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """Max load and rejection count of ``run_summary(n, t, strategy, seed)``
+    for every seed, in seed order, from one counting kernel.
 
-    ``streams()`` returns a fresh (primary, secondary) stream pair.  Each
-    chunk of draws is counted into a uint8 table by ``np.add.at``, so no
-    t-length array and no int64 table is held.  A threshold table is capped
-    at ell once the primaries are counted: a bin keeps min(suggested, ell)
-    of them and the rest are rejected, landing on consecutive pool draws,
-    which are counted into the same table.  A bin that passes 255 wraps, so
-    the table then sums to less than t; that is checked after the primaries
-    (before the cap could hide it) and at the end, and the run is counted
-    again from fresh streams into a table of ``np.min_scalar_type(t)``,
-    which holds every load.
+    For one-choice, always-reject and threshold with k = 1 only; other
+    strategies raise ``ConfigurationError``.  The arguments are checked when
+    this is called; the runs are made as the result is iterated.  The
+    kernel picks its regime from the sizes (``counting._count_groups``):
+    one load table for the whole batch when ``max(n, t)`` is above
+    ``_CHUNK // 2``, else grids of ``_CHUNK // max(n, t)`` runs at a time.
     """
-    wide = np.min_scalar_type(t)
-    for dtype, top in ((np.uint8, 255), (wide, t)):
-        loads = np.zeros(n, dtype=dtype)
-        primary, secondary = streams()
-        rejections = t if spec.kind == ALWAYS_REJECT else 0
-        # Always-reject's loads come from the pool alone, so its primaries
-        # are not drawn.
-        stream = secondary if spec.kind == ALWAYS_REJECT else primary
-        _add_chunks(loads, stream.bounded_chunks(n, t))
-        # Only a table whose top is below t can wrap, so the wide pass
-        # always returns.  A sum of counts never passes t, so summing in
-        # wide is exact, and faster than numpy's default uint64 accumulator.
-        exact = top >= t
-        if spec.kind == THRESHOLD and (exact or loads.sum(dtype=wide) == t):
-            # A cap above top could not bind, nor fit the table's dtype.
-            np.minimum(loads, min(spec.ell, top), out=loads)
-            rejections = t - int(loads.sum(dtype=wide))
-            _add_chunks(loads, secondary.bounded_chunks(n, rejections))
-        if exact or loads.sum(dtype=wide) == t:
-            return loads, rejections
-        del loads  # freed before the wide table is allocated
-
-
-def _add_chunks(loads, chunks) -> None:
-    """Count each chunk of bins into ``loads``, which may wrap.
-
-    The last chunk, and so its buffer, is released on return, before the
-    caller draws again.
-    """
-    one = loads.dtype.type(1)  # a Python int would take numpy's slow path
-    for chunk in chunks:
-        np.add.at(loads, chunk, one)
+    n = _check_bin_count(n)
+    spec = _coerce_spec(strategy, n)
+    t = _check_ball_count(t)
+    if not _counts_draws(spec):
+        raise ConfigurationError(
+            f"run_summary_batch counts one-choice, always-reject and threshold "
+            f"runs with retry budget 1, not {spec.label}"
+        )
+    return _summaries(n, t, spec, seeds)
 
 
 def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
-    """Upper bound on the memory one :func:`run_summary` call holds at once.
+    """Upper bound on the memory one :func:`run_summary` call, or one
+    :func:`run_summary_batch` over any number of seeds, holds at once.
 
     Counted from the buffers each phase of a path keeps alive together,
     with the most rejections a run can have and the widest load table it
     can need; the bound is the largest phase, since a phase frees its
     temporaries before the next begins.  The tests check it against
-    ``tracemalloc`` for every kind, and for the counting kinds on the path
-    that counts again into a wide table too.
+    ``tracemalloc`` for every kind, for the counting kinds on the path
+    that counts again into a wide table too, and for batches in both
+    regimes of the counting kernel.
     """
     w = np.min_scalar_type(t).itemsize  # bytes per bin of a table that holds t
     if spec.kind == THRESHOLD and spec.retry_budget > 1:
@@ -812,10 +817,7 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
         k = spec.retry_budget
         return 8 * ((6 + 2 * k) * t + t // 4 + 1 + n + 16 * _RETRY_SEGMENT)
     if spec.kind != TWO_CHOICES_GREEDY:
-        # _count_loads holds its table and one stream's chunk buffers: a
-        # uint8 table, or, counting again after a bin wrapped, a table of w
-        # bytes per bin, allocated once the uint8 one is freed.
-        return n * w + _chunk_buffer_bytes(n, t) + 16 * 1024
+        return _count_peak_bytes(n, t, spec)
     # Two-choices draws and places one chunk at a time: c balls in the
     # first, c2 in the second, and no later chunk is longer.  At most 16 KiB
     # of Python objects in every phase (the generator, its block slices and

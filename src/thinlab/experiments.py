@@ -23,7 +23,14 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .bounds import rejection_budget, stage_params, target_maxload
-from .engine import MEMORY_BUDGET_BYTES, Trace, run_summary, summary_peak_bytes
+from .counting import _counts_draws
+from .engine import (
+    MEMORY_BUDGET_BYTES,
+    Trace,
+    run_summary,
+    run_summary_batch,
+    summary_peak_bytes,
+)
 from .errors import ConfigurationError, ResourceLimitError, WorkerError
 from .rng import mix_seeds
 from .strategies import StrategySpec, parse_strategy
@@ -186,10 +193,19 @@ def _resolve_workers(workers: int | None) -> int:
     return workers
 
 
+# Bytes that run_trials holds per trial besides the kernel's: the trial's
+# seed (a 64-bit int, 36 bytes, and its slots in the seed list, its chunk
+# and the stats), its outcome tuple (56 bytes and a slot) and rejection
+# count (a 28-byte int), and its slots in the flattened outcomes, the two
+# per-trial tuples and the sorted max loads.  tracemalloc saw 155 bytes per
+# trial in a 10**5-trial campaign.
+_TRIAL_RESULT_BYTES = 192
+
+
 def _check_memory(n: int, t: int, spec: StrategySpec, trials: int, workers: int) -> None:
-    # Each worker runs one trial at a time and keeps nothing between trials;
-    # results add a few words per trial.
-    needed = summary_peak_bytes(n, t, spec) * workers + 64 * trials
+    # Each worker runs one chunk of trials at a time, which holds at most
+    # summary_peak_bytes at once.
+    needed = summary_peak_bytes(n, t, spec) * workers + _TRIAL_RESULT_BYTES * trials
     if needed > MEMORY_BUDGET_BYTES:
         raise ResourceLimitError(
             f"campaign needs about {needed} bytes with {workers} workers, "
@@ -197,10 +213,16 @@ def _check_memory(n: int, t: int, spec: StrategySpec, trials: int, workers: int)
         )
 
 
-def _one_trial(args: tuple) -> tuple[int, int]:
-    n, t, spec, seed = args
-    loads, rejections = run_summary(n, t, spec, seed)
-    return int(loads.max()), rejections
+def _run_chunk(args: tuple) -> list[tuple[int, int]]:
+    """(max load, rejections) of each trial of one chunk, in seed order."""
+    n, t, spec, seeds = args
+    if _counts_draws(spec):
+        return list(run_summary_batch(n, t, spec, seeds))
+    outcomes = []
+    for seed in seeds:
+        loads, rejections = run_summary(n, t, spec, seed)
+        outcomes.append((int(loads.max()), rejections))
+    return outcomes
 
 
 def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryStats:
@@ -208,29 +230,36 @@ def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryS
 
     Deterministic in (config), whatever the worker count: trial i always
     runs on the same derived seed and results are folded in trial order.
+    The trials are split into contiguous chunks, about four per worker,
+    and each chunk is one task: one :func:`run_summary_batch` call for
+    one-choice, always-reject and threshold with k = 1, so a chunk's
+    trials share one load table or one grid of draws, and one
+    :func:`run_summary` call per trial for the other strategies.  A
+    1-worker campaign runs the same chunks in this process.
     """
     workers = _resolve_workers(workers)
     spec = config.spec
     n, t, trials = config.n, config.ball_count, config.trials
     _check_memory(n, t, spec, trials, workers)
     seeds = [config.trial_seed(i) for i in range(trials)]
-    jobs = [(n, t, spec, seed) for seed in seeds]
-    if workers == 1 or trials == 1:
-        outcomes = [_one_trial(job) for job in jobs]
+    size = max(1, trials // (workers * 4))
+    chunks = [(n, t, spec, seeds[i : i + size]) for i in range(0, trials, size)]
+    if workers == 1 or len(chunks) == 1:
+        done = [_run_chunk(chunk) for chunk in chunks]
     else:
         # Imported here, so that importing thinlab does not pay for the
         # process pool machinery that single-worker runs never use.
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
-        chunk = max(1, trials // (workers * 4))
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_one_trial, jobs, chunksize=chunk))
+                done = list(pool.map(_run_chunk, chunks))
         except BrokenProcessPool as exc:
             raise WorkerError(
                 f"a worker process died during the campaign ({exc})"
             ) from exc
+    outcomes = [outcome for chunk in done for outcome in chunk]
     maxloads = tuple(m for m, _ in outcomes)
     rejections = tuple(r for _, r in outcomes)
     ordered = sorted(maxloads)

@@ -15,7 +15,10 @@ counts.  ``RngStream.bounded_block`` makes its words in fixed chunks of
 two reused 512 KiB buffers that stay in cache, and reduces straight into the
 result.  ``RngStream.bounded_chunks`` runs the same loop but reduces each
 chunk in place and yields it, so a caller that only counts its draws never
-holds a block.  A chunk with a rejected word is compacted, in order, into
+holds a block.  :func:`bounded_grid` draws the first words of many streams
+at once, as one (streams x words) grid built from the same table, and
+flags each stream whose words include a rejected one.  A chunk with a
+rejected word is compacted, in order, into
 the second buffer through a bool mask allocated beside the buffers, so the
 loop allocates nothing per chunk.  The reduction is exact floor division,
 ``w - (w // n) * n``: since ``(w // n) * n <= w < 2**64`` nothing wraps, so
@@ -37,6 +40,7 @@ i.e. entry ``i`` of the SplitMix64 output stream for ``seed``.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -158,14 +162,7 @@ class RngStream:
             m = min(count - filled, _CHUNK)
             w, s = words[:m], shifted[:m]
             np.add(_STEPS[:m], np.uint64((self.seed + self.counter * GAMMA) & MASK64), out=w)
-            np.right_shift(w, 30, out=s)
-            w ^= s
-            w *= _U_MUL_1
-            np.right_shift(w, 27, out=s)
-            w ^= s
-            w *= _U_MUL_2
-            np.right_shift(w, 31, out=s)
-            w ^= s
+            _fmix_in_place(w, s)
             # m never exceeds the draws still needed, so the sequential path
             # would consume every word of the chunk, rejected ones included.
             self.counter += m
@@ -184,6 +181,56 @@ class RngStream:
             filled += m
             self.draws += m
             yield dest.view(np.int64)  # draws are below 2**63, so the view is exact
+
+
+def _fmix_in_place(w: np.ndarray, scratch: np.ndarray) -> None:
+    """Apply :func:`fmix64` to every word of the uint64 array ``w`` in place,
+    using ``scratch``, of the same shape, for the shifted words."""
+    np.right_shift(w, 30, out=scratch)
+    w ^= scratch
+    w *= _U_MUL_1
+    np.right_shift(w, 27, out=scratch)
+    w ^= scratch
+    w *= _U_MUL_2
+    np.right_shift(w, 31, out=scratch)
+    w ^= scratch
+
+
+def mix_seed_array(seeds: Sequence[int], index: int) -> np.ndarray:
+    """``mix_seeds(seed, index)`` for every seed, as a uint64 array."""
+    state = np.fromiter(
+        (operator.index(seed) & MASK64 for seed in seeds), dtype=np.uint64, count=len(seeds))
+    state += np.uint64(((index + 1) * GAMMA) & MASK64)
+    _fmix_in_place(state, np.empty_like(state))
+    return state
+
+
+def bounded_grid(stream_seeds: np.ndarray, n: int, count: int):
+    """The first ``count`` bounded draws below ``n`` of many streams at once.
+
+    ``stream_seeds`` is a uint64 array of m stream seeds, and ``count`` at
+    most ``_CHUNK``.  Returns ``(draws, exact)``: an (m, count) int64 array
+    whose row i is ``RngStream(stream_seeds[i]).bounded_block(n, count)``
+    wherever ``exact[i]`` is True, that is, wherever none of the row's first
+    ``count`` raw words is rejected.  A row with a rejected word is not its
+    stream's block, so a caller must draw that stream again.  Word j of row
+    i is ``fmix64(stream_seeds[i] + (j + 1) * GAMMA)``, exactly the word the
+    sequential path reads, so no stream is changed.
+    """
+    limit = _rejection_limit(n, count)
+    if count > _CHUNK:
+        raise ConfigurationError(f"a grid row holds at most {_CHUNK} draws, got {count}")
+    words = stream_seeds[:, None] + _STEPS[:count]
+    scratch = np.empty_like(words)
+    _fmix_in_place(words, scratch)
+    exact = np.ones(len(words), dtype=bool)
+    if limit is not None and words.size and words.max() >= limit:
+        exact = words.max(axis=1) < limit
+    bound = np.uint64(n)
+    np.floor_divide(words, bound, out=scratch)
+    scratch *= bound
+    words -= scratch
+    return words.view(np.int64), exact
 
 
 def _rejection_limit(n: int, count: int) -> np.uint64 | None:

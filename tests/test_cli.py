@@ -287,8 +287,8 @@ def _die(*args):
 
 
 def test_dead_worker_is_a_thinlab_error(capsys, monkeypatch):
-    # Forked workers inherit the patch and die on their first trial.
-    monkeypatch.setattr(experiments, "run_summary", _die)
+    # Forked workers inherit the patch and die on their first chunk of trials.
+    monkeypatch.setattr(experiments, "_run_chunk", _die)
     with pytest.raises(WorkerError):
         experiments.run_trials(
             experiments.ExperimentConfig(n=50, strategy="one-choice", trials=4,
@@ -319,6 +319,21 @@ def test_env_workers_default(tmp_path, capsys, monkeypatch):
     out_plain = tmp_path / "plain.csv"
     assert run_cli(capsys, argv + ["--out", str(out_plain)])[0] == 0
     assert out_env.read_bytes() == out_plain.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "strategy, n", [("threshold:1", 3), ("one-choice", 40_000), ("two-choices", 30)])
+def test_simulate_csv_bytes_do_not_depend_on_workers(tmp_path, capsys, strategy, n):
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"{workers}.csv"
+        argv = ["simulate", "-n", str(n), "--rho", "1", "--strategy", strategy,
+                "--trials", "25", "--seed", "4", "--workers", str(workers),
+                "--format", "csv", "--no-meta", "--out", str(out)]
+        assert run_cli(capsys, argv)[0] == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].count(b"\n") > 25
 
 
 def test_every_subcommand_honors_json_format(capsys, tmp_path):

@@ -4,13 +4,14 @@ import dataclasses
 import hashlib
 import json
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinlab import engine
+from thinlab import counting, engine, rng
 from thinlab.engine import (
     AllocationRecord,
     Trace,
@@ -20,6 +21,7 @@ from thinlab.engine import (
     replay,
     run,
     run_summary,
+    run_summary_batch,
     run_with_streams,
     step,
     summary_peak_bytes,
@@ -672,23 +674,46 @@ def test_run_properties(config):
         ("always-reject", 1_000, 300_000),
         ("threshold:2", 1_000, 300_000),
         ("one-choice", 20_000, 5_000_000),  # the uint8 table is freed first
+        # Grids of _CHUNK // max(n, t) runs: their term binds for batches.
+        ("threshold:1", 3, 3),
+        ("one-choice", 4, 4),
+        ("always-reject", 5, 7),
+        ("threshold:2", 1, 300),
+        ("threshold:1", 3_000, 3_000),
+        ("one-choice", 20_000, 3),
+        ("threshold:auto", _CHUNK // 2, _CHUNK // 2),
+        ("threshold:1", 10**6, 10),  # capping a slice of the table binds
     ],
 )
 def test_summary_peak_within_estimate(strategy, n, t):
     spec = parse_strategy(strategy, n=n)
     run_summary(n, t, spec, 1)  # any lazy set-up happens outside the trace
-    tracemalloc.start()
-    try:
-        run_summary(n, t, spec, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: run_summary(n, t, spec, 1))
     estimate = summary_peak_bytes(n, t, spec)
     assert peak <= estimate
     if t >= 100_000 and spec.retry_budget == 1:
         # No term is padded beyond the wide table of a recount; k > 1
         # estimates assume every ball is rejected, so are exempt.
         assert estimate <= 1.5 * peak
+    if spec.kind != "two_choices_greedy" and spec.retry_budget == 1:
+        # A batch holds one table, or one grid of runs, at a time: here two
+        # full grids and a partial one, or two runs in one table.
+        rows = counting._grid_rows(n, t)
+        seeds = range(2 * rows + 1 if rows >= 2 else 2)
+        batch = traced_peak(lambda: deque(run_summary_batch(n, t, spec, seeds), maxlen=0))
+        assert batch <= estimate
+        if rows >= 2 or t >= 100_000:
+            assert estimate <= 1.5 * batch
+
+
+def traced_peak(func) -> int:
+    """Peak bytes that tracemalloc sees while ``func`` runs."""
+    tracemalloc.start()
+    try:
+        func()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # The run_summary branches that count draws chunk by chunk.  At n = 1000,
@@ -734,9 +759,9 @@ def test_counting_kinds_recount_past_255(strategy, n, t):
         # Only the pool passes 255: each bin keeps one of its 150 primaries,
         # and all 298 rejected balls land on bin 0.
         ("threshold:1", [0, 1] * 150, [0] * 298),
-        # The primaries of bin 0 wrap to 1, below ell = 3, so the cap would
-        # keep too few of them, yet with the pool split evenly the table
-        # would still sum to t; only the check before the cap sees the wrap.
+        # The primaries of bin 0 wrap to 1, below ell = 3, so the cap keeps
+        # too few of them and takes too few rejections; the table's sum is
+        # then short of t by the wrap, whatever the pool adds.
         ("threshold:3", [0] * 257 + [1] * 43, [0, 1] * 150),
         ("one-choice", [1] * 300, []),
         ("always-reject", [0] * 300, [1] * 299 + [0]),  # primaries unread
@@ -751,7 +776,7 @@ def test_counting_kernel_recounts_a_wrapped_table(strategy, primaries, pool):
         passes.append((FixedStream(primaries), FixedStream(pool)))
         return passes[-1]
 
-    loads, rejections = engine._count_loads(n, t, spec, streams)
+    loads, rejections = next(counting._count_runs(n, t, spec, [streams]))
     reference = run_with_streams(
         n, t, spec, FixedStream(primaries), FixedStream(pool), method="reference")
     assert loads.dtype == np.min_scalar_type(t)
@@ -773,12 +798,103 @@ def test_counting_kernel_frees_the_uint8_table_before_the_wide_one():
 
     tracemalloc.start()
     try:
-        loads, _ = engine._count_loads(n, t, ONE_CHOICE, streams)
+        loads, _ = next(counting._count_runs(n, t, ONE_CHOICE, [streams]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert loads.dtype == np.uint16 and int(loads[0]) == t
     assert peak <= summary_peak_bytes(n, t, ONE_CHOICE)
+
+
+def per_trial_summaries(n, t, strategy, seeds):
+    """(max load, rejections) of one run_summary call per seed."""
+    out = []
+    for seed in seeds:
+        loads, rejections = run_summary(n, t, strategy, seed)
+        out.append((int(loads.max()), rejections))
+    return out
+
+
+def traced_summaries(n, t, strategy, seeds):
+    """(max load, rejections) of one full run per seed."""
+    states = (run(n, t, strategy, seed).final_state for seed in seeds)
+    return [(int(state.load.max()), state.rejections) for state in states]
+
+
+# Grids of _CHUNK // max(n, t) runs, so 2 * 10**4 seeds fill more than one
+# grid, the last one partly; run_summary counts each run into a table.
+@pytest.mark.parametrize(
+    "strategy, n, t", [("one-choice", 4, 4), ("always-reject", 5, 7), ("threshold:1", 3, 5)])
+def test_batch_matches_run_summary_on_small_runs(strategy, n, t):
+    seeds = [mix_seeds(41, i) for i in range(20_000)]
+    assert 2 <= counting._grid_rows(n, t) < len(seeds)
+    batch = list(run_summary_batch(n, t, strategy, seeds))
+    assert batch == per_trial_summaries(n, t, strategy, seeds)
+
+
+@pytest.mark.parametrize("strategy", ["one-choice", "always-reject", "threshold:auto"])
+def test_batch_matches_run_summary_at_benchmark_size(strategy):
+    # One table serves every run of the batch.
+    n = t = 10**6
+    seeds = [mix_seeds(5, i) for i in range(20)]
+    batch = list(run_summary_batch(n, t, strategy, seeds))
+    assert batch == per_trial_summaries(n, t, strategy, seeds)
+
+
+def test_batch_counts_again_the_runs_that_read_a_rejected_word(monkeypatch):
+    # Every bound gets the rejection limit of 3 * 2**61, which rejects a
+    # quarter of the raw words, so most grid runs read a rejected word and
+    # are counted again from their streams; run's kernel draws through the
+    # same limit.
+    monkeypatch.setattr(rng, "_rejection_limit", lambda n, count: np.uint64(3 << 62))
+    n, t = 3, 5
+    seeds = range(400)
+    exact = rng.bounded_grid(rng.mix_seed_array(seeds, 0), n, t)[1]
+    assert 0 < exact.sum() < len(seeds) / 2
+    for strategy in ("one-choice", "always-reject", "threshold:1"):
+        batch = list(run_summary_batch(n, t, strategy, seeds))
+        assert batch == traced_summaries(n, t, strategy, seeds)
+
+
+# At n = 1 a grid holds loads above 255.  At (3, 70000) the first run wraps
+# the uint8 table, and the batch's later runs are counted in the wide one.
+@pytest.mark.parametrize("n, t", [(1, 300), (3, 70_000)])
+@pytest.mark.parametrize("strategy", ["one-choice", "always-reject", "threshold:2"])
+def test_batch_counts_bins_past_255(strategy, n, t):
+    seeds = [mix_seeds(3, i) for i in range(4)]
+    batch = list(run_summary_batch(n, t, strategy, seeds))
+    assert batch == traced_summaries(n, t, strategy, seeds)
+    assert min(maximum for maximum, _ in batch) > 255
+
+
+@pytest.mark.parametrize("n, t", [(1, 600), (2, 70_000)])  # a grid, then one table
+def test_batch_caps_above_255(n, t):
+    seeds = [mix_seeds(6, i) for i in range(4)]
+    batch = list(run_summary_batch(n, t, "threshold:300", seeds))
+    assert batch == traced_summaries(n, t, "threshold:300", seeds)
+    assert all(rejections > 0 for _, rejections in batch)
+
+
+@pytest.mark.parametrize("n", [1, 5, _CHUNK])  # grids, then one table
+def test_batch_of_zero_balls(n):
+    for strategy in ("one-choice", "always-reject", "threshold:1", "threshold:3"):
+        assert list(run_summary_batch(n, 0, strategy, range(5))) == [(0, 0)] * 5
+
+
+# Either side of the regime boundary: grids of two runs (the last of the
+# five seeds alone in its grid), then one table for the batch.
+@pytest.mark.parametrize("size", [_CHUNK // 2, _CHUNK // 2 + 1])
+def test_batch_across_the_regime_boundary(size):
+    seeds = [mix_seeds(8, i) for i in range(5)]
+    for strategy in ("one-choice", "always-reject", "threshold:auto"):
+        batch = list(run_summary_batch(size, size, strategy, seeds))
+        assert batch == traced_summaries(size, size, strategy, seeds)
+
+
+def test_batch_refuses_the_other_strategies():
+    for strategy in ("two-choices", "threshold:2,k=2"):
+        with pytest.raises(ConfigurationError):
+            run_summary_batch(10, 10, strategy, [1])
 
 
 # At the first size the columns of _columns bind, at the second the tallies
@@ -808,6 +924,41 @@ def test_trace_peak_within_estimate(strategy, n, t):
     if spec.retry_budget == 1:
         # k > 1 estimates assume every ball is rejected, so are exempt.
         assert estimate <= 1.1 * peak
+
+
+# Ball-heavy payloads and a bin-heavy one, whose lists of loads bind.
+@pytest.mark.parametrize(
+    "strategy, n, t",
+    [("threshold:auto", 20_000, 20_000), ("always-reject", 10, 20_000),
+     ("two-choices", 5_000, 20_000), ("one-choice", 100_000, 10)],
+)
+def test_trace_from_json_peak_within_estimate(strategy, n, t):
+    text = run(n, t, strategy, 1).to_json()
+    trace_from_json(text)  # any lazy set-up happens outside the trace
+    peak = traced_peak(lambda: trace_from_json(text))
+    spec = parse_strategy(strategy, n=n)
+    estimate = engine._JSON_BYTES_PER_CHAR * len(text) + trace_peak_bytes(n, t, spec)
+    assert peak <= estimate <= 1.5 * peak
+
+
+def test_trace_from_json_refuses_a_payload_beyond_the_memory_budget(monkeypatch):
+    def no_parse(*args, **kwargs):
+        raise AssertionError("trace_from_json parsed a payload it should have refused")
+
+    text = run(50, 200, "threshold:1", seed=3).to_json()
+    parse = engine._JSON_BYTES_PER_CHAR * len(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "MEMORY_BUDGET_BYTES", parse - 1)
+        patch.setattr(json, "loads", no_parse)
+        with pytest.raises(ResourceLimitError, match=f"payload of {len(text)} characters"):
+            trace_from_json(text)
+    # The parse fits, but not beside the trace it describes.
+    needed = parse + trace_peak_bytes(50, 200, parse_strategy("threshold:1", n=50))
+    monkeypatch.setattr(engine, "MEMORY_BUDGET_BYTES", needed - 1)
+    with pytest.raises(ResourceLimitError):
+        trace_from_json(text)
+    monkeypatch.setattr(engine, "MEMORY_BUDGET_BYTES", needed)
+    assert trace_from_json(text).final_state == run(50, 200, "threshold:1", seed=3).final_state
 
 
 def test_run_refuses_a_trace_beyond_the_memory_budget(monkeypatch):

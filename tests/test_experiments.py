@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import thinlab
 from thinlab import experiments
 from thinlab.bounds import rejection_budget, target_maxload
-from thinlab.engine import run, run_summary
+from thinlab.engine import run, run_summary, summary_peak_bytes
 from thinlab.errors import ConfigurationError, ResourceLimitError
 from thinlab.experiments import (
     ExperimentConfig,
@@ -90,15 +91,30 @@ def test_run_trials_matches_direct_runs():
 @pytest.mark.parametrize(
     "strategy", ["one-choice", "always-reject", "threshold:1", "threshold:auto"])
 def test_run_trials_with_kept_draws_matches_run_summary(strategy, workers):
-    # Campaign trials, in this process or in pool workers, keep nothing
-    # between them, so each equals a bare run_summary call.  At n = 1000,
-    # threshold:1 rejects most balls, and t spans two draw chunks.
+    # Campaign trials, in this process or in pool workers, share only a
+    # zeroed load table, so each equals a bare run_summary call.  At
+    # n = 1000, threshold:1 rejects most balls, and t spans two draw chunks.
     config = ExperimentConfig(n=1000, strategy=strategy, trials=4, base_seed=3, t=_CHUNK + 5)
     stats = run_trials(config, workers=workers)
     for i, seed in enumerate(stats.per_trial_seeds):
         loads, rejections = run_summary(config.n, config.ball_count, config.spec, seed)
         assert stats.per_trial_maxload[i] == int(loads.max())
         assert stats.per_trial_rejections[i] == rejections
+
+
+# Grids of runs, one table per chunk of trials, and per-trial summaries.
+@pytest.mark.parametrize(
+    "strategy, n, t, trials",
+    [("threshold:1", 3, 3, 50), ("one-choice", 40_000, 40_000, 13), ("two-choices", 30, 30, 25)],
+)
+def test_run_trials_is_the_same_at_1_2_and_3_workers(strategy, n, t, trials):
+    config = ExperimentConfig(n=n, strategy=strategy, trials=trials, base_seed=5, t=t)
+    stats = [run_trials(config, workers=workers) for workers in (1, 2, 3)]
+    assert stats[0] == stats[1] == stats[2]
+    for i, seed in enumerate(stats[0].per_trial_seeds):
+        loads, rejections = run_summary(n, t, config.spec, seed)
+        assert stats[0].per_trial_maxload[i] == int(loads.max())
+        assert stats[0].per_trial_rejections[i] == rejections
 
 
 def test_summary_statistics_shape():
@@ -148,6 +164,21 @@ def test_memory_guard_admits_two_workers_at_1e8_balls(strategy):
     n = t = 10**8
     config = ExperimentConfig(n=n, strategy=strategy, trials=100, base_seed=1, t=t)
     experiments._check_memory(n, t, config.spec, config.trials, workers=2)
+
+
+def test_campaign_peak_within_the_memory_guard():
+    # Many tiny trials: the grids of the counting kernel and the per-trial
+    # results, which the guard counts beside them, bind.
+    config = ExperimentConfig(n=3, strategy="threshold:1", trials=30_000, base_seed=2, t=3)
+    run_trials(config)  # any lazy set-up happens outside the trace
+    tracemalloc.start()
+    try:
+        run_trials(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    needed = summary_peak_bytes(3, 3, config.spec) + experiments._TRIAL_RESULT_BYTES * 30_000
+    assert peak <= needed
 
 
 def test_workers_env_is_honored(monkeypatch):

@@ -6,7 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinlab.errors import ConfigurationError
-from thinlab.rng import _CHUNK, MASK64, FixedStream, RngStream, fmix64, mix_seeds
+from thinlab.rng import (
+    _CHUNK,
+    MASK64,
+    FixedStream,
+    RngStream,
+    bounded_grid,
+    fmix64,
+    mix_seed_array,
+    mix_seeds,
+)
 
 # Raw-word vectors computed by an independent C implementation of the
 # published SplitMix64 algorithm (state += 0x9E3779B97F4A7C15, then the
@@ -144,6 +153,40 @@ def test_block_resumes_mid_chunk(n):
     seq = [b.next_bounded(n) for _ in range(2 * _CHUNK + 7)]
     assert block.tolist() == seq
     assert (a.counter, a.draws) == (b.counter, b.draws)
+
+
+@pytest.mark.parametrize("n, count", [(3, 3), (10**6, 200), (REJECTING_BOUND, 3),
+                                      (REJECTING_BOUND, 40), (2**63, 5), (7, 0), (5, _CHUNK)])
+def test_grid_rows_are_the_streams_blocks(n, count):
+    seeds = [mix_seeds(17, i) for i in range(300 if count < 1000 else 3)]
+    draws, exact = bounded_grid(mix_seed_array(seeds, 1), n, count)
+    assert draws.shape == (len(seeds), count) and draws.dtype == np.int64
+    for row, seed in enumerate(seeds):
+        stream = RngStream(mix_seeds(seed, 1))
+        block = stream.bounded_block(n, count)
+        # A row is exact iff its stream read no more words than draws.
+        assert exact[row] == (stream.counter == count)
+        if exact[row]:
+            assert draws[row].tolist() == block.tolist()
+    if n == REJECTING_BOUND and count == 40:
+        assert not exact.any()  # each row rejects a word: (3/4)**40 < 10**-5
+    if n == REJECTING_BOUND and count == 3:
+        assert 0 < exact.sum() < len(seeds)  # (3/4)**3 of the rows are exact
+
+
+def test_grid_refuses_rows_longer_than_a_chunk():
+    with pytest.raises(ConfigurationError):
+        bounded_grid(mix_seed_array([1], 0), 3, _CHUNK + 1)
+
+
+def test_mix_seed_array_is_mix_seeds():
+    seeds = [0, 1, MASK64, -1, -(2**70), 2**64 + 5, np.int64(-3), np.uint64(MASK64)]
+    for index in (0, 1, 7):
+        mixed = mix_seed_array(seeds, index)
+        assert mixed.dtype == np.uint64
+        assert mixed.tolist() == [mix_seeds(int(seed), index) for seed in seeds]
+    with pytest.raises(TypeError):
+        mix_seed_array([1.5], 0)
 
 
 def test_power_of_two_bound_has_no_rejection():
