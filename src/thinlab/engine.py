@@ -15,22 +15,14 @@ the usual bin-labeling convention; tally arrays are 0-indexed internally.
 traces and stream positions (``run_summary`` skips it where counts of the
 draws, or the two-choices kernel's loads, already give the final loads):
 
-- one-choice, always-reject and threshold with retry budget 1: a ball's
-  primary is rejected iff its occurrence index among the primaries is at
-  least ell, and the rejected balls take consecutive pool draws;
-- threshold with retry budget k > 1: the same primary decisions, then a
-  scan over the rejected balls only, since a pool draw to bin b for ball j
-  is accepted iff j comes before b's ell-th primary suggestion;
+- one-choice and always-reject: the kind decides every ball, and the
+  rejected balls take consecutive pool draws;
+- threshold, for every retry budget: one chunk of ``_CHUNK`` balls at a
+  time (:func:`_threshold_chunks`), so the kernel holds no t-length array;
 - two-choices (outside the thinning class: it sees both candidate bins,
   and consumes one secondary draw per ball): one chunk of ``_CHUNK`` balls
-  at a time, drawn primaries first, then candidates, so the kernel holds
-  no t-length array.  Per block of balls, an index pass finds the balls that no
-  earlier ball of the block shares a bin with, and a load pass places all
-  of them at once, then the block's other balls one by one in ball order.
-  The kernel keeps loads in a uint8 table, widened once before any bin
-  could pass 255, and yields per chunk a mask of the balls that took their
-  secondary, from which ``run`` derives the final bins and ``run_summary``
-  the rejections.
+  at a time too (:func:`_two_choices_kernel`), which yields per chunk a
+  mask of the balls that took their secondary.
 
 A :class:`Trace` stores three per-ball columns: primary bins, final bins
 and reject counts.  Rejected balls take the secondary pool's draws in ball
@@ -41,21 +33,9 @@ is the one check that a strategy can yield them.
 
 One-choice, always-reject and threshold with k = 1 have one counting
 kernel (:mod:`thinlab.counting`) behind :func:`run_summary_batch`, of
-which ``run_summary`` is the one-seed case.  Its regime follows from the
-sizes:
-
-- one load table for the whole batch when ``max(n, t)`` is above
-  ``_CHUNK // 2`` (or for a single seed): each run zeroes it, streams its
-  draws into it one chunk at a time, and caps only the bins above ell, so
-  no t-length array is held.  The table starts as uint8; a run in which a
-  bin passes 255 is counted again into a table of
-  ``np.min_scalar_type(t)``, which the rest of the batch keeps;
-- otherwise grids of ``_CHUNK // max(n, t)`` runs: the runs' streams are
-  drawn as one uint64 grid and counted with one bincount, and a run that
-  reads a rejected raw word is counted again on its own.
-
-``run_summary`` returns the table it counted into, so its loads are exact
-but often narrower than int64.
+which ``run_summary`` is the one-seed case; its regimes are described
+there.  ``run_summary`` returns the table it counted into, so its loads
+are exact but often narrower than int64.
 """
 
 from __future__ import annotations
@@ -93,10 +73,6 @@ MEMORY_BUDGET_BYTES = 2 * 1024**3
 # block must stay below 2**16.
 _TWO_CHOICES_BLOCK = 1 << 12
 _UNTOUCHED = 0xFFFF
-
-# Most rejected balls, and most pool draws, that the retry kernel's scan
-# holds as Python lists at once.
-_RETRY_SEGMENT = 1 << 16
 
 # Bytes that trace_from_json holds per character of a payload as to_json
 # writes it, besides the trace it builds: json.loads's objects (3.1 to 4.9
@@ -538,68 +514,85 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
         ]
         primary_bins, final_bins, rejected = (np.concatenate(c) for c in zip(*chunks))
         return primary_bins, final_bins, rejected.astype(np.int64)
-    primary_bins = primary_stream.bounded_block(n, t)
     if spec.kind == THRESHOLD:
-        occurrence = _occurrence_index(primary_bins, n)
-        rejected = occurrence >= spec.ell
-        if spec.retry_budget > 1:
-            return (primary_bins, *_retry_columns(
-                n, spec, primary_bins, occurrence, rejected, secondary_stream))
-    else:
-        rejected = np.full(t, spec.kind == ALWAYS_REJECT)
-    rejections = int(rejected.sum())
+        chunks = list(_threshold_chunks(n, t, spec, primary_stream, secondary_stream))
+        return tuple(np.concatenate(c) for c in zip(*chunks))
+    primary_bins = primary_stream.bounded_block(n, t)
+    rejected = np.full(t, spec.kind == ALWAYS_REJECT)
     final_bins = primary_bins.copy()
-    final_bins[rejected] = secondary_stream.bounded_block(n, rejections)
+    final_bins[rejected] = secondary_stream.bounded_block(n, int(rejected.sum()))
     return primary_bins, final_bins, rejected.astype(np.int64)
 
 
-def _retry_columns(n, spec, primary_bins, occurrence, rejected, secondary_stream):
-    """Final bins and reject counts for retry budgets above 1.
+def _threshold_chunks(n, t, spec, primary_stream, secondary_stream):
+    """Threshold placement, one chunk of ``_CHUNK`` balls at a time.
 
-    :func:`step` counts a ball's primary suggestion before it draws from
-    the pool, so a pool draw to bin b made for ball j is accepted iff j
-    comes before b's ell-th primary suggestion, ``cut[b]``.  Only rejected
-    balls touch the pool; they take draws in ball order until one is
-    accepted or k are used.  Every ball still unlanded needs at least one
-    more draw, so drawing at most that many whenever the block runs out
-    never takes a draw the reference would not.  The scan works through
-    segments of ``_RETRY_SEGMENT`` rejected balls and pool blocks of at
-    most as many draws, so its Python lists stay that short however many
-    balls are rejected; the blocks themselves are kept as int64 arrays.
+    A generator of each chunk's primary bins, final bins and reject counts
+    (int64); once, empty, when t is 0.  Streams are read as block draws
+    read them, so draws and stream positions match :func:`step`.  A primary
+    is rejected iff its bin already had ell, which ``count`` settles for
+    all balls but those whose bin reaches ell in the chunk: they alone take
+    an occurrence index.  Rejected balls take pool draws in ball order
+    until one is accepted or k are used; a draw to bin b for ball j is
+    rejected iff b's ell-th primary (counted before any pool draw of its
+    ball) is at or before j: iff ``count[b] >= ell`` at the chunk's end
+    and ``cut[b] <= j``, ``cut`` holding that primary's chunk offset, or 0.
+    The pool is refilled with one draw per unlanded ball, which each needs.
     """
-    t = len(primary_bins)
-    cut = np.full(n, t, dtype=np.int64)
-    ell_th = occurrence == spec.ell - 1
-    cut[primary_bins[ell_th]] = np.flatnonzero(ell_th)
+    ell = min(spec.ell, t)  # a bin never has t primaries before a ball
+    count = np.zeros(n, dtype=np.min_scalar_type(t))
+    cut = np.zeros(n, dtype=np.uint16)
+    for begin in range(0, max(t, 1), _CHUNK):
+        p = primary_stream.bounded_block(n, min(t - begin, _CHUNK))
+        before = count[p]
+        np.add.at(count, p, count.dtype.type(1))  # a Python int would take a slow path
+        rejected = before >= ell
+        reaching = np.flatnonzero(~rejected & (count[p] >= ell))
+        occurrence = _occurrence_index(p[reaching], n) + before[reaching]
+        rejected[reaching[occurrence >= ell]] = True
+        ell_th = reaching[occurrence == ell - 1]  # chunk offsets
+        del before, reaching, occurrence  # not held through the pool draws
+        cut[p[ell_th]] = ell_th
+        landed = _pool_landings(
+            p, rejected, count, cut, ell, spec.retry_budget, secondary_stream)
+        cut[p[ell_th]] = 0
+        yield p, *landed
+
+
+def _pool_landings(p, rejected, count, cut, ell, budget, secondary_stream):
+    """Final bins and reject counts of one chunk; see :func:`_threshold_chunks`."""
+    n, m = count.size, p.size
     balls = np.flatnonzero(rejected)
-    landing = np.empty(balls.size, dtype=np.int64)
-    budget = spec.retry_budget
-    blocks = []
-    limits = []
-    pos = base = 0  # the next pool index, and the pool index of limits[0]
-    for start in range(0, balls.size, _RETRY_SEGMENT):
-        segment = balls[start : start + _RETRY_SEGMENT].tolist()
-        landed = []
-        for i, ball in enumerate(segment, start):
-            stop = pos + budget
-            while True:
-                if pos == base + len(limits):
-                    base = pos
-                    more = secondary_stream.bounded_block(
-                        n, min(balls.size - i, _RETRY_SEGMENT))
-                    blocks.append(more)
-                    limits = cut[more].tolist()
-                pos += 1
-                if pos == stop or ball < limits[pos - 1 - base]:
-                    break
-            landed.append(pos - 1)
-        landing[start : start + len(segment)] = landed
-    final_bins = primary_bins.copy()
-    if blocks:
-        final_bins[balls] = np.concatenate(blocks)[landing]
-    reject_counts = np.zeros(t, dtype=np.int64)
+    if budget == 1 or not balls.size:
+        final = p.copy()
+        final[balls] = secondary_stream.bounded_block(n, balls.size)
+        return final, rejected.astype(np.int64)
+    landing, blocks, limits = [], [], []
+    base = q = size = 0  # the pool index of limits[0], the next draw's in limits, its length
+    for i, ball in enumerate(balls.tolist()):
+        left = budget
+        while True:
+            if q == size:
+                base += size
+                more = secondary_stream.bounded_block(n, balls.size - i)
+                blocks.append(more)
+                # The first chunk offset whose draw to this bin is rejected.
+                limit = cut[more].astype(np.int64)
+                limit[count[more] < ell] = m
+                limits = limit.tolist()
+                q, size = 0, len(limits)
+            left -= 1
+            if not left or ball < limits[q]:
+                break
+            q += 1
+        landing.append(base + q)
+        q += 1
+    landing = np.array(landing, dtype=np.int64)
+    final = p.copy()
+    final[balls] = np.concatenate(blocks)[landing]
+    reject_counts = np.zeros(m, dtype=np.int64)
     reject_counts[balls] = np.diff(landing, prepend=-1)
-    return final_bins, reject_counts
+    return final, reject_counts
 
 
 def _two_choices_kernel(n, t, primary_stream, secondary_stream):
@@ -744,12 +737,10 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
 
     One-choice, always-reject and threshold with k = 1 are the one-seed
     case of :func:`run_summary_batch`'s counting kernel.  Two-choices takes
-    the load table its kernel keeps (one chunk of draws at a time; per block
-    of balls, one vectorized round, then a scalar pass over the block's
-    balls that share a bin with an earlier one) and counts the balls its
-    masks mark as moved to their secondary.  None of these holds a t-length
-    array.  Retry budgets above 1 count the final bins of the vectorized
-    kernel into int64 loads.
+    the load table its kernel keeps and counts the balls its masks mark as
+    moved.  Retry budgets above 1 count the threshold kernel's final bins
+    into a table of ``np.min_scalar_type(t)``.  None of these holds a
+    t-length array.
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
@@ -763,8 +754,12 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
         for _, _, took, load in _two_choices_kernel(n, t, *_seed_streams(seed)):
             rejections += int(np.count_nonzero(took))
         return load[:n], rejections
-    _, final_bins, reject_counts = _columns(n, t, spec, *_seed_streams(seed))
-    return np.bincount(final_bins, minlength=n), int(reject_counts.sum())
+    loads = np.zeros(n, dtype=np.min_scalar_type(t))
+    rejections = 0
+    for _, final, reject_counts in _threshold_chunks(n, t, spec, *_seed_streams(seed)):
+        np.add.at(loads, final, loads.dtype.type(1))  # a Python int would take a slow path
+        rejections += int(reject_counts.sum())
+    return loads, rejections
 
 
 def run_summary_batch(
@@ -776,9 +771,7 @@ def run_summary_batch(
     For one-choice, always-reject and threshold with k = 1 only; other
     strategies raise ``ConfigurationError``.  The arguments are checked when
     this is called; the runs are made as the result is iterated.  The
-    kernel picks its regime from the sizes (``counting._count_groups``):
-    one load table for the whole batch when ``max(n, t)`` is above
-    ``_CHUNK // 2``, else grids of ``_CHUNK // max(n, t)`` runs at a time.
+    kernel picks its regime from the sizes (``counting._count_groups``).
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
@@ -805,17 +798,8 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     """
     w = np.min_scalar_type(t).itemsize  # bytes per bin of a table that holds t
     if spec.kind == THRESHOLD and spec.retry_budget > 1:
-        # In words.  _occurrence_index holds the bins and at most five
-        # t-word arrays and two masks, fewer than the retry scan.  At its end
-        # the scan holds the bins, occurrences, the rejected balls and their
-        # landings, final bins, a gather by landing, two masks, cut (n), and
-        # the pool draws twice over, the blocks and their concatenation (k
-        # per ball); every ball rejected at worst.  Its Python lists and a
-        # cut lookup add at most 16 words per _RETRY_SEGMENT entry.  A pool
-        # draw's chunk buffers (at most 17 bytes per draw) are freed before
-        # that end, which holds 2 + k more words per ball.
-        k = spec.retry_budget
-        return 8 * ((6 + 2 * k) * t + t // 4 + 1 + n + 16 * _RETRY_SEGMENT)
+        # The kernel, the load table, and the last chunk's three columns.
+        return _threshold_peak_bytes(n, t, spec) + n * w + 24 * min(max(t - _CHUNK, 0), _CHUNK)
     if spec.kind != TWO_CHOICES_GREEDY:
         return _count_peak_bytes(n, t, spec)
     # Two-choices draws and places one chunk at a time: c balls in the
@@ -846,6 +830,24 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     )
 
 
+def _threshold_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
+    """Upper bound on the memory :func:`_threshold_chunks` holds at once,
+    besides the chunks it has yielded: ``count`` and ``cut``, 16 KiB of
+    Python objects, two chunks' ell-th primaries, and per chunk ball the
+    last chunk's mask (1) and the largest phase, every ball rejected:
+    deciding (66 + w: the bins, ``before``, a mask, the reaching balls and
+    :func:`_occurrence_index`'s seven arrays of them); the retry scan
+    (137 + 8k: the bins, mask and rejected balls, two lists of 40 bytes an
+    entry, and the landings and blocks so far or the new block's limits);
+    or its end (105 + 16k: the blocks beside their concatenation).
+    """
+    w = np.min_scalar_type(t).itemsize
+    k = spec.retry_budget
+    m = min(t, _CHUNK)
+    per_ball = 66 + w if k == 1 else max(137 + 8 * k, 105 + 16 * k)
+    return n * (w + 2) + (1 + per_ball) * m + 16 * min(n, m // spec.ell) + 16 * 1024
+
+
 def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     """Upper bound on the memory one :func:`run` call holds at once.
 
@@ -854,7 +856,6 @@ def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     rejections a run can have, plus 16 KiB of Python objects.  The tests
     check it against ``tracemalloc`` for every kind.
     """
-    draw = -(-_chunk_buffer_bytes(n, t) // 8)
     mask = t // 8 + 1  # a bool per ball
     if spec.kind == TWO_CHOICES_GREEDY:
         # The kernel's buffers beside the chunks kept so far (primary bins,
@@ -863,19 +864,17 @@ def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
         # and the int64 reject counts.
         kept = 2 * t + mask + 128 * -(-t // _CHUNK)
         columns = max(kept + summary_peak_bytes(n, t, spec) // 8, 2 * kept + t)
-    elif spec.kind == THRESHOLD and spec.retry_budget > 1:
-        # run_summary runs _columns whole and then only counts final bins.
-        columns = summary_peak_bytes(n, t, spec) // 8
+    elif spec.kind == THRESHOLD:
+        # The kernel beside the chunks before its own (three columns, and at
+        # most 1 KiB of headers and a tuple each), then their concatenation.
+        kept = 3 * t + 128 * -(-t // _CHUNK)
+        kernel = -(-_threshold_peak_bytes(n, t, spec) // 8)
+        columns = max(kept - 3 * min(t, _CHUNK) + kernel, 2 * kept)
     else:
-        # The primary bins, the occurrences (threshold only), the rejected
-        # mask, the final bins and the pool block (at most t draws, with its
-        # draw buffers); at the end, the int64 reject counts in place of the
-        # block.  _occurrence_index holds the bins, five t-word arrays and
-        # two masks.
-        occurrence = t if spec.kind == THRESHOLD else 0
-        columns = 3 * t + mask + occurrence + draw
-        if spec.kind == THRESHOLD:
-            columns = max(columns, 6 * t + 2 * mask)
+        # The primary bins, the rejected mask, the final bins and the pool
+        # block (at most t draws, with its draw buffers); at the end, the
+        # int64 reject counts in place of the block.
+        columns = 3 * t + mask + -(-_chunk_buffer_bytes(n, t) // 8)
     # _assemble_trace: the three columns, four n-word tallies, one bincount
     # at a time, the landed mask and its complement, and a gather of the
     # final bins on one side of it.

@@ -32,7 +32,7 @@ from .engine import (
     summary_peak_bytes,
 )
 from .errors import ConfigurationError, ResourceLimitError, WorkerError
-from .rng import mix_seeds
+from .rng import mix_seed_range, mix_seeds
 from .strategies import StrategySpec, parse_strategy
 
 WORKERS_ENV = "THINLAB_WORKERS"
@@ -241,7 +241,7 @@ def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryS
     spec = config.spec
     n, t, trials = config.n, config.ball_count, config.trials
     _check_memory(n, t, spec, trials, workers)
-    seeds = [config.trial_seed(i) for i in range(trials)]
+    seeds = mix_seed_range(config.base_seed, trials).tolist()
     size = max(1, trials // (workers * 4))
     chunks = [(n, t, spec, seeds[i : i + size]) for i in range(0, trials, size)]
     if workers == 1 or len(chunks) == 1:

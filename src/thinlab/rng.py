@@ -205,6 +205,16 @@ def mix_seed_array(seeds: Sequence[int], index: int) -> np.ndarray:
     return state
 
 
+def mix_seed_range(seed: int, count: int) -> np.ndarray:
+    """``mix_seeds(seed, i)`` for every i in ``range(count)``, as a uint64
+    array: the first ``count`` raw words of ``RngStream(seed)``."""
+    state = np.arange(1, count + 1, dtype=np.uint64)
+    state *= _U_GAMMA
+    state += np.uint64(operator.index(seed) & MASK64)
+    _fmix_in_place(state, np.empty_like(state))
+    return state
+
+
 def bounded_grid(stream_seeds: np.ndarray, n: int, count: int):
     """The first ``count`` bounded draws below ``n`` of many streams at once.
 

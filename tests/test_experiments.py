@@ -157,10 +157,12 @@ def test_memory_guard():
 
 
 @pytest.mark.parametrize(
-    "strategy", ["threshold:auto", "one-choice", "always-reject", "two-choices"])
+    "strategy",
+    ["threshold:auto", "one-choice", "always-reject", "two-choices", "threshold:4,k=2"])
 def test_memory_guard_admits_two_workers_at_1e8_balls(strategy):
     # Checked without running: each trial holds a load table of at most
-    # 4 bytes per bin and chunk buffers, no t-word block and no int64 loads.
+    # 4 bytes per bin and chunk buffers, no t-word block and no int64 loads;
+    # threshold:4,k=2 adds 6 bytes per bin of primary counts and cuts.
     n = t = 10**8
     config = ExperimentConfig(n=n, strategy=strategy, trials=100, base_seed=1, t=t)
     experiments._check_memory(n, t, config.spec, config.trials, workers=2)

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from thinlab.errors import ConfigurationError
 from thinlab.rng import (
     _CHUNK,
+    GAMMA,
     MASK64,
     FixedStream,
     RngStream,
     bounded_grid,
     fmix64,
     mix_seed_array,
+    mix_seed_range,
     mix_seeds,
 )
 
@@ -187,6 +189,16 @@ def test_mix_seed_array_is_mix_seeds():
         assert mixed.tolist() == [mix_seeds(int(seed), index) for seed in seeds]
     with pytest.raises(TypeError):
         mix_seed_array([1.5], 0)
+
+
+# Negative bases, a base above 2**64, and bases whose first state wraps
+# past 2**64, one of them to exactly 0.
+@pytest.mark.parametrize("seed", [-1, -(2**70), 2**64 + 5, MASK64, -GAMMA & MASK64, 12345])
+def test_mix_seed_range_is_mix_seeds(seed):
+    mixed = mix_seed_range(seed, 1000)
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [mix_seeds(seed, i) for i in range(1000)]
+    assert mix_seed_range(seed, 0).tolist() == []
 
 
 def test_power_of_two_bound_has_no_rejection():
