@@ -20,9 +20,9 @@ draws, or the two-choices kernel's loads, already give the final loads):
 - threshold, for every retry budget: one chunk of ``_CHUNK`` balls at a
   time (:func:`_threshold_chunks`), so the kernel holds no t-length array;
 - two-choices (outside the thinning class: it sees both candidate bins,
-  and consumes one secondary draw per ball): one chunk of ``_CHUNK`` balls
-  at a time too (:func:`_two_choices_kernel`), which yields per chunk a
-  mask of the balls that took their secondary.
+  and consumes one secondary draw per ball): one chunk of 2**14 balls at a
+  time (:func:`_two_choices_kernel`), which yields per chunk a mask of the
+  balls that took their secondary.
 
 A :class:`Trace` stores three per-ball columns: primary bins, final bins
 and reject counts.  Rejected balls take the secondary pool's draws in ball
@@ -65,13 +65,16 @@ _TALLY_FIELDS = ("load", "primary_suggested", "primary_accepted", "secondary_use
 MEMORY_BUDGET_BYTES = 2 * 1024**3
 
 # Balls in one block of the two-choices kernel.  Longer blocks leave more
-# balls to its scalar tail, shorter ones pay more numpy calls: on a 2-vCPU
-# Xeon, run_summary at n = t = 10**6 on the chunked kernel took 40-41 ms
-# (medians 42-45) with 2**12, 43-46 ms (46-49) with 2**11 and 41-43 ms
-# (42-46) with 2**13, best of 14 in two interleaved sweeps.
-# Block offsets are held as uint16 below the sentinel _UNTOUCHED, so the
-# block must stay below 2**16.
+# balls to its scalar tail, shorter ones pay more numpy calls: run_summary
+# at n = t = 10**6 with 2**16-ball chunks took 40-41 ms with 2**12, 43-46
+# with 2**11 and 41-43 with 2**13 (best of 14, 2-vCPU Xeon).  Its offsets
+# are uint16 below the sentinel _UNTOUCHED, so it stays below 2**16.
 _TWO_CHOICES_BLOCK = 1 << 12
+_BLOCK_OFFSETS = np.arange(_TWO_CHOICES_BLOCK, dtype=np.uint16)
+# Balls in one chunk of the two-choices kernel, whose draws sit beside 3
+# bytes per bin of tables: at n = t = 10**6 a summary peaks at 3.38 MiB,
+# against 4.93 with 2**16 (tracemalloc); 2**12 was slower, 2**13 no faster.
+_TWO_CHOICES_CHUNK = 4 * _TWO_CHOICES_BLOCK
 _UNTOUCHED = 0xFFFF
 
 # Bytes that trace_from_json holds per character of a payload as to_json
@@ -557,6 +560,7 @@ def _threshold_chunks(n, t, spec, primary_stream, secondary_stream):
             p, rejected, count, cut, ell, spec.retry_budget, secondary_stream)
         cut[p[ell_th]] = 0
         yield p, *landed
+        del p, rejected, ell_th, landed
 
 
 def _pool_landings(p, rejected, count, cut, ell, budget, secondary_stream):
@@ -598,18 +602,43 @@ def _pool_landings(p, rejected, count, cut, ell, budget, secondary_stream):
 def _two_choices_kernel(n, t, primary_stream, secondary_stream):
     """Two-choices placement, drawn and placed one chunk of balls at a time.
 
-    A generator: for each chunk of ``_CHUNK`` balls it draws the primary
-    chunk, then the candidate chunk, places the chunk's balls and yields
-    ``(p, s, took, load)``: the chunk's primary and candidate bins, a bool
-    per ball that is True where the ball took its candidate, and the load
-    table so far, whose first n entries are the loads.  It yields once, an
-    empty chunk, when t is 0.  Each stream is read in chunks exactly as one
+    A generator: for each chunk of ``_TWO_CHOICES_CHUNK`` balls it draws the
+    primary chunk, then the candidate chunk, places the chunk's balls and
+    yields ``(p, s, took, load)``: the chunk's primary and candidate bins, a
+    bool per ball that is True where the ball took its candidate, and the
+    load table so far, whose first n entries are the loads.  It yields once,
+    an empty chunk, when t is 0, and drops its own references to a chunk
+    before it draws the next.  Each stream is read in chunks exactly as one
     block draw of t would read it, so draws and stream positions match
     :func:`step`.  A ball moves only when the candidate's load is strictly
     lower, so ``took`` is exactly ``final_bins != primary_bins`` and the
     landing bin is ``s[i] if took[i] else p[i]``.
 
-    Each chunk takes two passes over its blocks of ``_TWO_CHOICES_BLOCK``
+    ``load`` starts as uint8, so the table of a million bins fits in L2.
+    It is widened once, to the narrowest type that holds t, just before a
+    load could pass 255: before a ready step, which raises a bin by at most
+    1, if ``top``, an upper bound on the loads, is 255; in the tail, before
+    a load of 256 is written.
+    """
+    wide = np.min_scalar_type(t)
+    load = np.zeros(n + 1, dtype=np.uint8)
+    top = 0
+    first = np.full(n, _UNTOUCHED, dtype=np.uint16)
+    for begin in range(0, max(t, 1), _TWO_CHOICES_CHUNK):
+        m = min(t - begin, _TWO_CHOICES_CHUNK)
+        p = primary_stream.bounded_block(n, m)
+        s = secondary_stream.bounded_block(n, m)
+        took, load, top = _place_two_choices(p, s, first, load, top, wide)
+        yield p, s, took, load
+        del p, s, took
+
+
+def _place_two_choices(p, s, first, load, top, wide):
+    """Place one chunk of :func:`_two_choices_kernel`; returns its took mask,
+    the load table (widened if it had to be) and the new bound ``top``.  Its
+    block views of the chunk die when it returns, before the next draw.
+
+    The chunk takes two passes over its blocks of ``_TWO_CHOICES_BLOCK``
     balls.  The index pass finds the ready balls: ``first[b]`` is the block
     offset of the first ball of the block that touches bin b (``_UNTOUCHED``
     when none), and a ball that is the first toucher of both its bins is
@@ -620,67 +649,54 @@ def _two_choices_kernel(n, t, primary_stream, secondary_stream):
     waiting balls to the sink bin n, which no ball reads.  The block's
     waiting balls are then placed one by one in ball order, through a
     memoryview of ``load``.
-
-    ``load`` starts as uint8, so the table of a million bins fits in L2.
-    ``top`` is an upper bound on the loads so far: a ready step raises a bin
-    by at most 1, and the tail by at most the number of waiting balls, so
-    ``load`` is widened once, to the narrowest type that holds t, before a
-    step that could pass 255.
     """
-    wide = np.min_scalar_type(t)
-    load = np.zeros(n + 1, dtype=np.uint8)
-    top = 0
-    first = np.full(n, _UNTOUCHED, dtype=np.uint16)
-    offsets = np.arange(_TWO_CHOICES_BLOCK, dtype=np.uint16)
-    ready = np.empty(min(t, _CHUNK), dtype=bool)
-    for begin in range(0, max(t, 1), _CHUNK):
-        m = min(t - begin, _CHUNK)
-        p = primary_stream.bounded_block(n, m)
-        s = secondary_stream.bounded_block(n, m)
-        took = np.empty(m, dtype=bool)
-        blocks = [slice(start, min(start + _TWO_CHOICES_BLOCK, m))
-                  for start in range(0, m, _TWO_CHOICES_BLOCK)]
-        for block in blocks:
-            bp, bs = p[block], s[block]
-            local = offsets[: len(bp)]
-            np.minimum.at(first, bp, local)
-            np.minimum.at(first, bs, local)
-            np.equal(first[bp], local, out=ready[block])
-            ready[block] &= first[bs] == local
-            first[bp] = _UNTOUCHED
-            first[bs] = _UNTOUCHED
-        for block in blocks:
-            bp, bs, bt = p[block], s[block], took[block]
-            if top == 255 and load.dtype != wide:
-                load = load.astype(wide)
-            lp, ls = load[bp], load[bs]
-            np.less(ls, lp, out=bt)
-            target = np.where(bt, bs, bp)
-            waiting = np.flatnonzero(~ready[block])
-            target[waiting] = n
-            np.minimum(lp, ls, out=lp)
-            lp += 1
-            load[target] = lp
-            top = max(top, int(lp.max()))
-            if top + waiting.size > 255 and load.dtype != wide:
-                load = load.astype(wide)
-            view = memoryview(load)
-            flags = []
-            for a, b in zip(bp[waiting].tolist(), bs[waiting].tolist()):
-                la = view[a]
-                lb = view[b]
-                if lb < la:
-                    a = b
-                    la = lb
-                    flags.append(True)
-                else:
-                    flags.append(False)
-                la += 1
-                view[a] = la
-                if la > top:
-                    top = la
-            bt[waiting] = flags
-        yield p, s, took, load
+    n, m = first.size, p.size
+    took = np.empty(m, dtype=bool)
+    ready = np.empty(m, dtype=bool)
+    blocks = [slice(start, min(start + _TWO_CHOICES_BLOCK, m))
+              for start in range(0, m, _TWO_CHOICES_BLOCK)]
+    for block in blocks:
+        bp, bs = p[block], s[block]
+        local = _BLOCK_OFFSETS[: len(bp)]
+        np.minimum.at(first, bp, local)
+        np.minimum.at(first, bs, local)
+        np.equal(first[bp], local, out=ready[block])
+        ready[block] &= first[bs] == local
+        first[bp] = _UNTOUCHED
+        first[bs] = _UNTOUCHED
+    for block in blocks:
+        bp, bs, bt = p[block], s[block], took[block]
+        if top == 255 and load.dtype != wide:
+            load = load.astype(wide)
+        lp, ls = load[bp], load[bs]
+        np.less(ls, lp, out=bt)
+        target = np.where(bt, bs, bp)
+        waiting = np.flatnonzero(~ready[block])
+        target[waiting] = n
+        np.minimum(lp, ls, out=lp)
+        lp += 1
+        load[target] = lp
+        top = max(top, int(lp.max()))
+        view = memoryview(load)
+        flags = []
+        for a, b in zip(bp[waiting].tolist(), bs[waiting].tolist()):
+            la = view[a]
+            lb = view[b]
+            if lb < la:
+                a = b
+                la = lb
+                flags.append(True)
+            else:
+                flags.append(False)
+            la += 1
+            if la > top:
+                top = la
+                if la > 255 and load.dtype != wide:
+                    load = load.astype(wide)
+                    view = memoryview(load)
+            view[a] = la
+        bt[waiting] = flags
+    return took, load, top
 
 
 def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
@@ -740,7 +756,7 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     the load table its kernel keeps and counts the balls its masks mark as
     moved.  Retry budgets above 1 count the threshold kernel's final bins
     into a table of ``np.min_scalar_type(t)``.  None of these holds a
-    t-length array.
+    t-length array, nor more than one chunk at a time.
     """
     n = _check_bin_count(n)
     spec = _coerce_spec(strategy, n)
@@ -751,14 +767,16 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     if spec.kind == TWO_CHOICES_GREEDY:
         rejections = 0
         # The kernel yields at least once, so load is always bound.
-        for _, _, took, load in _two_choices_kernel(n, t, *_seed_streams(seed)):
+        for p, s, took, load in _two_choices_kernel(n, t, *_seed_streams(seed)):
             rejections += int(np.count_nonzero(took))
+            del p, s, took
         return load[:n], rejections
     loads = np.zeros(n, dtype=np.min_scalar_type(t))
     rejections = 0
-    for _, final, reject_counts in _threshold_chunks(n, t, spec, *_seed_streams(seed)):
+    for p, final, reject_counts in _threshold_chunks(n, t, spec, *_seed_streams(seed)):
         np.add.at(loads, final, loads.dtype.type(1))  # a Python int would take a slow path
         rejections += int(reject_counts.sum())
+        del p, final, reject_counts
     return loads, rejections
 
 
@@ -790,51 +808,38 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
 
     Counted from the buffers each phase of a path keeps alive together,
     with the most rejections a run can have and the widest load table it
-    can need; the bound is the largest phase, since a phase frees its
-    temporaries before the next begins.  The tests check it against
-    ``tracemalloc`` for every kind, for the counting kinds on the path
-    that counts again into a wide table too, and for batches in both
-    regimes of the counting kernel.
+    can need (for two-choices, w.h.p.; see below); the bound is the largest
+    phase, since a phase frees its temporaries before the next begins.  The
+    tests check it against ``tracemalloc`` for every kind, for the counting
+    kinds on the path that counts again into a wide table too, and for
+    batches in both regimes of the counting kernel.
     """
     w = np.min_scalar_type(t).itemsize  # bytes per bin of a table that holds t
     if spec.kind == THRESHOLD and spec.retry_budget > 1:
-        # The kernel, the load table, and the last chunk's three columns.
-        return _threshold_peak_bytes(n, t, spec) + n * w + 24 * min(max(t - _CHUNK, 0), _CHUNK)
+        return _threshold_peak_bytes(n, t, spec) + n * w  # and the load table
     if spec.kind != TWO_CHOICES_GREEDY:
         return _count_peak_bytes(n, t, spec)
-    # Two-choices draws and places one chunk at a time: c balls in the
-    # first, c2 in the second, and no later chunk is longer.  At most 16 KiB
-    # of Python objects in every phase (the generator, its block slices and
-    # array headers).  The kernel holds first (uint16 per bin), the load
-    # table of n + 1 bins at w bytes once widened, and the block offsets.
-    # - Drawing a chunk's candidates: the ready mask, the new primary chunk,
-    #   the block being drawn and its chunk buffers; from the second chunk
-    #   on, also the previous chunk's bins and took mask, and the last
-    #   block's temporaries (at most 6 words per block ball).
-    # - Placing a chunk: its bins and masks, the previous candidates and
-    #   mask that the caller still holds, the uint8 table beside its widened
-    #   copy, and a block's temporaries with the Python lists of its waiting
-    #   balls (at most 17 words per block ball).
-    # run_summary returns a view of the table, so returning holds less.
-    c = min(t, _CHUNK)
-    c2 = min(t - c, _CHUNK)
-    block = _TWO_CHOICES_BLOCK
-
-    def drawing(m):  # a chunk's primaries, the block being drawn, its buffers
-        return 16 * m + _chunk_buffer_bytes(n, m)
-
-    tables = 2 * n + (n + 1) * w + 2 * block
-    return 16 * 1024 + tables + max(
-        max(c + drawing(c), 18 * c + 48 * block + drawing(c2)),
-        (n + 1) + max(18 * c, 10 * c + 17 * c2) + 136 * block,
-    )
+    # Two-choices holds first (uint16 per bin), the load table of n + 1
+    # bins, 16 KiB of Python objects and one chunk of c balls, either
+    # - drawn: its primaries, its candidates and their draw buffers; or
+    # - placed: its bins and two masks, and a block's temporaries with the
+    #   Python lists of its waiting balls (at most 14 words per block ball)
+    #   and, while the table widens, the uint8 table beside the wide one.
+    # The table widens only once a load reaches 256.  A seeded run's max
+    # load exceeds t/n by about log2 log n, with a doubly exponential tail,
+    # so the table is counted wide where t >= 128n.
+    c = min(t, _TWO_CHOICES_CHUNK)
+    wide = t >= 128 * n
+    tables = 2 * n + (n + 1) * (w if wide else 1)
+    placed = 18 * c + 112 * min(c, _TWO_CHOICES_BLOCK) + (n + 1) * wide
+    return 16 * 1024 + tables + max(16 * c + _chunk_buffer_bytes(n, c), placed)
 
 
 def _threshold_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     """Upper bound on the memory :func:`_threshold_chunks` holds at once,
     besides the chunks it has yielded: ``count`` and ``cut``, 16 KiB of
-    Python objects, two chunks' ell-th primaries, and per chunk ball the
-    last chunk's mask (1) and the largest phase, every ball rejected:
+    Python objects, a chunk's ell-th primaries and their bins, and per
+    chunk ball the largest phase, every ball rejected:
     deciding (66 + w: the bins, ``before``, a mask, the reaching balls and
     :func:`_occurrence_index`'s seven arrays of them); the retry scan
     (137 + 8k: the bins, mask and rejected balls, two lists of 40 bytes an
@@ -845,7 +850,7 @@ def _threshold_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     k = spec.retry_budget
     m = min(t, _CHUNK)
     per_ball = 66 + w if k == 1 else max(137 + 8 * k, 105 + 16 * k)
-    return n * (w + 2) + (1 + per_ball) * m + 16 * min(n, m // spec.ell) + 16 * 1024
+    return n * (w + 2) + per_ball * m + 16 * min(n, m // spec.ell) + 16 * 1024
 
 
 def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
@@ -860,10 +865,11 @@ def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     if spec.kind == TWO_CHOICES_GREEDY:
         # The kernel's buffers beside the chunks kept so far (primary bins,
         # final bins and took mask, and at most 1 KiB of array headers and a
-        # tuple per chunk); then, beside those chunks, their concatenation
-        # and the int64 reject counts.
-        kept = 2 * t + mask + 128 * -(-t // _CHUNK)
-        columns = max(kept + summary_peak_bytes(n, t, spec) // 8, 2 * kept + t)
+        # tuple per chunk) and the last chunk's candidates; then, beside
+        # those chunks, their concatenation and the int64 reject counts.
+        kept = 2 * t + mask + 128 * -(-t // _TWO_CHOICES_CHUNK)
+        c = min(t, _TWO_CHOICES_CHUNK)
+        columns = max(kept + c + summary_peak_bytes(n, t, spec) // 8, 2 * kept + t)
     elif spec.kind == THRESHOLD:
         # The kernel beside the chunks before its own (three columns, and at
         # most 1 KiB of headers and a tuple each), then their concatenation.

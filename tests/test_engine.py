@@ -344,8 +344,15 @@ def test_two_choices_kernel_widens_the_load_table():
     assert loads.tolist() == [300] and rejections == 0
 
 
+TWO_CHOICES_CHUNK = engine._TWO_CHOICES_CHUNK
+
+
+# The first chunk's edge, the fourth's, and a run of many chunks.
 @pytest.mark.parametrize(
-    "t", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+    "t",
+    [TWO_CHOICES_CHUNK + d for d in (-1, 0, 1)]
+    + [4 * TWO_CHOICES_CHUNK + d for d in (-1, 0, 1)]
+    + [12 * TWO_CHOICES_CHUNK + 5],
 )
 def test_two_choices_kernel_at_chunk_edges(t):
     trace, secondary = assert_paths_agree(5_000, t, TWO_CHOICES, seed=17)
@@ -355,7 +362,7 @@ def test_two_choices_kernel_at_chunk_edges(t):
 def test_two_choices_kernel_reads_exactly_t_fixed_draws():
     # The streams hold exactly t draws, so a kernel that drew ahead of the
     # chunk it places would exhaust them.
-    n, t = 300, _CHUNK + 7
+    n, t = 300, 4 * TWO_CHOICES_CHUNK + 7
     primaries = RngStream(mix_seeds(4, 0)).bounded_block(n, t).tolist()
     candidates = RngStream(mix_seeds(4, 1)).bounded_block(n, t).tolist()
     runs = []
@@ -366,6 +373,28 @@ def test_two_choices_kernel_reads_exactly_t_fixed_draws():
     fast, slow = runs
     assert np.array_equal(fast.final_bins, slow.final_bins)
     assert fast.final_state == slow.final_state
+
+
+@pytest.mark.parametrize("chunk", [1 << 12, 1 << 16])
+def test_two_choices_chunk_size_changes_no_draw(monkeypatch, chunk):
+    # Chunks are a memory knob only: at another size the kernel reads the
+    # same draws, so columns, loads and both stream positions are unchanged.
+    n, t = 5_000, 3 * (1 << 16) + 4101
+
+    def columns_and_positions():
+        streams = RngStream(mix_seeds(23, 0)), RngStream(mix_seeds(23, 1))
+        trace = run_with_streams(n, t, TWO_CHOICES, *streams, method="auto")
+        columns = (trace.primary_bins, trace.final_bins, trace.reject_counts)
+        positions = [(stream.counter, stream.draws) for stream in streams]
+        return columns, positions, run_summary(n, t, TWO_CHOICES, 23)
+
+    expected = columns_and_positions()
+    monkeypatch.setattr(engine, "_TWO_CHOICES_CHUNK", chunk)
+    columns, positions, (loads, rejections) = columns_and_positions()
+    assert all(np.array_equal(a, b) for a, b in zip(columns, expected[0]))
+    assert positions == expected[1]
+    assert positions[1][1] == t
+    assert np.array_equal(loads, expected[2][0]) and rejections == expected[2][1]
 
 
 # sha256 of run_summary's loads (little-endian int64) and rejection count at
@@ -726,10 +755,10 @@ def test_run_properties(config):
         ("two-choices", 1_000, 8192),  # the kernel's block temporaries bind
         ("two-choices", 200_000, 1_000_000),  # many chunks: their draws bind
         # A bound that divides 2**64 rejects no word, so the draw term is
-        # exact, and the table widens to uint32 in the first chunk: first
-        # (2n bytes) and the widened table (4n bytes) bind.
+        # exact; a quarter of each block's balls wait, but no load reaches
+        # 256, so the table stays uint8.
         ("two-choices", 2**17, 2**18),
-        ("two-choices", 2**17, 100_000),  # a shorter second chunk
+        ("two-choices", 2**17, 100_000),  # a shorter last chunk
         # A bin passes 255, so the counting kinds count again into a wide
         # table (threshold:1 at n = 10 above does too).
         ("one-choice", 10, 200_000),
@@ -767,6 +796,29 @@ def test_summary_peak_within_estimate(strategy, n, t):
         assert batch <= estimate
         if rows >= 2 or t >= 100_000:
             assert estimate <= 1.5 * batch
+
+
+@pytest.mark.parametrize(
+    "strategy, n, table_bytes, chunk, chunk_bytes",
+    [
+        # first (uint16) and the uint8 load table; a chunk's bins and took
+        # mask beside its draw buffers.
+        ("two-choices", 10**6, 3, TWO_CHOICES_CHUNK, 33),
+        # count and the loads (uint32) and cut (uint16); few balls are
+        # rejected, so a chunk's primaries beside its draw buffers, or its
+        # columns, bind.  This is the benchmark's size: two chunks.
+        ("threshold:4,k=2", 10**5, 10, _CHUNK, 25),
+    ],
+)
+def test_summary_holds_one_chunk(strategy, n, table_bytes, chunk, chunk_bytes):
+    # Beside its per-bin tables a summary holds one chunk and at most 32 KiB
+    # of Python objects: a chunk already yielded is gone, in the kernel and
+    # in run_summary, before the next is drawn.
+    spec = parse_strategy(strategy, n=n)
+    run_summary(n, n, spec, 1)  # any lazy set-up happens outside the trace
+    peak = traced_peak(lambda: run_summary(n, n, spec, 1))
+    assert peak <= table_bytes * n + chunk_bytes * chunk + 32 * 1024
+    assert peak <= summary_peak_bytes(n, n, spec)
 
 
 def traced_peak(func) -> int:
