@@ -13,12 +13,11 @@ for seeing where a bound is vacuous) and reported clamped to [0, 1] in
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, _as_int
 
 _EXACT_FACTORIAL_MAX = 20
 
@@ -28,19 +27,9 @@ def _require(condition: bool, message: str) -> None:
         raise DomainError(message)
 
 
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
-
-
 def _log_log_ratio(n: int) -> float:
     """2 ln n / ln ln n, the quantity under the square root."""
-    _require(n >= 3, f"bin count must be at least 3, got {n}")
-    log_n = math.log(n)
+    log_n = math.log(_as_int(n, "bin count", 3, DomainError))
     return 2.0 * log_n / math.log(log_n)
 
 
@@ -50,13 +39,11 @@ def threshold_L(n: int) -> int:
     L(n) = ceil(sqrt(2 ln n / ln ln n)); requires n >= 3 so that ln ln n
     is positive.
     """
-    n = _as_int(n, "bin count")
     return math.ceil(math.sqrt(_log_log_ratio(n)))
 
 
 def lower_ell(n: int) -> int:
     """Floor companion of :func:`threshold_L`: floor(sqrt(2 ln n / ln ln n))."""
-    n = _as_int(n, "bin count")
     return math.floor(math.sqrt(_log_log_ratio(n)))
 
 
@@ -65,7 +52,6 @@ def target_maxload(n: int) -> float:
 
     Equals 2 * sqrt(2 ln n / ln ln n) exactly.
     """
-    n = _as_int(n, "bin count")
     return math.sqrt(4.0 * _log_log_ratio(n))
 
 
@@ -78,8 +64,7 @@ def lemma22_bound(theta: float, a: int, s_size: float) -> float:
     numerical stability.
     """
     _require(0.0 <= theta <= 1.0, f"load fraction must lie in [0, 1], got {theta}")
-    a = _as_int(a, "level")
-    _require(a >= 1, f"level must be at least 1, got {a}")
+    a = _as_int(a, "level", 1, DomainError)
     _require(s_size >= 0, f"subset size must be non-negative, got {s_size}")
     if theta == 0.0 or s_size == 0:
         return 2.0
@@ -115,8 +100,7 @@ def prop41_bound(n: int, eta: float) -> Prop41Result:
     Bounds the probability that the threshold-strategy max load exceeds
     (2 + eta) L(n).  Requires n >= 16 so the triple logarithm is positive.
     """
-    n = _as_int(n, "bin count")
-    _require(n >= 16, f"bin count must be at least 16, got {n}")
+    n = _as_int(n, "bin count", 16, DomainError)
     _require(eta > 0, f"eta must be positive, got {eta}")
     log_n = math.log(n)
     loglog_n = math.log(log_n)
@@ -131,8 +115,7 @@ def prop51_bound(n: int, epsilon: float) -> float:
     Bounds the probability that ANY thinning strategy keeps the max load
     below (2 - epsilon) * lower_ell(n).
     """
-    n = _as_int(n, "bin count")
-    _require(n >= 1, f"bin count must be at least 1, got {n}")
+    n = _as_int(n, "bin count", 1, DomainError)
     _require(epsilon > 0, f"epsilon must be positive, got {epsilon}")
     return math.exp(-(n ** (epsilon / 5.0)))
 
@@ -153,7 +136,7 @@ def stage_params(n: int, rho: float, epsilon: float) -> StageParams:
     zeta = rho / (8 e ell).  The ceilings are computed in exact rational
     arithmetic so float rounding can never shift a boundary case.
     """
-    n = _as_int(n, "bin count")
+    n = _as_int(n, "bin count", 3, DomainError)
     _require(rho > 0, f"load ratio must be positive, got {rho}")
     _require(0 < epsilon < 2, f"epsilon must lie in (0, 2), got {epsilon}")
     ell = lower_ell(n)
@@ -170,7 +153,7 @@ def rejection_budget(n: int) -> float:
     ratio; under the default threshold strategy the ratio stays well
     below 1 at practical scales.
     """
-    n = _as_int(n, "bin count")
+    n = _as_int(n, "bin count", 3, DomainError)
     return 2.0 * n / math.factorial(threshold_L(n))
 
 

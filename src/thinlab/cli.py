@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import __version__, bounds
 from .checks import SUITE_NAMES, oracle_suite, run_suite
 from .engine import run
-from .errors import ConfigurationError, ThinlabError
+from .errors import ConfigurationError, ThinlabError, _as_int
 from .experiments import (
     ExperimentConfig,
     parse_rho,
@@ -56,15 +56,13 @@ class CliConfig:
 
 
 def _conv_int(value, flag: str, minimum: int) -> int:
-    if isinstance(value, bool):
-        raise ConfigurationError(f"{flag} must be an integer, got {value!r}")
-    try:
-        result = int(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{flag} must be an integer, got {value!r}") from None
-    if result < minimum:
-        raise ConfigurationError(f"{flag} must be >= {minimum}, got {result}")
-    return result
+    # Flag text is parsed; a config-file value follows the integer rule.
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            raise ConfigurationError(f"{flag} must be an integer, got {value!r}") from None
+    return _as_int(value, flag, minimum)
 
 
 def _conv_seed(value, flag: str) -> int:

@@ -46,7 +46,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ResourceLimitError
+from .errors import ConfigurationError, ResourceLimitError, _as_int
 from .counting import _count_groups, _count_peak_bytes, _counts_draws, _seed_streams, _summaries
 from .rng import _CHUNK, _chunk_buffer_bytes
 from .strategies import (
@@ -95,18 +95,19 @@ def _coerce_spec(strategy, n: int | None = None) -> StrategySpec:
     )
 
 
-def _check_bin_count(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ConfigurationError(f"bin count must be an integer, got {n!r}")
-    if n < 1:
-        raise ConfigurationError(f"bin count must be at least 1, got {n}")
-    return int(n)
+def _check_run(n, t, strategy) -> tuple[int, int, StrategySpec]:
+    """The bin count, ball count and spec of a run, checked."""
+    n = _as_int(n, "bin count", 1)
+    return n, _as_int(t, "ball count", 0), _coerce_spec(strategy, n)
 
 
-def _check_ball_count(t) -> int:
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 0:
-        raise ConfigurationError(f"ball count must be a non-negative integer, got {t!r}")
-    return int(t)
+def _check_budget(needed: int, what: str) -> None:
+    """Refuse ``what``, which needs about ``needed`` bytes at once, with
+    ResourceLimitError if that exceeds ``MEMORY_BUDGET_BYTES`` as it is now."""
+    if needed > MEMORY_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"{what} needs about {needed} bytes, beyond the budget of {MEMORY_BUDGET_BYTES}"
+        )
 
 
 @dataclass(eq=False)
@@ -161,7 +162,7 @@ class AllocationRecord:
 
 def new_process(n: int, strategy) -> ProcessState:
     """Fresh zeroed process over ``n`` bins with the given strategy."""
-    n = _check_bin_count(n)
+    n = _as_int(n, "bin count", 1)
     spec = _coerce_spec(strategy, n)
     return ProcessState(n=n, strategy=spec)
 
@@ -318,7 +319,8 @@ def trace_from_json(text: str) -> Trace:
     the trace it describes would, raises it before any column is built.
     """
     parse_bytes = _JSON_BYTES_PER_CHAR * len(text)
-    _check_json_budget(parse_bytes, len(text))
+    what = f"a trace payload of {len(text)} characters"
+    _check_budget(parse_bytes, what)
     try:
         payload = json.loads(text)
         n = payload["n"]
@@ -329,12 +331,11 @@ def trace_from_json(text: str) -> Trace:
         loads = payload["loads"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed trace payload: {exc}") from None
-    n = _check_bin_count(n)
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise ConfigurationError(f"trace payload ball count is invalid: {t!r}")
+    n = _as_int(n, "bin count", 1)
+    t = _as_int(t, "trace payload ball count", 0)
     if len(raw_records) != t or len(loads) != n:
         raise ConfigurationError("trace payload lengths disagree with n, t")
-    _check_json_budget(parse_bytes + trace_peak_bytes(n, t, strategy), len(text))
+    _check_budget(parse_bytes + trace_peak_bytes(n, t, strategy), what)
     primary_bins = np.zeros(t, dtype=np.int64)
     final_bins = np.zeros(t, dtype=np.int64)
     reject_counts = np.zeros(t, dtype=np.int64)
@@ -385,14 +386,6 @@ def trace_from_json(text: str) -> Trace:
     if trace.final_state.load.tolist() != list(loads):
         raise ConfigurationError("trace payload loads disagree with its records")
     return trace
-
-
-def _check_json_budget(needed: int, chars: int) -> None:
-    if needed > MEMORY_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"a trace payload of {chars} characters needs about {needed} bytes, "
-            f"beyond the budget of {MEMORY_BUDGET_BYTES}"
-        )
 
 
 def _pool_indices(kind: str, reject_counts: np.ndarray) -> np.ndarray:
@@ -638,40 +631,37 @@ def _place_two_choices(p, s, first, load, top, wide):
     the load table (widened if it had to be) and the new bound ``top``.  Its
     block views of the chunk die when it returns, before the next draw.
 
-    The chunk takes two passes over its blocks of ``_TWO_CHOICES_BLOCK``
-    balls.  The index pass finds the ready balls: ``first[b]`` is the block
+    The chunk is placed one block of ``_TWO_CHOICES_BLOCK`` balls at a time.
+    An index step finds the block's ready balls: ``first[b]`` is the block
     offset of the first ball of the block that touches bin b (``_UNTOUCHED``
     when none), and a ball that is the first toucher of both its bins is
     ready.  Ready balls share no bin with each other or with any earlier
-    ball of the block, so the load pass places all of them at once with the
+    ball of the block, so a load step places all of them at once with the
     loads that sequential placement would show them: it gathers both loads
     of every ball of the block and scatters ``min(lp, ls) + 1``, sending the
     waiting balls to the sink bin n, which no ball reads.  The block's
     waiting balls are then placed one by one in ball order, through a
-    memoryview of ``load``.
+    memoryview of ``load``.  The index step touches only ``first`` and the
+    load step only ``load``.
     """
     n, m = first.size, p.size
     took = np.empty(m, dtype=bool)
-    ready = np.empty(m, dtype=bool)
-    blocks = [slice(start, min(start + _TWO_CHOICES_BLOCK, m))
-              for start in range(0, m, _TWO_CHOICES_BLOCK)]
-    for block in blocks:
-        bp, bs = p[block], s[block]
+    for start in range(0, m, _TWO_CHOICES_BLOCK):
+        block = slice(start, start + _TWO_CHOICES_BLOCK)
+        bp, bs, bt = p[block], s[block], took[block]
         local = _BLOCK_OFFSETS[: len(bp)]
         np.minimum.at(first, bp, local)
         np.minimum.at(first, bs, local)
-        np.equal(first[bp], local, out=ready[block])
-        ready[block] &= first[bs] == local
+        waiting = first[bp] != local
+        waiting |= first[bs] != local
         first[bp] = _UNTOUCHED
         first[bs] = _UNTOUCHED
-    for block in blocks:
-        bp, bs, bt = p[block], s[block], took[block]
+        waiting = np.flatnonzero(waiting)
         if top == 255 and load.dtype != wide:
             load = load.astype(wide)
         lp, ls = load[bp], load[bs]
         np.less(ls, lp, out=bt)
         target = np.where(bt, bs, bp)
-        waiting = np.flatnonzero(~ready[block])
         target[waiting] = n
         np.minimum(lp, ls, out=lp)
         lp += 1
@@ -705,11 +695,12 @@ def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
 
     ``method`` is "reference" (step one ball at a time) or "auto" (the
     vectorized kernel, for every strategy).  Both paths give bit-identical
-    traces and leave the streams in the same position.
+    traces and leave the streams in the same position.  ``seed`` only
+    labels the trace; it may be None.
     """
-    n = _check_bin_count(n)
-    spec = _coerce_spec(strategy, n)
-    t = _check_ball_count(t)
+    n, t, spec = _check_run(n, t, strategy)
+    if seed is not None:
+        seed = _as_int(seed, "seed")
     if method == "reference":
         return _run_reference(n, t, spec, seed, primary_stream, secondary_stream)
     if method != "auto":
@@ -729,15 +720,9 @@ def run(n: int, t: int, strategy, seed: int, method: str = "auto") -> Trace:
     :func:`trace_peak_bytes` exceeds ``MEMORY_BUDGET_BYTES`` raises
     ``ResourceLimitError`` before anything is allocated.
     """
-    n = _check_bin_count(n)
-    spec = _coerce_spec(strategy, n)
-    t = _check_ball_count(t)
-    needed = trace_peak_bytes(n, t, spec)
-    if needed > MEMORY_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"a trace of {t} balls in {n} bins needs about {needed} bytes, "
-            f"beyond the budget of {MEMORY_BUDGET_BYTES}"
-        )
+    n, t, spec = _check_run(n, t, strategy)
+    seed = _as_int(seed, "seed")
+    _check_budget(trace_peak_bytes(n, t, spec), f"a trace of {t} balls in {n} bins")
     return run_with_streams(n, t, spec, *_seed_streams(seed), seed=seed, method=method)
 
 
@@ -756,11 +741,13 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     the load table its kernel keeps and counts the balls its masks mark as
     moved.  Retry budgets above 1 count the threshold kernel's final bins
     into a table of ``np.min_scalar_type(t)``.  None of these holds a
-    t-length array, nor more than one chunk at a time.
+    t-length array, nor more than one chunk at a time.  A run whose
+    :func:`summary_peak_bytes` exceeds ``MEMORY_BUDGET_BYTES`` raises
+    ``ResourceLimitError`` before anything is allocated.
     """
-    n = _check_bin_count(n)
-    spec = _coerce_spec(strategy, n)
-    t = _check_ball_count(t)
+    n, t, spec = _check_run(n, t, strategy)
+    seed = _as_int(seed, "seed")
+    _check_budget(summary_peak_bytes(n, t, spec), f"a summary of {t} balls in {n} bins")
     if _counts_draws(spec):
         loads, rejections = next(_count_groups(n, t, spec, [seed]))
         return loads[0], rejections[0]
@@ -787,18 +774,20 @@ def run_summary_batch(
     for every seed, in seed order, from one counting kernel.
 
     For one-choice, always-reject and threshold with k = 1 only; other
-    strategies raise ``ConfigurationError``.  The arguments are checked when
-    this is called; the runs are made as the result is iterated.  The
-    kernel picks its regime from the sizes (``counting._count_groups``).
+    strategies raise ``ConfigurationError``.  The arguments, and the memory
+    budget as :func:`run_summary` checks it, are checked when this is
+    called; the runs are made as the result is iterated.  The kernel picks
+    its regime from the sizes (``counting._count_groups``).
     """
-    n = _check_bin_count(n)
-    spec = _coerce_spec(strategy, n)
-    t = _check_ball_count(t)
+    n, t, spec = _check_run(n, t, strategy)
+    for seed in seeds:  # not copied, so a batch holds no list of seeds
+        _as_int(seed, "seed")
     if not _counts_draws(spec):
         raise ConfigurationError(
             f"run_summary_batch counts one-choice, always-reject and threshold "
             f"runs with retry budget 1, not {spec.label}"
         )
+    _check_budget(summary_peak_bytes(n, t, spec), f"a summary of {t} balls in {n} bins")
     return _summaries(n, t, spec, seeds)
 
 
@@ -822,7 +811,7 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     # Two-choices holds first (uint16 per bin), the load table of n + 1
     # bins, 16 KiB of Python objects and one chunk of c balls, either
     # - drawn: its primaries, its candidates and their draw buffers; or
-    # - placed: its bins and two masks, and a block's temporaries with the
+    # - placed: its bins and took mask, and a block's temporaries with the
     #   Python lists of its waiting balls (at most 14 words per block ball)
     #   and, while the table widens, the uint8 table beside the wide one.
     # The table widens only once a load reaches 256.  A seeded run's max
@@ -831,7 +820,7 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     c = min(t, _TWO_CHOICES_CHUNK)
     wide = t >= 128 * n
     tables = 2 * n + (n + 1) * (w if wide else 1)
-    placed = 18 * c + 112 * min(c, _TWO_CHOICES_BLOCK) + (n + 1) * wide
+    placed = 17 * c + 112 * min(c, _TWO_CHOICES_BLOCK) + (n + 1) * wide
     return 16 * 1024 + tables + max(16 * c + _chunk_buffer_bytes(n, c), placed)
 
 
@@ -925,8 +914,7 @@ def level_set_count(
     if tally not in _TALLY_FIELDS:
         known = ", ".join(_TALLY_FIELDS)
         raise ConfigurationError(f"unknown tally {tally!r}; expected one of: {known}")
-    if isinstance(level, bool) or not isinstance(level, (int, np.integer)) or level < 0:
-        raise ConfigurationError(f"level must be a non-negative integer, got {level!r}")
+    level = _as_int(level, "level", 0)
     values = getattr(state, tally)
     if subset is not None:
         values = values[_subset_indices(state.n, subset)]

@@ -24,14 +24,8 @@ import numpy as np
 
 from .bounds import rejection_budget, stage_params, target_maxload
 from .counting import _counts_draws
-from .engine import (
-    MEMORY_BUDGET_BYTES,
-    Trace,
-    run_summary,
-    run_summary_batch,
-    summary_peak_bytes,
-)
-from .errors import ConfigurationError, ResourceLimitError, WorkerError
+from .engine import Trace, _check_budget, run_summary, run_summary_batch, summary_peak_bytes
+from .errors import ConfigurationError, WorkerError, _as_int
 from .rng import mix_seed_range, mix_seeds
 from .strategies import StrategySpec, parse_strategy
 
@@ -72,7 +66,8 @@ class ExperimentConfig:
 
     Exactly one of ``rho`` (ball count = floor(rho * n)) and ``t`` must be
     given.  ``strategy`` may be a grammar string (resolved against ``n``,
-    so "threshold:auto" adapts) or a ready StrategySpec.
+    so "threshold:auto" adapts) or a ready StrategySpec.  The integer
+    fields are stored as ``int``.
     """
 
     n: int
@@ -83,24 +78,17 @@ class ExperimentConfig:
     t: int | None = None
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise ConfigurationError(f"bin count must be a positive integer, got {self.n!r}")
         if (self.rho is None) == (self.t is None):
             raise ConfigurationError(
                 "exactly one of the load factor rho and the ball count t is required"
             )
         if self.rho is not None:
             object.__setattr__(self, "rho", parse_rho(self.rho))
-        if self.t is not None and (
-            isinstance(self.t, bool) or not isinstance(self.t, int) or self.t < 0
-        ):
-            raise ConfigurationError(
-                f"ball count must be a non-negative integer, got {self.t!r}"
-            )
-        if isinstance(self.trials, bool) or not isinstance(self.trials, int) or self.trials < 1:
-            raise ConfigurationError(f"trials must be a positive integer, got {self.trials!r}")
-        if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, int):
-            raise ConfigurationError(f"base seed must be an integer, got {self.base_seed!r}")
+        counts = [("n", "bin count", 1), ("trials", "trials", 1), ("base_seed", "base seed", None)]
+        if self.t is not None:
+            counts.append(("t", "ball count", 0))
+        for name, what, minimum in counts:
+            object.__setattr__(self, name, _as_int(getattr(self, name), what, minimum))
         self.spec  # fail fast on an unparsable strategy
 
     @property
@@ -163,7 +151,7 @@ class SummaryStats:
 
     def tail(self, level: int) -> TailEstimate:
         """Estimate P(max load > level) from the campaign's trials."""
-        _check_tail_request(level, self.trials)
+        level = _check_tail_request(level, self.trials)
         successes = sum(1 for m in self.per_trial_maxload if m > level)
         low, high = wilson_interval(successes, self.trials)
         return TailEstimate(
@@ -188,9 +176,7 @@ def _resolve_workers(workers: int | None) -> int:
                 ) from None
         else:
             workers = 1
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigurationError(f"worker count must be a positive integer, got {workers!r}")
-    return workers
+    return _as_int(workers, "worker count", 1)
 
 
 # Bytes that run_trials holds per trial besides the kernel's: the trial's
@@ -206,11 +192,7 @@ def _check_memory(n: int, t: int, spec: StrategySpec, trials: int, workers: int)
     # Each worker runs one chunk of trials at a time, which holds at most
     # summary_peak_bytes at once.
     needed = summary_peak_bytes(n, t, spec) * workers + _TRIAL_RESULT_BYTES * trials
-    if needed > MEMORY_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"campaign needs about {needed} bytes with {workers} workers, "
-            f"beyond the budget of {MEMORY_BUDGET_BYTES}"
-        )
+    _check_budget(needed, f"a campaign of {trials} trials on {workers} workers")
 
 
 def _run_chunk(args: tuple) -> list[tuple[int, int]]:
@@ -289,12 +271,10 @@ def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryS
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ConfigurationError(f"trials must be a positive integer, got {trials!r}")
-    if isinstance(successes, bool) or not isinstance(successes, int) or not 0 <= successes <= trials:
-        raise ConfigurationError(
-            f"successes must be an integer in [0, {trials}], got {successes!r}"
-        )
+    trials = _as_int(trials, "trials", 1)
+    successes = _as_int(successes, "successes", 0)
+    if successes > trials:
+        raise ConfigurationError(f"successes must be at most {trials}, got {successes}")
     p_hat = successes / trials
     z2 = z * z
     center = (p_hat + z2 / (2 * trials)) / (1 + z2 / trials)
@@ -319,13 +299,14 @@ class TailEstimate(NamedTuple):
     wilson_high: float
 
 
-def _check_tail_request(level, trials: int) -> None:
-    if isinstance(level, bool) or not isinstance(level, int) or level < 0:
-        raise ConfigurationError(f"level must be an integer >= 0, got {level!r}")
+def _check_tail_request(level, trials: int) -> int:
+    """The tail level, checked, once the trial count is known to suffice."""
+    level = _as_int(level, "level", 0)
     if trials < 100:
         raise ConfigurationError(
             f"tail estimation needs at least 100 trials, got {trials}"
         )
+    return level
 
 
 def tail_estimate(

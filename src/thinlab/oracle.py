@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .engine import max_load, run_with_streams
-from .errors import ConfigurationError, StateSpaceLimitError
+from .engine import _check_run, max_load, run_with_streams
+from .errors import ConfigurationError, StateSpaceLimitError, _as_int
 from .rng import FixedStream
-from .strategies import THRESHOLD, StrategySpec, parse_strategy
+from .strategies import THRESHOLD, StrategySpec
 
 ENUMERATION_LIMIT = 10**8
 DP_CELL_LIMIT = 10**6
@@ -110,19 +110,7 @@ def exact_maxload_distribution(n: int, t: int, strategy) -> Pmf:
     product space is still enumerated in full, trading time for the
     certainty that no conditioning is silently introduced.
     """
-    if isinstance(strategy, str):
-        spec = parse_strategy(strategy, n=n if isinstance(n, int) else None)
-    elif isinstance(strategy, StrategySpec):
-        spec = strategy
-    else:
-        raise ConfigurationError(
-            f"exact enumeration needs a StrategySpec or grammar string, "
-            f"got {strategy!r}"
-        )
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigurationError(f"bin count must be a positive integer, got {n!r}")
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise ConfigurationError(f"ball count must be a non-negative integer, got {t!r}")
+    n, t, spec = _check_run(n, t, strategy)
     pool = _pool_length(spec, t)
     size = n ** (t + pool)
     if size > ENUMERATION_LIMIT:
@@ -168,10 +156,7 @@ def exact_one_choice_maxload(n: int, t: int) -> Pmf:
     the pmf follows by differencing consecutive caps.  Independent of the
     enumeration routine, and feasible far beyond enumeration scale.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigurationError(f"bin count must be a positive integer, got {n!r}")
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise ConfigurationError(f"ball count must be a non-negative integer, got {t!r}")
+    n, t = _as_int(n, "bin count", 1), _as_int(t, "ball count", 0)
     if n * t > DP_CELL_LIMIT:
         raise StateSpaceLimitError(
             f"one-choice DP needs n*t = {n * t} cells per level, "
@@ -202,8 +187,7 @@ def poisson_tail(lam: float, a: int) -> float:
     """
     if not lam > 0:
         raise ConfigurationError(f"the Poisson rate must be positive, got {lam!r}")
-    if isinstance(a, bool) or not isinstance(a, int) or a < 0:
-        raise ConfigurationError(f"the tail level must be an integer >= 0, got {a!r}")
+    a = _as_int(a, "the tail level", 0)
     log_lam = math.log(lam)
     terms = []
     log_term = -lam
@@ -234,8 +218,7 @@ def poisson_excess_mean(lam: float, level: int) -> float:
     Uses the identity E[(Y - m)+] = lam * P(Y >= m) - m * P(Y >= m + 1),
     so the result inherits the tail routine's accuracy.
     """
-    if isinstance(level, bool) or not isinstance(level, int) or level < 0:
-        raise ConfigurationError(f"the level must be an integer >= 0, got {level!r}")
+    level = _as_int(level, "the level", 0)
     if level == 0:
         return float(lam)
     return lam * poisson_tail(lam, level - 1) - level * poisson_tail(lam, level)
@@ -313,12 +296,8 @@ def poissonization_check(n: int, t: int, statistic: str, level: int) -> Poissoni
         raise ConfigurationError(
             f"unknown statistic {statistic!r}; expected one of: {known}"
         )
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigurationError(f"bin count must be a positive integer, got {n!r}")
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-        raise ConfigurationError(f"ball count must be a positive integer, got {t!r}")
-    if isinstance(level, bool) or not isinstance(level, int) or level < 0:
-        raise ConfigurationError(f"the level must be an integer >= 0, got {level!r}")
+    n, t = _as_int(n, "bin count", 1), _as_int(t, "ball count", 1)
+    level = _as_int(level, "the level", 0)
     if n * t > DP_CELL_LIMIT:
         raise StateSpaceLimitError(
             f"exact side needs n*t = {n * t} DP cells, beyond {DP_CELL_LIMIT}"

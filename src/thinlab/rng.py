@@ -82,11 +82,11 @@ def mix_seeds(seed: int, index: int) -> int:
     """Derive a child seed from (seed, index) with full 64-bit avalanche.
 
     This is the published derivation for per-trial seeds and per-run stream
-    seeds: entry ``index`` of the SplitMix64 output stream seeded with
-    ``seed``.  Distinct indices always yield distinct child seeds because the
-    finalizer is a bijection on 64-bit words.
+    seeds: entry ``index`` of the SplitMix64 output stream seeded with any
+    integer ``seed``, numpy's too.  Distinct indices always yield distinct
+    child seeds because the finalizer is a bijection on 64-bit words.
     """
-    return fmix64(seed + (index + 1) * GAMMA)
+    return fmix64(operator.index(seed) + (index + 1) * GAMMA)
 
 
 class RngStream:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bounds import threshold_L
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _as_int
 
 THRESHOLD = "threshold"
 ALWAYS_ACCEPT = "always_accept"
@@ -39,7 +39,7 @@ class StrategySpec:
     "threshold"; an unbounded threshold is rejected here (use always_accept
     for that behavior).  ``retry_budget`` allows a threshold strategy to
     veto up to k suggestions per ball; kinds other than threshold must keep
-    the default budget of 1.
+    the default budget of 1.  Both are stored as ``int``.
     """
 
     kind: str
@@ -53,24 +53,12 @@ class StrategySpec:
                 f"unknown strategy kind {self.kind!r}; expected one of: {known}"
             )
         if self.kind == THRESHOLD:
-            if isinstance(self.ell, bool) or not isinstance(self.ell, int):
-                raise ConfigurationError(
-                    f"threshold strategy needs an integer ell, got {self.ell!r}"
-                )
-            if self.ell < 1:
-                raise ConfigurationError(f"threshold ell must be >= 1, got {self.ell}")
+            object.__setattr__(self, "ell", _as_int(self.ell, "threshold ell", 1))
         elif self.ell is not None:
             raise ConfigurationError(
                 f"strategy kind {self.kind!r} does not take an ell parameter"
             )
-        if isinstance(self.retry_budget, bool) or not isinstance(self.retry_budget, int):
-            raise ConfigurationError(
-                f"retry budget must be an integer, got {self.retry_budget!r}"
-            )
-        if self.retry_budget < 1:
-            raise ConfigurationError(
-                f"retry budget must be >= 1, got {self.retry_budget}"
-            )
+        object.__setattr__(self, "retry_budget", _as_int(self.retry_budget, "retry budget", 1))
         if self.retry_budget > 1 and self.kind != THRESHOLD:
             raise ConfigurationError(
                 "retry budgets above 1 are only valid for threshold strategies"
@@ -120,12 +108,7 @@ def two_choices_decide(state, primary_bin: int, secondary_bin: int) -> int:
 
 def default_threshold_spec(n: int) -> StrategySpec:
     """Threshold spec at the size-adapted level L(n) = ceil(sqrt(2 ln n / ln ln n))."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ConfigurationError(f"bin count must be an integer, got {n!r}")
-    if n < 3:
-        raise ConfigurationError(
-            f"the default threshold level needs at least 3 bins, got {n}"
-        )
+    n = _as_int(n, "the bin count of a default threshold level", 3)
     return StrategySpec(THRESHOLD, ell=threshold_L(n))
 
 

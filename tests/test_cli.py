@@ -258,6 +258,21 @@ def test_config_file_merge_and_precedence(tmp_path, capsys):
     assert "frobnicate" in err
 
 
+@pytest.mark.parametrize(
+    "bad", [{"n": 1000.7}, {"trials": 2.9}, {"seed": 3.2}, {"n": True}, {"seed": [3]}]
+)
+def test_config_file_integers_are_not_truncated(tmp_path, capsys, bad):
+    # A config file's integers follow the library's integer rule: a float,
+    # bool or list is refused, where int() would have truncated it.
+    config_path = tmp_path / "campaign.json"
+    config_path.write_text(json.dumps({"n": 1000, "trials": 2, "seed": 3, **bad}))
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(config_path)])
+    assert code == 1 and out == ""
+    assert "must be an integer" in err
+    # Flag text is still parsed as an integer.
+    assert cli.parse_args(["simulate", "-n", " 1000 ", "--seed", "3"]).params["n"] == 1000
+
+
 def test_config_file_rho_t_conflict(tmp_path, capsys):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps({"n": 60, "rho": "1", "t": 30}))

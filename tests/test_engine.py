@@ -1087,3 +1087,27 @@ def test_run_refuses_a_trace_beyond_the_memory_budget(monkeypatch):
     with pytest.raises(ResourceLimitError, match="a trace of 1000000000 balls"):
         run(10**9, 10**9, ONE_CHOICE, seed=0)
     assert trace_peak_bytes(10**9, 10**9, ONE_CHOICE) > engine.MEMORY_BUDGET_BYTES
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    ["one-choice", "always-reject", "threshold:1", "threshold:auto", "threshold:4,k=2",
+     "two-choices"],
+)
+def test_summaries_refuse_runs_beyond_the_memory_budget(monkeypatch, strategy):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a summary ran that it should have refused")
+
+    for kernel in ("_count_groups", "_summaries", "_two_choices_kernel", "_threshold_chunks"):
+        monkeypatch.setattr(engine, kernel, no_run)
+    monkeypatch.setattr(engine, "MEMORY_BUDGET_BYTES", 2**20)
+    spec = parse_strategy(strategy, n=10**6)
+    assert summary_peak_bytes(10**6, 10**6, spec) > 2**20
+    with pytest.raises(ResourceLimitError, match="a summary of 1000000 balls"):
+        run_summary(10**6, 10**6, spec, 1)
+    if counting._counts_draws(spec):
+        with pytest.raises(ResourceLimitError, match="a summary of 1000000 balls"):
+            run_summary_batch(10**6, 10**6, spec, [1, 2])
+    else:
+        with pytest.raises(ConfigurationError):
+            run_summary_batch(10**6, 10**6, spec, [1, 2])
