@@ -13,6 +13,8 @@ for seeing where a bound is vacuous) and reported clamped to [0, 1] in
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -188,84 +190,45 @@ class BoundReport:
         return data
 
 
-def _report_threshold_L(n) -> BoundReport:
-    return BoundReport("threshold_L", {"n": n}, float(threshold_L(n)))
-
-
-def _report_lower_ell(n) -> BoundReport:
-    return BoundReport("lower_ell", {"n": n}, float(lower_ell(n)))
-
-
-def _report_target_load(n) -> BoundReport:
-    return BoundReport("target_load", {"n": n}, target_maxload(n))
-
-
-def _report_lemma22(theta, a, s_size) -> BoundReport:
-    raw = lemma22_bound(theta, a, s_size)
-    return BoundReport(
-        "lemma22", {"theta": theta, "a": a, "s_size": s_size}, raw, clamp(raw)
-    )
-
-
-def _report_lemma23(theta, s_size) -> BoundReport:
-    raw = lemma23_bound(theta, s_size)
-    return BoundReport("lemma23", {"theta": theta, "s_size": s_size}, raw, clamp(raw))
-
-
-def _report_prop41(n, eta) -> BoundReport:
-    result = prop41_bound(n, eta)
-    return BoundReport(
-        "prop41",
-        {"n": n, "eta": eta},
-        result.value,
-        clamp(result.value),
-        {"exponent": result.exponent},
-    )
-
-
-def _report_prop51(n, epsilon) -> BoundReport:
-    raw = prop51_bound(n, epsilon)
-    return BoundReport("prop51", {"n": n, "epsilon": epsilon}, raw, clamp(raw))
-
-
-def _report_stage_params(n, rho, epsilon) -> BoundReport:
-    params = stage_params(n, rho, epsilon)
-    return BoundReport(
-        "stage_params",
-        {"n": n, "rho": rho, "epsilon": epsilon},
-        params.zeta,
-        None,
-        {"ell": params.ell, "s": params.s, "w": params.w, "zeta": params.zeta},
-    )
-
-
-def _report_rejection_budget(n) -> BoundReport:
-    return BoundReport("rejection_budget", {"n": n}, rejection_budget(n))
-
-
-_EVALUATORS: dict[str, Callable[..., BoundReport]] = {
-    "threshold_L": _report_threshold_L,
-    "lower_ell": _report_lower_ell,
-    "target_load": _report_target_load,
-    "lemma22": _report_lemma22,
-    "lemma23": _report_lemma23,
-    "prop41": _report_prop41,
-    "prop51": _report_prop51,
-    "stage_params": _report_stage_params,
-    "rejection_budget": _report_rejection_budget,
+_EVALUATORS: dict[str, tuple[Callable, bool]] = {
+    # name: (evaluator, whether its value is a probability to clamp)
+    "threshold_L": (threshold_L, False),
+    "lower_ell": (lower_ell, False),
+    "target_load": (target_maxload, False),
+    "lemma22": (lemma22_bound, True),
+    "lemma23": (lemma23_bound, True),
+    "prop41": (prop41_bound, True),
+    "prop51": (prop51_bound, True),
+    "stage_params": (stage_params, False),
+    "rejection_budget": (rejection_budget, False),
 }
 
 BOUND_NAMES = tuple(_EVALUATORS)
 
 
+def _recorded(value):
+    """An input as a report records it: integers, numpy's included, as int."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return operator.index(value)
+    return value
+
+
 def evaluate(name: str, **params) -> BoundReport:
     """Evaluate the named bound with keyword parameters into a report."""
     try:
-        evaluator = _EVALUATORS[name]
+        evaluator, is_probability = _EVALUATORS[name]
     except KeyError:
         known = ", ".join(BOUND_NAMES)
         raise DomainError(f"unknown bound {name!r}; expected one of: {known}") from None
     try:
-        return evaluator(**params)
+        result = evaluator(**params)
     except TypeError as exc:
         raise DomainError(f"bad parameters for bound {name!r}: {exc}") from None
+    details = {}
+    if isinstance(result, Prop41Result):
+        result, details = result.value, {"exponent": result.exponent}
+    elif isinstance(result, StageParams):
+        result, details = result.zeta, result._asdict()
+    value = float(result)
+    inputs = {key: _recorded(item) for key, item in params.items()}
+    return BoundReport(name, inputs, value, clamp(value) if is_probability else None, details)

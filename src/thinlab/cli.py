@@ -40,8 +40,6 @@ from .strategies import parse_strategy
 _FORMATS = ("csv", "json")
 _REQUIRED = object()
 
-_BOUND_PARAM_ORDER = ("n", "rho", "eta", "theta", "epsilon", "a", "set_size")
-
 
 @dataclass(frozen=True)
 class CliConfig:
@@ -55,7 +53,7 @@ class CliConfig:
 # Value converters (shared by flag parsing and config-file merging)
 
 
-def _conv_int(value, flag: str, minimum: int) -> int:
+def _conv_int(value, flag: str, minimum: int = 1) -> int:
     # Flag text is parsed; a config-file value follows the integer rule.
     if isinstance(value, str):
         try:
@@ -65,23 +63,25 @@ def _conv_int(value, flag: str, minimum: int) -> int:
     return _as_int(value, flag, minimum)
 
 
+def _conv_natural(value, flag: str) -> int:
+    return _conv_int(value, flag, 0)
+
+
 def _conv_seed(value, flag: str) -> int:
-    result = _conv_int(value, flag, 0)
+    result = _conv_natural(value, flag)
     if result >= 2**64:
         raise ConfigurationError(f"{flag} must fit in 64 bits, got {result}")
     return result
 
 
 def _conv_float(value, flag: str) -> float:
-    if isinstance(value, bool):
-        raise ConfigurationError(f"{flag} must be a number, got {value!r}")
+    # Only parsed: the evaluator that takes the value checks its range.
     try:
-        result = float(value)
+        if isinstance(value, bool):
+            raise TypeError
+        return float(value)
     except (TypeError, ValueError):
         raise ConfigurationError(f"{flag} must be a number, got {value!r}") from None
-    if not result > 0:
-        raise ConfigurationError(f"{flag} must be positive, got {result}")
-    return result
 
 
 def _conv_rho(value, flag: str) -> Fraction:
@@ -131,10 +131,6 @@ def _conv_list(element_converter):
     return convert
 
 
-def _conv_grid(value, flag: str) -> list[int]:
-    return [_conv_int(piece, flag, 1) for piece in _split_list(value)]
-
-
 _conv_format = _conv_choice(_FORMATS)
 _conv_suite = _conv_choice(SUITE_NAMES)
 _conv_bound_name = _conv_choice(bounds.BOUND_NAMES)
@@ -148,49 +144,50 @@ _COMMON = (
     ("no_meta", _conv_bool, False),
 )
 
+# The bound parameters, in the order of their CSV columns.
+_BOUND_PARAMS = (
+    ("n", _conv_list(_conv_int), None),
+    ("rho", _conv_list(_conv_rho), None),
+    ("eta", _conv_list(_conv_float), None),
+    ("theta", _conv_list(_conv_float), None),
+    ("epsilon", _conv_list(_conv_float), None),
+    ("a", _conv_list(_conv_natural), None),
+    ("set_size", _conv_list(_conv_float), None),
+)
+
 _PARAM_TABLE: dict[str, tuple] = {
     "simulate": (
-        ("n", lambda v, f: _conv_int(v, f, 1), _REQUIRED),
+        ("n", _conv_int, _REQUIRED),
         ("rho", _conv_rho, None),
-        ("t", lambda v, f: _conv_int(v, f, 0), None),
+        ("t", _conv_natural, None),
         ("strategy", _conv_str, "threshold:auto"),
-        ("trials", lambda v, f: _conv_int(v, f, 1), 100),
+        ("trials", _conv_int, 100),
         ("seed", _conv_seed, 0),
-        ("workers", lambda v, f: _conv_int(v, f, 1), None),
-        ("level", lambda v, f: _conv_int(v, f, 0), None),
+        ("workers", _conv_int, None),
+        ("level", _conv_natural, None),
     )
     + _COMMON,
     "scale": (
-        ("grid", _conv_grid, _REQUIRED),
+        ("grid", _conv_list(_conv_int), _REQUIRED),
         ("rho", _conv_rho, Fraction(1)),
         ("strategy", _conv_str, "threshold:auto"),
-        ("trials", lambda v, f: _conv_int(v, f, 1), 50),
+        ("trials", _conv_int, 50),
         ("seed", _conv_seed, 0),
-        ("workers", lambda v, f: _conv_int(v, f, 1), None),
+        ("workers", _conv_int, None),
     )
     + _COMMON,
-    "bounds": (
-        ("name", _conv_bound_name, _REQUIRED),
-        ("n", _conv_list(lambda v, f: _conv_int(v, f, 1)), None),
-        ("rho", _conv_list(_conv_rho), None),
-        ("eta", _conv_list(_conv_float), None),
-        ("theta", _conv_list(_conv_float), None),
-        ("epsilon", _conv_list(_conv_float), None),
-        ("a", _conv_list(lambda v, f: _conv_int(v, f, 0)), None),
-        ("set_size", _conv_list(_conv_float), None),
-    )
-    + _COMMON,
+    "bounds": (("name", _conv_bound_name, _REQUIRED),) + _BOUND_PARAMS + _COMMON,
     "oracle": (
-        ("n", lambda v, f: _conv_int(v, f, 1), None),
-        ("t", lambda v, f: _conv_int(v, f, 0), None),
+        ("n", _conv_int, None),
+        ("t", _conv_natural, None),
         ("strategy", _conv_str, "one-choice"),
         ("check", _conv_bool, False),
     )
     + _COMMON,
     "diagnose": (
-        ("n", lambda v, f: _conv_int(v, f, 1), _REQUIRED),
+        ("n", _conv_int, _REQUIRED),
         ("rho", _conv_rho, None),
-        ("t", lambda v, f: _conv_int(v, f, 0), None),
+        ("t", _conv_natural, None),
         ("strategy", _conv_str, "threshold:auto"),
         ("seed", _conv_seed, 0),
         ("epsilon", _conv_float, 0.5),
@@ -217,7 +214,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _flag(name: str) -> str:
-    if name in ("n", "t", "a"):
+    if len(name) == 1:
         return "-" + name
     return "--" + name.replace("_", "-")
 
@@ -237,14 +234,11 @@ def _build_parser() -> _Parser:
     }
     for name, params in _PARAM_TABLE.items():
         sub = subparsers.add_parser(name, help=descriptions[name], description=descriptions[name])
-        for param, _converter, _default in params:
-            flag = _flag(param)
-            if param in ("no_meta", "check"):
-                sub.add_argument(flag, action="store_true", default=None)
-            elif param in ("n", "t", "a"):
-                sub.add_argument(flag, default=None, metavar=param.upper(), dest=param)
+        for param, converter, _default in params:
+            if converter is _conv_bool:
+                sub.add_argument(_flag(param), action="store_true", default=None)
             else:
-                sub.add_argument(flag, default=None)
+                sub.add_argument(_flag(param), default=None)
         sub.add_argument("--config", default=None, metavar="FILE")
     return parser
 
@@ -432,24 +426,16 @@ def _run_scale(params: dict) -> int:
 
 
 def _run_bounds(params: dict) -> int:
-    provided = [key for key in _BOUND_PARAM_ORDER if params[key] is not None]
+    provided = [param for param, _c, _d in _BOUND_PARAMS if params[param] is not None]
     if not provided:
         raise ConfigurationError(
             f"bounds --name {params['name']} needs its parameter flags"
         )
-    value_lists = [params[key] for key in provided]
-    points = [
-        dict(zip(provided, combo)) for combo in itertools.product(*value_lists)
+    keywords = ["s_size" if key == "set_size" else key for key in provided]
+    points = list(itertools.product(*(params[key] for key in provided)))
+    reports = [
+        bounds.evaluate(params["name"], **dict(zip(keywords, point))) for point in points
     ]
-    reports = []
-    for point in points:
-        kwargs = {
-            key: (float(val) if key in ("theta", "eta", "epsilon", "set_size") else val)
-            for key, val in point.items()
-        }
-        if "set_size" in kwargs:
-            kwargs["s_size"] = kwargs.pop("set_size")
-        reports.append(bounds.evaluate(params["name"], **kwargs))
 
     grid_mode = len(reports) > 1
     if params["format"] is None:
@@ -458,14 +444,8 @@ def _run_bounds(params: dict) -> int:
 
     header = ["name", *provided, "value", "clamped"]
     rows = [
-        (
-            report.name,
-            *(report.inputs.get("s_size") if key == "set_size" else report.inputs.get(key)
-              for key in provided),
-            report.value,
-            report.clamped,
-        )
-        for report in reports
+        (report.name, *point, report.value, report.clamped)
+        for point, report in zip(points, reports)
     ]
     if grid_mode:
         payload = {"reports": [report.as_dict() for report in reports]}
@@ -491,10 +471,7 @@ def _run_oracle(params: dict) -> int:
         "n": params["n"],
         "t": params["t"],
         "strategy": params["strategy"],
-        "pmf": [
-            {"max_load": level, "probability": float(prob), "exact": str(prob)}
-            for level, prob in zip(pmf.support, pmf.probs)
-        ],
+        "pmf": [dict(zip(header, row)) for row in rows],
     }
     _emit(params, "oracle", header, rows, payload)
     return 0

@@ -10,10 +10,12 @@ Bin indices are 1-based in every public record and serialization, matching
 the usual bin-labeling convention; tally arrays are 0-indexed internally.
 
 :func:`step` allocates one ball at a time and is the reference oracle.
-:func:`run` and :func:`run_summary` go through one vectorized kernel,
+:func:`run` and :func:`run_with_streams` go through one vectorized kernel,
 :func:`_columns`, which draws blocks of balls and yields bit-identical
-traces and stream positions (``run_summary`` skips it where counts of the
-draws, or the two-choices kernel's loads, already give the final loads):
+traces and stream positions.  :func:`run_summary` never builds the
+columns: it counts the draws (see the end of this docstring), or runs the
+kernel ``_columns`` runs for the kind and keeps only the loads.  Per kind,
+``_columns`` places:
 
 - one-choice and always-reject: the kind decides every ball, and the
   rejected balls take consecutive pool draws;
@@ -326,7 +328,7 @@ def trace_from_json(text: str) -> Trace:
         n = payload["n"]
         t = payload["t"]
         strategy = parse_strategy(payload["strategy"], n=n)
-        seed = payload["seed"]
+        seed = None if payload["seed"] is None else _as_int(payload["seed"], "trace payload seed")
         raw_records = payload["records"]
         loads = payload["loads"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -696,11 +698,14 @@ def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
     ``method`` is "reference" (step one ball at a time) or "auto" (the
     vectorized kernel, for every strategy).  Both paths give bit-identical
     traces and leave the streams in the same position.  ``seed`` only
-    labels the trace; it may be None.
+    labels the trace; it may be None.  A run whose :func:`trace_peak_bytes`
+    exceeds ``MEMORY_BUDGET_BYTES`` raises ``ResourceLimitError`` before
+    anything is allocated or drawn.
     """
     n, t, spec = _check_run(n, t, strategy)
     if seed is not None:
         seed = _as_int(seed, "seed")
+    _check_budget(trace_peak_bytes(n, t, spec), f"a trace of {t} balls in {n} bins")
     if method == "reference":
         return _run_reference(n, t, spec, seed, primary_stream, secondary_stream)
     if method != "auto":
@@ -720,10 +725,8 @@ def run(n: int, t: int, strategy, seed: int, method: str = "auto") -> Trace:
     :func:`trace_peak_bytes` exceeds ``MEMORY_BUDGET_BYTES`` raises
     ``ResourceLimitError`` before anything is allocated.
     """
-    n, t, spec = _check_run(n, t, strategy)
     seed = _as_int(seed, "seed")
-    _check_budget(trace_peak_bytes(n, t, spec), f"a trace of {t} balls in {n} bins")
-    return run_with_streams(n, t, spec, *_seed_streams(seed), seed=seed, method=method)
+    return run_with_streams(n, t, strategy, *_seed_streams(seed), seed=seed, method=method)
 
 
 def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:

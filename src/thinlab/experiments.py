@@ -9,12 +9,14 @@ the same mixing, keyed on the bin count.
 The load factor rho is held as an exact rational and the ball count is
 floor(rho * n) in integer arithmetic, so grid boundaries can never shift
 with platform float rounding.  String inputs like "1/2" or "0.5" convert
-exactly; Python floats convert through their shortest decimal repr.
+exactly, as do integers; other reals convert through their shortest decimal.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,25 +38,22 @@ WILSON_Z95 = 1.959963984540054
 def parse_rho(value) -> Fraction:
     """Convert a load factor to an exact Fraction.
 
-    Strings are parsed exactly ("1/2" and "0.5" both give one half);
-    floats go through their shortest decimal representation, so the
-    conversion is reproducible and documented rather than binary-exact.
+    Integers (numpy's included), Fractions and strings convert exactly
+    ("1/2" and "0.5" both give one half); other reals go through their
+    shortest decimal, ``str(value)``, so the conversion is reproducible and
+    documented rather than binary-exact.  Bools, non-numbers, and
+    non-finite or non-positive values raise ConfigurationError.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
         raise ConfigurationError(f"load factor must be numeric, got {value!r}")
-    if isinstance(value, Fraction):
-        rho = value
-    elif isinstance(value, int):
-        rho = Fraction(value)
-    elif isinstance(value, float):
-        rho = Fraction(repr(value))
-    elif isinstance(value, str):
-        try:
-            rho = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
-            raise ConfigurationError(f"unparsable load factor {value!r}") from None
-    else:
-        raise ConfigurationError(f"load factor must be numeric, got {value!r}")
+    try:
+        if isinstance(value, numbers.Rational):
+            # A numpy integer's numerator is a numpy integer; Fraction would keep it.
+            rho = Fraction(operator.index(value.numerator), operator.index(value.denominator))
+        else:
+            rho = Fraction(str(value).strip())
+    except (ValueError, ZeroDivisionError):
+        raise ConfigurationError(f"unparsable load factor {value!r}") from None
     if rho <= 0:
         raise ConfigurationError(f"load factor must be positive, got {value!r}")
     return rho

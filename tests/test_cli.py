@@ -138,6 +138,18 @@ def test_bounds_grid_mode_csv(capsys):
     assert len(lines) == 1 + 2 * 3
 
 
+def test_float_flags_are_range_checked_by_their_evaluators(capsys):
+    # Lemmas 2.2 and 2.3 are defined at theta = 0 and at an empty subset.
+    for flags in (["--theta", "0", "--set-size", "5"], ["--theta", "0.5", "--set-size", "0"]):
+        code, out, _ = run_cli(capsys, ["bounds", "--name", "lemma22", "-a", "2", *flags])
+        assert code == 0
+        assert json.loads(out)["value"] == 2.0
+    code, _, err = run_cli(capsys, ["bounds", "--name", "prop41", "-n", "100", "--eta", "0"])
+    assert (code, "eta must be positive" in err) == (1, True)
+    code, _, err = run_cli(capsys, ["diagnose", "-n", "100", "--epsilon", "0"])
+    assert (code, "epsilon must lie in (0, 2)" in err) == (1, True)
+
+
 def test_bounds_missing_params_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["bounds", "--name", "prop41", "-n", "100"])
     assert code == 1
@@ -209,7 +221,8 @@ def _no_run(*args, **kwargs):
 
 def test_diagnose_refuses_a_trace_beyond_the_memory_budget(capsys, monkeypatch):
     # engine.run refuses it before anything is allocated.
-    monkeypatch.setattr(engine, "run_with_streams", _no_run)
+    for path in ("_columns", "_run_reference"):
+        monkeypatch.setattr(engine, path, _no_run)
     code, out, err = run_cli(
         capsys, ["diagnose", "-n", "1000000000", "--rho", "1", "--no-meta"])
     assert code == 1

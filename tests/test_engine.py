@@ -1083,10 +1083,21 @@ def test_run_refuses_a_trace_beyond_the_memory_budget(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("run drew a trace it should have refused")
 
-    monkeypatch.setattr(engine, "run_with_streams", no_run)
-    with pytest.raises(ResourceLimitError, match="a trace of 1000000000 balls"):
-        run(10**9, 10**9, ONE_CHOICE, seed=0)
+    for path in ("_columns", "_run_reference"):
+        monkeypatch.setattr(engine, path, no_run)
+    for method in ("auto", "reference"):
+        with pytest.raises(ResourceLimitError, match="a trace of 1000000000 balls"):
+            run(10**9, 10**9, ONE_CHOICE, seed=0, method=method)
     assert trace_peak_bytes(10**9, 10**9, ONE_CHOICE) > engine.MEMORY_BUDGET_BYTES
+
+
+@pytest.mark.parametrize("method", ["auto", "reference"])
+def test_run_with_streams_refuses_a_trace_beyond_the_memory_budget(monkeypatch, method):
+    monkeypatch.setattr(engine, "MEMORY_BUDGET_BYTES", 2**20)
+    primary, secondary = RngStream(1), RngStream(2)
+    with pytest.raises(ResourceLimitError, match="a trace of 1000000 balls"):
+        run_with_streams(10**6, 10**6, "one-choice", primary, secondary, method=method)
+    assert (primary.counter, secondary.counter) == (0, 0)
 
 
 @pytest.mark.parametrize(

@@ -8,12 +8,14 @@ bits, so a seed outside [0, 2**64) runs the streams of its residue.
 """
 
 import hashlib
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from thinlab import bounds
-from thinlab.engine import run, run_summary, run_summary_batch, run_with_streams
+from thinlab.engine import run, run_summary, run_summary_batch, run_with_streams, trace_from_json
 from thinlab.errors import ConfigurationError, DomainError
 from thinlab.experiments import ExperimentConfig, run_trials
 from thinlab.oracle import (
@@ -155,3 +157,46 @@ def test_any_integer_seed_keeps_its_trace(strategy, seed):
     expected = (int(counted.loads.max()), counted.final_state.rejections)
     for seeds in ([seed], [seed, seed]):  # a run, and a grid
         assert list(run_summary_batch(8, 30, "threshold:1", seeds)) == [expected] * len(seeds)
+
+
+def _rho_config(rho):
+    return ExperimentConfig(n=10, strategy="one-choice", trials=1, base_seed=0, rho=rho)
+
+
+@pytest.mark.parametrize("rho, same", [
+    (np.int64(1), 1), (np.float64(0.5), "1/2"), (np.float32(0.1), Fraction(1, 10)),
+])
+def test_load_factors_of_numpy_type_convert_like_their_python_peers(rho, same):
+    assert _rho_config(rho) == _rho_config(same)
+    assert type(_rho_config(rho).rho.numerator) is int
+
+
+@pytest.mark.parametrize("rho", [float("inf"), float("nan"), np.float64("-inf"), True, None])
+def test_non_finite_and_non_numeric_load_factors_are_refused(rho):
+    with pytest.raises(ConfigurationError):
+        _rho_config(rho)
+
+
+def test_bound_reports_record_integers_as_int():
+    report = bounds.evaluate("prop41", n=np.int64(100), eta=4.0)
+    assert type(report.inputs["n"]) is int
+    assert json.loads(json.dumps(report.as_dict())) == bounds.evaluate(
+        "prop41", n=100, eta=4.0).as_dict()
+
+
+def _payload_with_seed(seed):
+    payload = json.loads(run(5, 8, "threshold:1", 1).to_json())
+    return json.dumps({**payload, "seed": seed})
+
+
+@pytest.mark.parametrize("seed", ["x", 1.5, True])
+def test_trace_payload_seeds_follow_the_integer_rule(seed):
+    with pytest.raises(ConfigurationError):
+        trace_from_json(_payload_with_seed(seed))
+
+
+@pytest.mark.parametrize("seed", [None, -1, 2**70])
+def test_trace_payloads_keep_any_integer_seed(seed):
+    trace = trace_from_json(_payload_with_seed(seed))
+    assert trace.seed == seed
+    assert trace.final_state == run(5, 8, "threshold:1", 1).final_state
