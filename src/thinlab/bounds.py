@@ -182,7 +182,9 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        data = {"name": self.name, "inputs": dict(self.inputs), "value": self.value}
+        """The report as JSON-ready values: a Fraction input as its string."""
+        inputs = {k: str(v) if isinstance(v, Fraction) else v for k, v in self.inputs.items()}
+        data = {"name": self.name, "inputs": inputs, "value": self.value}
         if self.clamped is not None:
             data["clamped"] = self.clamped
         if self.details:

@@ -16,7 +16,7 @@ from . import bounds, oracle
 from .engine import level_set_count, max_load, replay, run, trace_from_json
 from .errors import ConfigurationError
 from .rng import RngStream, mix_seeds
-from .strategies import StrategySpec, parse_strategy
+from .strategies import THRESHOLD, StrategySpec, parse_strategy
 
 SUITE_NAMES = ("engine", "bounds", "oracle", "all")
 
@@ -66,7 +66,7 @@ def engine_suite(seed: int = 2024) -> list[CheckResult]:
             bool(np.array_equal(state.load, decomposed)),
             "load == primary_accepted + secondary_used per bin",
         )
-        if spec.kind == "threshold":
+        if spec.kind == THRESHOLD:
             cap = int(state.primary_accepted.max())
             _check(
                 rows,
@@ -74,7 +74,7 @@ def engine_suite(seed: int = 2024) -> list[CheckResult]:
                 cap <= spec.ell,
                 f"max accepted-primary count {cap} vs ell {spec.ell}",
             )
-        if spec.kind != "two_choices_greedy" and spec.retry_budget == 1:
+        if spec.is_thinning and spec.retry_budget == 1:
             _check(
                 rows,
                 f"suggestion-total[{tag}]",
@@ -109,7 +109,7 @@ def engine_suite(seed: int = 2024) -> list[CheckResult]:
         draws = int(pool_indices.max()) + 1 if pool_indices.size else 0
         pool = RngStream(mix_seeds(seed, 1)).bounded_block(n, draws)
         consumed = bool(np.array_equal(pool[pool_indices], trace.final_bins[landed]))
-        if spec.kind == "two_choices_greedy":
+        if not spec.is_thinning:
             _check(
                 rows,
                 f"pool-alignment[{tag}]",
@@ -141,7 +141,7 @@ def engine_suite(seed: int = 2024) -> list[CheckResult]:
         # Two-choices is compared path against path in tests/test_engine.py.
         # A row for it here would change the row count of run_suite("all"),
         # which benchmarks/digests.json records for the oracle workload.
-        if spec.kind != "two_choices_greedy":
+        if spec.is_thinning:
             other = run(n, t, spec, seed, method="reference")
             _check(
                 rows,
@@ -261,7 +261,7 @@ def oracle_suite(n: int | None = None, t: int | None = None) -> list[CheckResult
             "rejecting every primary is one-choice on the secondary pool",
         )
         threshold = oracle.exact_maxload_distribution(
-            inst_n, inst_t, StrategySpec("threshold", ell=1)
+            inst_n, inst_t, StrategySpec(THRESHOLD, ell=1)
         )
         dominance = all(
             threshold.tail(level) <= accept.tail(level)

@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import __version__, bounds
 from .checks import SUITE_NAMES, oracle_suite, run_suite
@@ -155,57 +156,6 @@ _BOUND_PARAMS = (
     ("set_size", _conv_list(_conv_float), None),
 )
 
-_PARAM_TABLE: dict[str, tuple] = {
-    "simulate": (
-        ("n", _conv_int, _REQUIRED),
-        ("rho", _conv_rho, None),
-        ("t", _conv_natural, None),
-        ("strategy", _conv_str, "threshold:auto"),
-        ("trials", _conv_int, 100),
-        ("seed", _conv_seed, 0),
-        ("workers", _conv_int, None),
-        ("level", _conv_natural, None),
-    )
-    + _COMMON,
-    "scale": (
-        ("grid", _conv_list(_conv_int), _REQUIRED),
-        ("rho", _conv_rho, Fraction(1)),
-        ("strategy", _conv_str, "threshold:auto"),
-        ("trials", _conv_int, 50),
-        ("seed", _conv_seed, 0),
-        ("workers", _conv_int, None),
-    )
-    + _COMMON,
-    "bounds": (("name", _conv_bound_name, _REQUIRED),) + _BOUND_PARAMS + _COMMON,
-    "oracle": (
-        ("n", _conv_int, None),
-        ("t", _conv_natural, None),
-        ("strategy", _conv_str, "one-choice"),
-        ("check", _conv_bool, False),
-    )
-    + _COMMON,
-    "diagnose": (
-        ("n", _conv_int, _REQUIRED),
-        ("rho", _conv_rho, None),
-        ("t", _conv_natural, None),
-        ("strategy", _conv_str, "threshold:auto"),
-        ("seed", _conv_seed, 0),
-        ("epsilon", _conv_float, 0.5),
-    )
-    + _COMMON,
-    "check": (("suite", _conv_suite, "all"),) + _COMMON,
-}
-
-_DEFAULT_FORMAT = {
-    "simulate": "csv",
-    "scale": "csv",
-    "oracle": "json",
-    "diagnose": "json",
-    "check": "csv",
-    # bounds: json for a single point, csv for a grid (resolved at run time)
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems as ConfigurationError."""
 
@@ -224,17 +174,9 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"thinlab {__version__}")
     subparsers = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
-    descriptions = {
-        "simulate": "run one Monte Carlo campaign and emit per-trial results",
-        "scale": "run campaigns across a bin-count grid and compare to the target",
-        "bounds": "evaluate a named closed-form bound (lists of values form a grid)",
-        "oracle": "exact small-instance distributions, or --check for the battery",
-        "diagnose": "stage decomposition and rejection diagnostics of one trace",
-        "check": "run invariant suites and exit nonzero on any violation",
-    }
-    for name, params in _PARAM_TABLE.items():
-        sub = subparsers.add_parser(name, help=descriptions[name], description=descriptions[name])
-        for param, converter, _default in params:
+    for name, entry in _SUBCOMMANDS.items():
+        sub = subparsers.add_parser(name, help=entry.help, description=entry.help)
+        for param, converter, _default in entry.params + _COMMON:
             if converter is _conv_bool:
                 sub.add_argument(_flag(param), action="store_true", default=None)
             else:
@@ -256,7 +198,7 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge_params(subcommand: str, namespace: argparse.Namespace, file_config: dict) -> dict:
-    table = _PARAM_TABLE[subcommand]
+    table = _SUBCOMMANDS[subcommand].params + _COMMON
     known = {param for param, _c, _d in table}
     for key in file_config:
         normalized = key.replace("-", "_")
@@ -353,7 +295,7 @@ def _meta_text(subcommand: str) -> str:
 
 
 def _emit(params: dict, subcommand: str, header: list[str], rows: list[tuple], payload: dict) -> None:
-    out_format = params["format"] or _DEFAULT_FORMAT.get(subcommand, "csv")
+    out_format = params["format"] or _SUBCOMMANDS[subcommand].default_format
     meta = None if params["no_meta"] else _meta_text(subcommand)
     if out_format == "csv":
         lines = [f"# {meta}"] if meta else []
@@ -485,6 +427,7 @@ def _run_diagnose(params: dict) -> int:
     else:
         t = int(rho * n)
     spec = parse_strategy(params["strategy"], n=n)
+    bounds.stage_params(n, rho, params["epsilon"])  # refuses bad parameters before run draws
     trace = run(n, t, spec, params["seed"])
     diagnostics = stage_diagnostics(trace, rho, params["epsilon"])
     rejections = rejection_stats(trace)
@@ -523,19 +466,65 @@ def _emit_checks(params: dict, subcommand: str, results) -> int:
     return 2 if failed else 0
 
 
-_HANDLERS = {
-    "simulate": _run_simulate,
-    "scale": _run_scale,
-    "bounds": _run_bounds,
-    "oracle": _run_oracle,
-    "diagnose": _run_diagnose,
-    "check": _run_check,
+class _Subcommand(NamedTuple):
+    """A subcommand's handler, default format, help text and parameters."""
+
+    handler: Callable[[dict], int]
+    default_format: str | None
+    help: str
+    params: tuple  # each (name, converter, default); every subcommand adds _COMMON
+
+
+_SUBCOMMANDS: dict[str, _Subcommand] = {
+    "simulate": _Subcommand(
+        _run_simulate, "csv", "run one Monte Carlo campaign and emit per-trial results", (
+            ("n", _conv_int, _REQUIRED),
+            ("rho", _conv_rho, None),
+            ("t", _conv_natural, None),
+            ("strategy", _conv_str, "threshold:auto"),
+            ("trials", _conv_int, 100),
+            ("seed", _conv_seed, 0),
+            ("workers", _conv_int, None),
+            ("level", _conv_natural, None),
+        )),
+    "scale": _Subcommand(
+        _run_scale, "csv", "run campaigns across a bin-count grid and compare to the target", (
+            ("grid", _conv_list(_conv_int), _REQUIRED),
+            ("rho", _conv_rho, Fraction(1)),
+            ("strategy", _conv_str, "threshold:auto"),
+            ("trials", _conv_int, 50),
+            ("seed", _conv_seed, 0),
+            ("workers", _conv_int, None),
+        )),
+    # bounds: json for a single point, csv for a grid (resolved at run time)
+    "bounds": _Subcommand(
+        _run_bounds, None, "evaluate a named closed-form bound (lists of values form a grid)",
+        (("name", _conv_bound_name, _REQUIRED),) + _BOUND_PARAMS),
+    "oracle": _Subcommand(
+        _run_oracle, "json", "exact small-instance distributions, or --check for the battery", (
+            ("n", _conv_int, None),
+            ("t", _conv_natural, None),
+            ("strategy", _conv_str, "one-choice"),
+            ("check", _conv_bool, False),
+        )),
+    "diagnose": _Subcommand(
+        _run_diagnose, "json", "stage decomposition and rejection diagnostics of one trace", (
+            ("n", _conv_int, _REQUIRED),
+            ("rho", _conv_rho, None),
+            ("t", _conv_natural, None),
+            ("strategy", _conv_str, "threshold:auto"),
+            ("seed", _conv_seed, 0),
+            ("epsilon", _conv_float, 0.5),
+        )),
+    "check": _Subcommand(
+        _run_check, "csv", "run invariant suites and exit nonzero on any violation",
+        (("suite", _conv_suite, "all"),)),
 }
 
 
 def execute(config: CliConfig) -> int:
     """Run a validated CliConfig; returns the process exit code."""
-    return _HANDLERS[config.subcommand](config.params)
+    return _SUBCOMMANDS[config.subcommand].handler(config.params)
 
 
 def main(argv=None) -> int:

@@ -6,8 +6,8 @@ takes the next draw of the secondary pool.  So a run's loads are, per bin,
 its primaries (capped at ell for a threshold rule) plus the pool draws
 that the rejections consume, and counts of the draws give them without a
 per-ball record.  :func:`_count_groups` counts the runs of many seeds;
-``engine.run_summary`` is its one-seed case and
-``engine.run_summary_batch`` its public face.
+``engine._summary_groups`` serves these kinds from it, for
+``engine.run_summary`` and ``engine.run_summary_batch``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .strategies import (
     ALWAYS_ACCEPT,
     ALWAYS_REJECT,
     THRESHOLD,
-    TWO_CHOICES_GREEDY,
     StrategySpec,
 )
 
@@ -29,7 +28,7 @@ from .strategies import (
 def _counts_draws(spec: StrategySpec) -> bool:
     """Whether a run's loads follow from counts of its draws: one-choice,
     always-reject and threshold with retry budget 1."""
-    return spec.kind != TWO_CHOICES_GREEDY and spec.retry_budget == 1
+    return spec.is_thinning and spec.retry_budget == 1
 
 
 def _seed_streams(seed: int) -> tuple[RngStream, RngStream]:
@@ -37,9 +36,10 @@ def _seed_streams(seed: int) -> tuple[RngStream, RngStream]:
     return RngStream(mix_seeds(seed, 0)), RngStream(mix_seeds(seed, 1))
 
 
-def _summaries(n, t, spec, seeds):
-    """(max load, rejections) of every seed's run, in seed order."""
-    for loads, rejections in _count_groups(n, t, spec, seeds):
+def _summaries(groups):
+    """(max load, rejections) of every run of ``groups``, in order: groups
+    shaped like those of :func:`_count_groups`."""
+    for loads, rejections in groups:
         maxima = loads.max(axis=1).tolist()
         del loads  # released before the next group is counted
         yield from zip(maxima, rejections)

@@ -12,9 +12,10 @@ the usual bin-labeling convention; tally arrays are 0-indexed internally.
 :func:`step` allocates one ball at a time and is the reference oracle.
 :func:`run` and :func:`run_with_streams` go through one vectorized kernel,
 :func:`_columns`, which draws blocks of balls and yields bit-identical
-traces and stream positions.  :func:`run_summary` never builds the
-columns: it counts the draws (see the end of this docstring), or runs the
-kernel ``_columns`` runs for the kind and keeps only the loads.  Per kind,
+traces and stream positions.  :func:`run_summary` and
+:func:`run_summary_batch` never build the columns: :func:`_summary_groups`
+counts the draws (see the end of this docstring), or runs the kernel
+``_columns`` runs for the kind and keeps only the loads.  Per kind,
 ``_columns`` places:
 
 - one-choice and always-reject: the kind decides every ball, and the
@@ -29,15 +30,15 @@ kernel ``_columns`` runs for the kind and keeps only the loads.  Per kind,
 A :class:`Trace` stores three per-ball columns: primary bins, final bins
 and reject counts.  Rejected balls take the secondary pool's draws in ball
 order, so the pool index a ball consumes is derived from the reject counts
-(:func:`_pool_indices`), never stored; ``replay``, ``to_json`` and
+(:attr:`Trace.pool_indices`), never stored; ``replay``, ``to_json`` and
 ``records`` all work from the three columns, and :func:`_check_rejections`
 is the one check that a strategy can yield them.
 
 One-choice, always-reject and threshold with k = 1 have one counting
-kernel (:mod:`thinlab.counting`) behind :func:`run_summary_batch`, of
-which ``run_summary`` is the one-seed case; its regimes are described
-there.  ``run_summary`` returns the table it counted into, so its loads
-are exact but often narrower than int64.
+kernel (:mod:`thinlab.counting`), which counts the runs of many seeds
+together; its regimes are described there.  ``run_summary`` returns the
+table it counted into, so its loads are exact but often narrower than
+int64.
 """
 
 from __future__ import annotations
@@ -87,20 +88,10 @@ _UNTOUCHED = 0xFFFF
 _JSON_BYTES_PER_CHAR = 6
 
 
-def _coerce_spec(strategy, n: int | None = None) -> StrategySpec:
-    if isinstance(strategy, StrategySpec):
-        return strategy
-    if isinstance(strategy, str):
-        return parse_strategy(strategy, n=n)
-    raise ConfigurationError(
-        f"strategy must be a StrategySpec or grammar string, got {strategy!r}"
-    )
-
-
 def _check_run(n, t, strategy) -> tuple[int, int, StrategySpec]:
     """The bin count, ball count and spec of a run, checked."""
     n = _as_int(n, "bin count", 1)
-    return n, _as_int(t, "ball count", 0), _coerce_spec(strategy, n)
+    return n, _as_int(t, "ball count", 0), parse_strategy(strategy, n=n)
 
 
 def _check_budget(needed: int, what: str) -> None:
@@ -165,8 +156,7 @@ class AllocationRecord:
 def new_process(n: int, strategy) -> ProcessState:
     """Fresh zeroed process over ``n`` bins with the given strategy."""
     n = _as_int(n, "bin count", 1)
-    spec = _coerce_spec(strategy, n)
-    return ProcessState(n=n, strategy=spec)
+    return ProcessState(n=n, strategy=parse_strategy(strategy, n=n))
 
 
 def step(state: ProcessState, primary_stream, secondary_stream) -> AllocationRecord:
@@ -252,17 +242,24 @@ class Trace:
 
     @property
     def pool_indices(self) -> np.ndarray:
-        """The pool index each ball consumes last, -1 where it was never rejected."""
-        return _pool_indices(self.strategy.kind, self.reject_counts)
+        """The pool index each ball consumes last, -1 where it was never rejected.
+
+        Thinning kinds take one pool draw per reject, so a ball's last one is
+        the running reject total minus 1; two-choices draws a candidate for
+        every ball, so a ball that takes it consumes its own index.
+        """
+        counts = self.reject_counts
+        if self.strategy.is_thinning:
+            last = np.cumsum(counts) - 1
+        else:
+            last = np.arange(len(counts), dtype=np.int64)
+        return np.where(counts > 0, last, -1)
 
     def _decisions_for(self, reject_count: int) -> tuple[str, ...]:
-        if reject_count == 0:
-            return ("accept",)
-        if self.strategy.kind == TWO_CHOICES_GREEDY:
-            return ("reject",)
-        if reject_count < self.strategy.retry_budget:
-            return ("reject",) * reject_count + ("accept",)
-        return ("reject",) * reject_count
+        """A ball's decisions: its rejects, then an accept unless the
+        rejects used up the retry budget (1 for two-choices) and forced it."""
+        accept = ("accept",) if reject_count < self.strategy.retry_budget else ()
+        return ("reject",) * reject_count + accept
 
     def _ball_columns(self):
         """Per ball, as Python values: the 1-based primary bin, the reject
@@ -388,20 +385,6 @@ def trace_from_json(text: str) -> Trace:
     if trace.final_state.load.tolist() != list(loads):
         raise ConfigurationError("trace payload loads disagree with its records")
     return trace
-
-
-def _pool_indices(kind: str, reject_counts: np.ndarray) -> np.ndarray:
-    """The pool index each ball consumes last, -1 where it was never rejected.
-
-    Thinning kinds take one pool draw per reject, so a ball's last one is
-    the running reject total minus 1; two-choices draws a candidate for
-    every ball, so a ball that takes it consumes its own index.
-    """
-    if kind == TWO_CHOICES_GREEDY:
-        last = np.arange(len(reject_counts), dtype=np.int64)
-    else:
-        last = np.cumsum(reject_counts) - 1
-    return np.where(reject_counts > 0, last, -1)
 
 
 def _check_rejections(trace: Trace) -> None:
@@ -734,64 +717,66 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
 
     Returns ``(loads, rejections)``.  ``loads`` holds exactly the final
     per-bin loads of ``run(n, t, strategy, seed)``, in whatever integer
-    dtype the path counted them in: one that holds every load, often uint8,
-    and never int64 where a narrower type holds t.  So widen it before
-    arithmetic that could leave that range; comparisons, ``max()`` and
-    ``tolist()`` are exact as they are.
+    dtype the kernel counted them in: one that holds every load, often
+    uint8, and never int64 where a narrower type holds t.  So widen it
+    before arithmetic that could leave that range; comparisons, ``max()``
+    and ``tolist()`` are exact as they are.
 
-    One-choice, always-reject and threshold with k = 1 are the one-seed
-    case of :func:`run_summary_batch`'s counting kernel.  Two-choices takes
-    the load table its kernel keeps and counts the balls its masks mark as
-    moved.  Retry budgets above 1 count the threshold kernel's final bins
-    into a table of ``np.min_scalar_type(t)``.  None of these holds a
-    t-length array, nor more than one chunk at a time.  A run whose
-    :func:`summary_peak_bytes` exceeds ``MEMORY_BUDGET_BYTES`` raises
-    ``ResourceLimitError`` before anything is allocated.
+    The one-seed case of :func:`_summary_groups`, which picks the kernel.
+    A run whose :func:`summary_peak_bytes` exceeds ``MEMORY_BUDGET_BYTES``
+    raises ``ResourceLimitError`` before anything is allocated.
     """
     n, t, spec = _check_run(n, t, strategy)
     seed = _as_int(seed, "seed")
     _check_budget(summary_peak_bytes(n, t, spec), f"a summary of {t} balls in {n} bins")
-    if _counts_draws(spec):
-        loads, rejections = next(_count_groups(n, t, spec, [seed]))
-        return loads[0], rejections[0]
-    if spec.kind == TWO_CHOICES_GREEDY:
-        rejections = 0
-        # The kernel yields at least once, so load is always bound.
-        for p, s, took, load in _two_choices_kernel(n, t, *_seed_streams(seed)):
-            rejections += int(np.count_nonzero(took))
-            del p, s, took
-        return load[:n], rejections
-    loads = np.zeros(n, dtype=np.min_scalar_type(t))
-    rejections = 0
-    for p, final, reject_counts in _threshold_chunks(n, t, spec, *_seed_streams(seed)):
-        np.add.at(loads, final, loads.dtype.type(1))  # a Python int would take a slow path
-        rejections += int(reject_counts.sum())
-        del p, final, reject_counts
-    return loads, rejections
+    loads, rejections = next(_summary_groups(n, t, spec, [seed]))
+    return loads[0], rejections[0]
 
 
-def run_summary_batch(
-    n: int, t: int, strategy, seeds: Sequence[int]
-) -> Iterator[tuple[int, int]]:
+def run_summary_batch(n: int, t: int, strategy, seeds: Sequence[int]) -> Iterator[tuple[int, int]]:
     """Max load and rejection count of ``run_summary(n, t, strategy, seed)``
-    for every seed, in seed order, from one counting kernel.
+    for every seed, in seed order.
 
-    For one-choice, always-reject and threshold with k = 1 only; other
-    strategies raise ``ConfigurationError``.  The arguments, and the memory
-    budget as :func:`run_summary` checks it, are checked when this is
-    called; the runs are made as the result is iterated.  The kernel picks
-    its regime from the sizes (``counting._count_groups``).
+    The arguments, and the memory budget as :func:`run_summary` checks it,
+    are checked when this is called; the runs are made as the result is
+    iterated, by the kernel :func:`_summary_groups` picks.
     """
     n, t, spec = _check_run(n, t, strategy)
     for seed in seeds:  # not copied, so a batch holds no list of seeds
         _as_int(seed, "seed")
-    if not _counts_draws(spec):
-        raise ConfigurationError(
-            f"run_summary_batch counts one-choice, always-reject and threshold "
-            f"runs with retry budget 1, not {spec.label}"
-        )
     _check_budget(summary_peak_bytes(n, t, spec), f"a summary of {t} balls in {n} bins")
-    return _summaries(n, t, spec, seeds)
+    return _summaries(_summary_groups(n, t, spec, seeds))
+
+
+def _summary_groups(n, t, spec, seeds):
+    """The one choice of summary kernel by kind: groups of consecutive
+    seeds' runs, in order, shaped like those of ``counting._count_groups``.
+
+    The counting kinds take that kernel's groups.  The others take one run
+    per group, whose tables are released before the next run draws:
+    two-choices keeps its kernel's load table and counts the balls its
+    masks mark as moved; retry budgets above 1 count the threshold kernel's
+    final bins into a table of ``np.min_scalar_type(t)``.  No kernel holds a
+    t-length array, nor more than one chunk at a time.
+    """
+    if _counts_draws(spec):
+        yield from _count_groups(n, t, spec, seeds)
+        return
+    for seed in seeds:
+        rejections = 0
+        if spec.kind == TWO_CHOICES_GREEDY:
+            # The kernel yields at least once, so loads is always bound.
+            for p, s, took, loads in _two_choices_kernel(n, t, *_seed_streams(seed)):
+                rejections += int(np.count_nonzero(took))
+                del p, s, took
+        else:
+            loads = np.zeros(n, dtype=np.min_scalar_type(t))
+            for p, final, reject_counts in _threshold_chunks(n, t, spec, *_seed_streams(seed)):
+                np.add.at(loads, final, loads.dtype.type(1))  # a Python int would take a slow path
+                rejections += int(reject_counts.sum())
+                del p, final, reject_counts
+        yield loads[None, :n], [rejections]
+        del loads  # released before the next run draws
 
 
 def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
@@ -804,13 +789,13 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     phase, since a phase frees its temporaries before the next begins.  The
     tests check it against ``tracemalloc`` for every kind, for the counting
     kinds on the path that counts again into a wide table too, and for
-    batches in both regimes of the counting kernel.
+    batches of every kind, in both regimes of the counting kernel.
     """
     w = np.min_scalar_type(t).itemsize  # bytes per bin of a table that holds t
-    if spec.kind == THRESHOLD and spec.retry_budget > 1:
-        return _threshold_peak_bytes(n, t, spec) + n * w  # and the load table
-    if spec.kind != TWO_CHOICES_GREEDY:
+    if _counts_draws(spec):
         return _count_peak_bytes(n, t, spec)
+    if spec.is_thinning:
+        return _threshold_peak_bytes(n, t, spec) + n * w  # and the load table
     # Two-choices holds first (uint16 per bin), the load table of n + 1
     # bins, 16 KiB of Python objects and one chunk of c balls, either
     # - drawn: its primaries, its candidates and their draw buffers; or

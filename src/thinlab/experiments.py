@@ -92,8 +92,6 @@ class ExperimentConfig:
 
     @property
     def spec(self) -> StrategySpec:
-        if isinstance(self.strategy, StrategySpec):
-            return self.strategy
         return parse_strategy(self.strategy, n=self.n)
 
     @property
@@ -215,8 +213,11 @@ def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryS
     and each chunk is one task: one :func:`run_summary_batch` call for
     one-choice, always-reject and threshold with k = 1, so a chunk's
     trials share one load table or one grid of draws, and one
-    :func:`run_summary` call per trial for the other strategies.  A
-    1-worker campaign runs the same chunks in this process.
+    :func:`run_summary` call per trial for the other strategies.  A batch
+    of those would make the same runs, one at a time; the per-trial calls
+    stay because ``benchmarks/workloads.py`` spans each of them to time
+    the two-choices and k > 1 kernels per trial.  A 1-worker campaign
+    runs the same chunks in this process.
     """
     workers = _resolve_workers(workers)
     spec = config.spec

@@ -3,8 +3,10 @@
 Three independent exact computations live here: exhaustive enumeration of
 the joint draw space (any strategy, tiny instances), a dynamic program for
 the one-choice max-load law (larger instances), and Poisson tail sums.
-Enumeration and the DP use exact rational arithmetic throughout; floating
-point appears only in the Poisson routines.
+Enumeration steps each point through ``engine.step``, the reference
+oracle, and builds no trace.  Enumeration and the DP use exact rational
+arithmetic throughout; floating point appears only in the Poisson
+routines.
 
 The Poissonization comparison check evaluates both sides of the factor-2
 domination numerically: the fixed-ball-count probability of a monotone
@@ -19,10 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .engine import _check_run, max_load, run_with_streams
+from .engine import _check_run, max_load, new_process, step
 from .errors import ConfigurationError, StateSpaceLimitError, _as_int
 from .rng import FixedStream
-from .strategies import THRESHOLD, StrategySpec
 
 ENUMERATION_LIMIT = 10**8
 DP_CELL_LIMIT = 10**6
@@ -94,24 +95,21 @@ def tv_distance(first: Pmf, second: Pmf) -> float:
     return float(gap / 2)
 
 
-def _pool_length(spec: StrategySpec, t: int) -> int:
-    """Secondary draws a run can consume: one per rejection (or per ball)."""
-    if spec.kind == THRESHOLD:
-        return t * spec.retry_budget
-    return t
-
-
 def exact_maxload_distribution(n: int, t: int, strategy) -> Pmf:
-    """Exact max-load pmf by running the engine on every joint assignment.
+    """Exact max-load pmf by stepping the engine on every joint assignment.
 
-    Every (primary draws, secondary draws) tuple is equally likely, so the
-    pmf is an integer count over the full product space divided by its
-    size.  Unconsumed secondary draws vary freely and cancel out; the
-    product space is still enumerated in full, trading time for the
-    certainty that no conditioning is silently introduced.
+    Each assignment is run through the reference :func:`step`, one ball at
+    a time, from fixed primary and secondary streams.  A run consumes at
+    most ``retry_budget`` secondary draws per ball (one per rejection, or
+    one per ball for two-choices).  Every (primary draws, secondary draws)
+    tuple is equally likely, so the pmf is an integer count over the full
+    product space divided by its size.  Unconsumed secondary draws vary
+    freely and cancel out; the product space is still enumerated in full,
+    trading time for the certainty that no conditioning is silently
+    introduced.
     """
     n, t, spec = _check_run(n, t, strategy)
-    pool = _pool_length(spec, t)
+    pool = t * spec.retry_budget
     size = n ** (t + pool)
     if size > ENUMERATION_LIMIT:
         raise StateSpaceLimitError(
@@ -121,11 +119,11 @@ def exact_maxload_distribution(n: int, t: int, strategy) -> Pmf:
     counts: dict[int, int] = {}
     for primary in itertools.product(range(n), repeat=t):
         for secondary in itertools.product(range(n), repeat=pool):
-            trace = run_with_streams(
-                n, t, spec, FixedStream(primary), FixedStream(secondary),
-                method="reference",
-            )
-            value = max_load(trace.final_state)
+            state = new_process(n, spec)
+            primary_stream, secondary_stream = FixedStream(primary), FixedStream(secondary)
+            for _ in range(t):
+                step(state, primary_stream, secondary_stream)
+            value = max_load(state)
             counts[value] = counts.get(value, 0) + 1
     support = tuple(sorted(counts))
     probs = tuple(Fraction(counts[v], size) for v in support)

@@ -112,16 +112,18 @@ def default_threshold_spec(n: int) -> StrategySpec:
     return StrategySpec(THRESHOLD, ell=threshold_L(n))
 
 
-def parse_strategy(text: str, n: int | None = None) -> StrategySpec:
-    """Parse a strategy string into a spec.
+def parse_strategy(text: str | StrategySpec, n: int | None = None) -> StrategySpec:
+    """Parse a strategy string into a spec; a spec is returned as it is.
 
     Grammar: "threshold:<ell>", "threshold:auto", "threshold:<ell>,k=<k>",
     "one-choice", "always-reject", "two-choices".  The "auto" level is
     resolved through :func:`default_threshold_spec` and therefore needs the
     bin count ``n``.
     """
+    if isinstance(text, StrategySpec):
+        return text
     if not isinstance(text, str):
-        raise ConfigurationError(f"strategy must be a string, got {text!r}")
+        raise ConfigurationError(f"strategy must be a StrategySpec or string, got {text!r}")
     cleaned = text.strip().lower()
     if cleaned in _LABEL_KINDS:
         return StrategySpec(_LABEL_KINDS[cleaned])

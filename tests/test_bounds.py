@@ -1,6 +1,8 @@
 """Tests for the closed-form bound evaluators."""
 
+import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -163,6 +165,13 @@ def test_evaluate_dispatch_and_reports():
         bounds.evaluate("nonsense", n=3)
     with pytest.raises(DomainError):
         bounds.evaluate("lemma23", wrong_param=1)
+
+
+def test_reports_serialize_a_fraction_input():
+    report = bounds.evaluate("stage_params", n=1000, rho=Fraction(1, 2), epsilon=0.5)
+    assert report.inputs["rho"] == Fraction(1, 2)
+    data = json.loads(json.dumps(report.as_dict()))
+    assert data["inputs"] == {"n": 1000, "rho": "1/2", "epsilon": 0.5}
 
 
 def test_integer_arguments_are_enforced():

@@ -230,6 +230,14 @@ def test_diagnose_refuses_a_trace_beyond_the_memory_budget(capsys, monkeypatch):
     assert err.startswith("thinlab: error: a trace of 1000000000 balls")
 
 
+def test_diagnose_checks_its_parameters_before_it_draws(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", _no_run)
+    code, out, err = run_cli(capsys, ["diagnose", "-n", "1000000", "--epsilon", "0"])
+    assert code == 1
+    assert out == ""
+    assert err == "thinlab: error: epsilon must lie in (0, 2), got 0.0\n"
+
+
 def test_check_subcommand_passes(capsys):
     code, out, _ = run_cli(capsys, ["check", "--suite", "engine", "--no-meta"])
     assert code == 0

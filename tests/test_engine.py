@@ -787,15 +787,17 @@ def test_summary_peak_within_estimate(strategy, n, t):
     # ball is.
     if t >= (100_000 if spec.retry_budget == 1 else 10 * n):
         assert estimate <= 1.5 * peak
-    if spec.kind != "two_choices_greedy" and spec.retry_budget == 1:
-        # A batch holds one table, or one grid of runs, at a time: here two
-        # full grids and a partial one, or two runs in one table.
-        rows = counting._grid_rows(n, t)
-        seeds = range(2 * rows + 1 if rows >= 2 else 2)
-        batch = traced_peak(lambda: deque(run_summary_batch(n, t, spec, seeds), maxlen=0))
-        assert batch <= estimate
-        if rows >= 2 or t >= 100_000:
-            assert estimate <= 1.5 * batch
+    # A batch holds one table, or one grid of runs, at a time: here two full
+    # grids and a partial one, or two runs one after the other.
+    counts = counting._counts_draws(spec)
+    rows = counting._grid_rows(n, t) if counts else 1
+    seeds = range(2 * rows + 1 if rows >= 2 else 2)
+    batch = traced_peak(lambda: deque(run_summary_batch(n, t, spec, seeds), maxlen=0))
+    assert batch <= estimate
+    # The k > 1 estimates count every ball as rejected, so only the counting
+    # kinds are held to the batch's peak.
+    if counts and (rows >= 2 or t >= 100_000):
+        assert estimate <= 1.5 * batch
 
 
 @pytest.mark.parametrize(
@@ -813,12 +815,17 @@ def test_summary_peak_within_estimate(strategy, n, t):
 def test_summary_holds_one_chunk(strategy, n, table_bytes, chunk, chunk_bytes):
     # Beside its per-bin tables a summary holds one chunk and at most 32 KiB
     # of Python objects: a chunk already yielded is gone, in the kernel and
-    # in run_summary, before the next is drawn.
+    # in run_summary, before the next is drawn.  A batch holds one run's
+    # tables: they are gone before the next run draws.
     spec = parse_strategy(strategy, n=n)
     run_summary(n, n, spec, 1)  # any lazy set-up happens outside the trace
-    peak = traced_peak(lambda: run_summary(n, n, spec, 1))
-    assert peak <= table_bytes * n + chunk_bytes * chunk + 32 * 1024
-    assert peak <= summary_peak_bytes(n, n, spec)
+    peaks = [
+        traced_peak(lambda: run_summary(n, n, spec, 1)),
+        traced_peak(lambda: deque(run_summary_batch(n, n, spec, [1, 2]), maxlen=0)),
+    ]
+    for peak in peaks:
+        assert peak <= table_bytes * n + chunk_bytes * chunk + 32 * 1024
+        assert peak <= summary_peak_bytes(n, n, spec)
 
 
 def traced_peak(func) -> int:
@@ -1006,10 +1013,14 @@ def test_batch_across_the_regime_boundary(size):
         assert batch == traced_summaries(size, size, strategy, seeds)
 
 
-def test_batch_refuses_the_other_strategies():
-    for strategy in ("two-choices", "threshold:2,k=2"):
-        with pytest.raises(ConfigurationError):
-            run_summary_batch(10, 10, strategy, [1])
+# One run per group.  At (1, 300) the two-choices load table widens; at
+# (3, 70000) nearly every threshold ball retries.
+@pytest.mark.parametrize("n, t", [(8, 8), (1, 300), (3, 70_000)])
+@pytest.mark.parametrize("strategy", ["two-choices", "threshold:2,k=2", "threshold:1,k=3"])
+def test_batch_matches_full_runs_of_the_other_strategies(strategy, n, t):
+    seeds = [mix_seeds(9, i) for i in range(3)]
+    batch = list(run_summary_batch(n, t, strategy, seeds))
+    assert batch == traced_summaries(n, t, strategy, seeds)
 
 
 # At the first size the columns of _columns bind, at the second the tallies
@@ -1109,16 +1120,13 @@ def test_summaries_refuse_runs_beyond_the_memory_budget(monkeypatch, strategy):
     def no_run(*args, **kwargs):
         raise AssertionError("a summary ran that it should have refused")
 
-    for kernel in ("_count_groups", "_summaries", "_two_choices_kernel", "_threshold_chunks"):
+    for kernel in ("_summary_groups", "_count_groups", "_summaries", "_two_choices_kernel",
+                   "_threshold_chunks"):
         monkeypatch.setattr(engine, kernel, no_run)
     monkeypatch.setattr(engine, "MEMORY_BUDGET_BYTES", 2**20)
     spec = parse_strategy(strategy, n=10**6)
     assert summary_peak_bytes(10**6, 10**6, spec) > 2**20
     with pytest.raises(ResourceLimitError, match="a summary of 1000000 balls"):
         run_summary(10**6, 10**6, spec, 1)
-    if counting._counts_draws(spec):
-        with pytest.raises(ResourceLimitError, match="a summary of 1000000 balls"):
-            run_summary_batch(10**6, 10**6, spec, [1, 2])
-    else:
-        with pytest.raises(ConfigurationError):
-            run_summary_batch(10**6, 10**6, spec, [1, 2])
+    with pytest.raises(ResourceLimitError, match="a summary of 1000000 balls"):
+        run_summary_batch(10**6, 10**6, spec, [1, 2])
