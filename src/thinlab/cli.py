@@ -29,6 +29,7 @@ from .engine import run
 from .errors import ConfigurationError, ThinlabError, _as_int
 from .experiments import (
     ExperimentConfig,
+    _check_tail_request,
     parse_rho,
     rejection_stats,
     run_trials,
@@ -331,6 +332,9 @@ def _run_simulate(params: dict) -> int:
         rho=params["rho"],
         t=params["t"],
     )
+    level = params["level"]
+    if level is not None:
+        _check_tail_request(level, config.trials)  # before the campaign runs
     stats = run_trials(config, workers=params["workers"])
     header = ["trial", "seed", "maxload", "rejections"]
     rows = [
@@ -339,7 +343,6 @@ def _run_simulate(params: dict) -> int:
     ]
     payload = stats.as_dict()
     payload["per_trial_seeds"] = list(stats.per_trial_seeds)
-    level = params["level"]
     if level is not None:
         payload["tail"] = stats.tail(level)._asdict()
     _emit(params, "simulate", header, rows, payload)

@@ -24,8 +24,8 @@ counts the draws (see the end of this docstring), or runs the kernel
   time (:func:`_threshold_chunks`), so the kernel holds no t-length array;
 - two-choices (outside the thinning class: it sees both candidate bins,
   and consumes one secondary draw per ball): one chunk of 2**14 balls at a
-  time (:func:`_two_choices_kernel`), which yields per chunk a mask of the
-  balls that took their secondary.
+  time, sorting packed keys per block (:func:`_two_choices_kernel`), which
+  yields per chunk a mask of the balls that took their secondary.
 
 A :class:`Trace` stores three per-ball columns: primary bins, final bins
 and reject counts.  Rejected balls take the secondary pool's draws in ball
@@ -69,16 +69,13 @@ MEMORY_BUDGET_BYTES = 2 * 1024**3
 
 # Balls in one block of the two-choices kernel.  Longer blocks leave more
 # balls to its scalar tail, shorter ones pay more numpy calls: run_summary
-# at n = t = 10**6 with 2**16-ball chunks took 40-41 ms with 2**12, 43-46
-# with 2**11 and 41-43 with 2**13 (best of 14, 2-vCPU Xeon).  Its offsets
-# are uint16 below the sentinel _UNTOUCHED, so it stays below 2**16.
+# at n = t = 10**6 took 1.07x as long with 2**11 and 1.03x with 2**13
+# (medians of 30 rounds, 2-vCPU Xeon).
 _TWO_CHOICES_BLOCK = 1 << 12
-_BLOCK_OFFSETS = np.arange(_TWO_CHOICES_BLOCK, dtype=np.uint16)
-# Balls in one chunk of the two-choices kernel, whose draws sit beside 3
-# bytes per bin of tables: at n = t = 10**6 a summary peaks at 3.38 MiB,
-# against 4.93 with 2**16 (tracemalloc); 2**12 was slower, 2**13 no faster.
+# Balls in one chunk of the two-choices kernel: at n = t = 10**6 a summary
+# peaks at 1.54 MiB, against 3.08 with 2**16 (tracemalloc); 2**12 was
+# slower, 2**13 no faster.
 _TWO_CHOICES_CHUNK = 4 * _TWO_CHOICES_BLOCK
-_UNTOUCHED = 0xFFFF
 
 # Bytes that trace_from_json holds per character of a payload as to_json
 # writes it, besides the trace it builds: json.loads's objects (3.1 to 4.9
@@ -581,16 +578,14 @@ def _two_choices_kernel(n, t, primary_stream, secondary_stream):
     """Two-choices placement, drawn and placed one chunk of balls at a time.
 
     A generator: for each chunk of ``_TWO_CHOICES_CHUNK`` balls it draws the
-    primary chunk, then the candidate chunk, places the chunk's balls and
-    yields ``(p, s, took, load)``: the chunk's primary and candidate bins, a
-    bool per ball that is True where the ball took its candidate, and the
-    load table so far, whose first n entries are the loads.  It yields once,
-    an empty chunk, when t is 0, and drops its own references to a chunk
-    before it draws the next.  Each stream is read in chunks exactly as one
-    block draw of t would read it, so draws and stream positions match
-    :func:`step`.  A ball moves only when the candidate's load is strictly
-    lower, so ``took`` is exactly ``final_bins != primary_bins`` and the
-    landing bin is ``s[i] if took[i] else p[i]``.
+    primaries, then the candidates, places the balls and yields ``(p, s,
+    took, load)``: the chunk's primary and candidate bins, True where a ball
+    took its candidate, and the load table so far, whose first n entries are
+    the loads.  It yields once, an empty chunk, when t is 0, and drops its
+    references to a chunk before it draws the next.  Each stream is read as
+    one block draw of t would read it, so draws and stream positions match
+    :func:`step`.  A ball moves only to a strictly lower load, so ``took``
+    is exactly ``final_bins != primary_bins``.
 
     ``load`` starts as uint8, so the table of a million bins fits in L2.
     It is widened once, to the narrowest type that holds t, just before a
@@ -601,47 +596,35 @@ def _two_choices_kernel(n, t, primary_stream, secondary_stream):
     wide = np.min_scalar_type(t)
     load = np.zeros(n + 1, dtype=np.uint8)
     top = 0
-    first = np.full(n, _UNTOUCHED, dtype=np.uint16)
+    keys = np.empty(2 * _TWO_CHOICES_BLOCK, dtype=np.int64)
     for begin in range(0, max(t, 1), _TWO_CHOICES_CHUNK):
         m = min(t - begin, _TWO_CHOICES_CHUNK)
         p = primary_stream.bounded_block(n, m)
         s = secondary_stream.bounded_block(n, m)
-        took, load, top = _place_two_choices(p, s, first, load, top, wide)
+        took, load, top = _place_two_choices(p, s, keys, load, top, wide)
         yield p, s, took, load
         del p, s, took
 
 
-def _place_two_choices(p, s, first, load, top, wide):
+def _place_two_choices(p, s, keys, load, top, wide):
     """Place one chunk of :func:`_two_choices_kernel`; returns its took mask,
     the load table (widened if it had to be) and the new bound ``top``.  Its
     block views of the chunk die when it returns, before the next draw.
 
-    The chunk is placed one block of ``_TWO_CHOICES_BLOCK`` balls at a time.
-    An index step finds the block's ready balls: ``first[b]`` is the block
-    offset of the first ball of the block that touches bin b (``_UNTOUCHED``
-    when none), and a ball that is the first toucher of both its bins is
-    ready.  Ready balls share no bin with each other or with any earlier
-    ball of the block, so a load step places all of them at once with the
-    loads that sequential placement would show them: it gathers both loads
-    of every ball of the block and scatters ``min(lp, ls) + 1``, sending the
-    waiting balls to the sink bin n, which no ball reads.  The block's
-    waiting balls are then placed one by one in ball order, through a
-    memoryview of ``load``.  The index step touches only ``first`` and the
-    load step only ``load``.
+    Per block of ``len(keys) // 2`` balls, those the index step
+    (:func:`_waiting_balls`) does not return share no bin with each other or
+    an earlier ball of the block, so a load step places them at once with
+    the loads sequential placement would show them: it gathers both loads
+    of every ball and scatters ``min(lp, ls) + 1``, sending the waiting
+    balls to the sink bin n, which no ball reads.  The waiting balls are
+    then placed one by one in ball order.
     """
-    n, m = first.size, p.size
-    took = np.empty(m, dtype=bool)
-    for start in range(0, m, _TWO_CHOICES_BLOCK):
-        block = slice(start, start + _TWO_CHOICES_BLOCK)
-        bp, bs, bt = p[block], s[block], took[block]
-        local = _BLOCK_OFFSETS[: len(bp)]
-        np.minimum.at(first, bp, local)
-        np.minimum.at(first, bs, local)
-        waiting = first[bp] != local
-        waiting |= first[bs] != local
-        first[bp] = _UNTOUCHED
-        first[bs] = _UNTOUCHED
-        waiting = np.flatnonzero(waiting)
+    n, block = load.size - 1, keys.size // 2
+    took = np.empty(p.size, dtype=bool)
+    for start in range(0, p.size, block):
+        part = slice(start, start + block)
+        bp, bs, bt = p[part], s[part], took[part]
+        waiting = _waiting_balls(bp, bs, keys)
         if top == 255 and load.dtype != wide:
             load = load.astype(wide)
         lp, ls = load[bp], load[bs]
@@ -655,14 +638,10 @@ def _place_two_choices(p, s, first, load, top, wide):
         view = memoryview(load)
         flags = []
         for a, b in zip(bp[waiting].tolist(), bs[waiting].tolist()):
-            la = view[a]
-            lb = view[b]
+            la, lb = view[a], view[b]
+            flags.append(lb < la)
             if lb < la:
-                a = b
-                la = lb
-                flags.append(True)
-            else:
-                flags.append(False)
+                a, la = b, lb
             la += 1
             if la > top:
                 top = la
@@ -672,6 +651,31 @@ def _place_two_choices(p, s, first, load, top, wide):
             view[a] = la
         bt[waiting] = flags
     return took, load, top
+
+
+def _waiting_balls(bp, bs, keys):
+    """Ascending offsets of the balls of a block (bins ``bp``, ``bs``) that
+    share a bin with an earlier ball of it.
+
+    Each bin goes above its slot 2 * offset + side in an int64 key, with
+    ``len(keys)`` setting the slot width ``shift``; an n + 1-byte load
+    table within ``MEMORY_BUDGET_BYTES`` keeps n < 2**31, so keys fit in 63
+    bits.  Sorted, they run through each bin in ball order, so a ball waits
+    iff a key of its directly follows one of the same bin from another
+    ball: their xor is below 2**shift and above 1 (a ball whose two bins
+    are one has keys 1 apart, and stays ready).
+    """
+    shift = (keys.size - 1).bit_length()
+    k = keys[: 2 * len(bp)]
+    np.left_shift(bp, shift, out=k[0::2])
+    np.left_shift(bs, shift, out=k[1::2])
+    k |= np.arange(k.size)
+    k.sort()
+    pair = k[1:] ^ k[:-1]
+    follows = k[1:][(pair < (1 << shift)) & (pair > 1)]
+    waiting = np.zeros(len(bp), dtype=bool)
+    waiting[(follows & ((1 << shift) - 1)) >> 1] = True
+    return np.flatnonzero(waiting)
 
 
 def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
@@ -796,18 +800,17 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
         return _count_peak_bytes(n, t, spec)
     if spec.is_thinning:
         return _threshold_peak_bytes(n, t, spec) + n * w  # and the load table
-    # Two-choices holds first (uint16 per bin), the load table of n + 1
-    # bins, 16 KiB of Python objects and one chunk of c balls, either
-    # - drawn: its primaries, its candidates and their draw buffers; or
-    # - placed: its bins and took mask, and a block's temporaries with the
-    #   Python lists of its waiting balls (at most 14 words per block ball)
-    #   and, while the table widens, the uint8 table beside the wide one.
-    # The table widens only once a load reaches 256.  A seeded run's max
-    # load exceeds t/n by about log2 log n, with a doubly exponential tail,
-    # so the table is counted wide where t >= 128n.
+    # Two-choices holds the n + 1-bin load table, the keys (2 words per block
+    # ball), 16 KiB of Python objects and one chunk of c balls, either drawn
+    # (its bins and their draw buffers) or placed (its bins and took mask, a
+    # block's temporaries, at most 14 words per block ball with the waiting
+    # balls' Python lists, and while the table widens the uint8 table beside
+    # the wide one).  The table widens only once a load reaches 256.  A
+    # seeded run's max load exceeds t/n by about log2 log n, with a doubly
+    # exponential tail, so the table is counted wide where t >= 128n.
     c = min(t, _TWO_CHOICES_CHUNK)
     wide = t >= 128 * n
-    tables = 2 * n + (n + 1) * (w if wide else 1)
+    tables = (n + 1) * (w if wide else 1) + 16 * _TWO_CHOICES_BLOCK
     placed = 17 * c + 112 * min(c, _TWO_CHOICES_BLOCK) + (n + 1) * wide
     return 16 * 1024 + tables + max(16 * c + _chunk_buffer_bytes(n, c), placed)
 

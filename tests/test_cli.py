@@ -75,6 +75,18 @@ def test_simulate_json_mirrors_summary(capsys):
     assert 0.0 <= tail["wilson_low"] <= tail["p_hat"] <= tail["wilson_high"] <= 1.0
 
 
+def test_simulate_checks_its_tail_request_before_it_runs(capsys, monkeypatch):
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("simulate ran a campaign it should have refused")
+
+    monkeypatch.setattr(cli, "run_trials", no_campaign)
+    code, out, err = run_cli(
+        capsys, ["simulate", "-n", "1000000", "--trials", "20", "--level", "5"])
+    assert code == 1
+    assert out == ""
+    assert err == "thinlab: error: tail estimation needs at least 100 trials, got 20\n"
+
+
 def test_simulate_bad_strategy_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["simulate", "-n", "50", "--strategy", "wat"])
     assert code == 1

@@ -313,8 +313,47 @@ def test_two_choices_kernel_when_balls_far_exceed_bins(n, t):
     # Nearly every ball shares a bin with an earlier ball of its block, so
     # the scalar tail places most of them; from t = 300 on it widens the
     # uint8 load table first.
-    assert engine._TWO_CHOICES_BLOCK < engine._UNTOUCHED
     assert_paths_agree(n, t, TWO_CHOICES, seed=11)
+
+
+def waiting_by_scan(bp, bs):
+    """The balls of a block that share a bin with an earlier ball of it."""
+    seen, waiting = set(), []
+    for i, pair in enumerate(zip(bp, bs)):
+        if seen.intersection(pair):
+            waiting.append(i)
+        seen.update(pair)
+    return waiting
+
+
+@pytest.mark.parametrize(
+    "bp, bs, waiting",
+    [
+        ([5, 9, 1], [5, 2, 3], []),  # a self-pair stays ready
+        ([5, 1], [5, 5], [1]),  # a later ball repeats a self-pair's bin
+        ([3, 7, 8], [4, 3, 4], [1, 2]),  # later candidates repeat bins
+        ([1, 3, 4], [2, 4, 1], [2]),  # ball 2 repeats both its bins
+        ([2**31 - 1, 0], [0, 2**31 - 1], [1]),  # the widest bins
+    ],
+)
+def test_waiting_balls_of_hand_built_blocks(bp, bs, waiting):
+    # The widest bins a run within the memory budget can have fit the keys.
+    assert summary_peak_bytes(2**31, 1, TWO_CHOICES) > engine.MEMORY_BUDGET_BYTES
+    assert 31 + (2 * engine._TWO_CHOICES_BLOCK - 1).bit_length() <= 63
+    keys = np.full(8, -1, dtype=np.int64)  # a block of 4 balls
+    bp, bs = np.array(bp, dtype=np.int64), np.array(bs, dtype=np.int64)
+    assert engine._waiting_balls(bp, bs, keys).tolist() == waiting
+
+
+def test_waiting_balls_matches_a_scan():
+    # Full blocks and short last ones, each behind another block's keys.
+    rand = np.random.default_rng(7)
+    keys = np.empty(2 * 64, dtype=np.int64)
+    for n in (1, 2, 50, 500, 10**6):
+        for length in (64, 63, 17, 1):
+            bp, bs = rand.integers(0, n, size=(2, length))
+            waiting = engine._waiting_balls(bp, bs, keys)
+            assert waiting.tolist() == waiting_by_scan(bp.tolist(), bs.tolist())
 
 
 def test_two_choices_kernel_widens_the_load_table():
@@ -379,6 +418,16 @@ def test_two_choices_kernel_reads_exactly_t_fixed_draws():
 def test_two_choices_chunk_size_changes_no_draw(monkeypatch, chunk):
     # Chunks are a memory knob only: at another size the kernel reads the
     # same draws, so columns, loads and both stream positions are unchanged.
+    assert_two_choices_size_changes_no_draw(monkeypatch, "_TWO_CHOICES_CHUNK", chunk)
+
+
+@pytest.mark.parametrize("block", [1 << 11, 1 << 13])
+def test_two_choices_block_size_changes_no_draw(monkeypatch, block):
+    # The key width follows the block length when the kernel is called.
+    assert_two_choices_size_changes_no_draw(monkeypatch, "_TWO_CHOICES_BLOCK", block)
+
+
+def assert_two_choices_size_changes_no_draw(monkeypatch, name, size):
     n, t = 5_000, 3 * (1 << 16) + 4101
 
     def columns_and_positions():
@@ -389,7 +438,7 @@ def test_two_choices_chunk_size_changes_no_draw(monkeypatch, chunk):
         return columns, positions, run_summary(n, t, TWO_CHOICES, 23)
 
     expected = columns_and_positions()
-    monkeypatch.setattr(engine, "_TWO_CHOICES_CHUNK", chunk)
+    monkeypatch.setattr(engine, name, size)
     columns, positions, (loads, rejections) = columns_and_positions()
     assert all(np.array_equal(a, b) for a, b in zip(columns, expected[0]))
     assert positions == expected[1]
@@ -803,9 +852,10 @@ def test_summary_peak_within_estimate(strategy, n, t):
 @pytest.mark.parametrize(
     "strategy, n, table_bytes, chunk, chunk_bytes",
     [
-        # first (uint16) and the uint8 load table; a chunk's bins and took
-        # mask beside its draw buffers.
-        ("two-choices", 10**6, 3, TWO_CHOICES_CHUNK, 33),
+        # The uint8 load table; a chunk's bins and took mask beside its draw
+        # buffers, and the key buffer (16 bytes per block ball: 4 per chunk
+        # ball).
+        ("two-choices", 10**6, 1, TWO_CHOICES_CHUNK, 37),
         # count and the loads (uint32) and cut (uint16); few balls are
         # rejected, so a chunk's primaries beside its draw buffers, or its
         # columns, bind.  This is the benchmark's size: two chunks.
