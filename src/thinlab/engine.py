@@ -6,8 +6,8 @@ rejects; a rejected ball lands at the next unconsumed draw of the secondary
 pool.  With a retry budget k above 1, each fresh pool suggestion is put to
 the strategy again, and after k rejections the next pool draw is forced.
 
-Bin indices are 1-based in every public record and serialization, matching
-the usual bin-labeling convention; tally arrays are 0-indexed internally.
+Bins are 1-based in every public record and serialization, 0-based in the
+tally arrays.
 
 :func:`step` allocates one ball at a time and is the reference oracle.
 :func:`run` and :func:`run_with_streams` go through one vectorized kernel,
@@ -24,8 +24,9 @@ counts the draws (see the end of this docstring), or runs the kernel
   time (:func:`_threshold_chunks`), so the kernel holds no t-length array;
 - two-choices (outside the thinning class: it sees both candidate bins,
   and consumes one secondary draw per ball): one chunk of 2**14 balls at a
-  time, sorting packed keys per block (:func:`_two_choices_kernel`), which
-  yields per chunk a mask of the balls that took their secondary.
+  time, sorting keys of bin above block offset (uint32 while n <= 2**20)
+  per block (:func:`_two_choices_kernel`), which yields per chunk a mask of
+  the balls that took their secondary.
 
 A :class:`Trace` stores three per-ball columns: primary bins, final bins
 and reject counts.  Rejected balls take the secondary pool's draws in ball
@@ -69,11 +70,11 @@ MEMORY_BUDGET_BYTES = 2 * 1024**3
 
 # Balls in one block of the two-choices kernel.  Longer blocks leave more
 # balls to its scalar tail, shorter ones pay more numpy calls: run_summary
-# at n = t = 10**6 took 1.07x as long with 2**11 and 1.03x with 2**13
-# (medians of 30 rounds, 2-vCPU Xeon).
+# at n = t = 10**6 took 1.10x as long with 2**11 (uint32 keys, medians of
+# 60 rounds, 2-vCPU Xeon); 2**13 needs int64 keys there.
 _TWO_CHOICES_BLOCK = 1 << 12
 # Balls in one chunk of the two-choices kernel: at n = t = 10**6 a summary
-# peaks at 1.54 MiB, against 3.08 with 2**16 (tracemalloc); 2**12 was
+# peaks at 1.52 MiB, against 3.07 with 2**16 (tracemalloc); 2**12 was
 # slower, 2**13 no faster.
 _TWO_CHOICES_CHUNK = 4 * _TWO_CHOICES_BLOCK
 
@@ -487,8 +488,7 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
     if spec.kind == TWO_CHOICES_GREEDY:
         chunks = [
             (p, np.where(took, s, p), took)
-            for p, s, took, _ in _two_choices_kernel(
-                n, t, primary_stream, secondary_stream)
+            for p, s, took, _ in _two_choices_kernel(n, t, primary_stream, secondary_stream)
         ]
         primary_bins, final_bins, rejected = (np.concatenate(c) for c in zip(*chunks))
         return primary_bins, final_bins, rejected.astype(np.int64)
@@ -575,56 +575,54 @@ def _pool_landings(p, rejected, count, cut, ell, budget, secondary_stream):
 
 
 def _two_choices_kernel(n, t, primary_stream, secondary_stream):
-    """Two-choices placement, drawn and placed one chunk of balls at a time.
+    """Two-choices placement, drawn and placed one chunk at a time.
 
-    A generator: for each chunk of ``_TWO_CHOICES_CHUNK`` balls it draws the
+    A generator: per chunk of ``_TWO_CHOICES_CHUNK`` balls it draws the
     primaries, then the candidates, places the balls and yields ``(p, s,
-    took, load)``: the chunk's primary and candidate bins, True where a ball
-    took its candidate, and the load table so far, whose first n entries are
-    the loads.  It yields once, an empty chunk, when t is 0, and drops its
-    references to a chunk before it draws the next.  Each stream is read as
-    one block draw of t would read it, so draws and stream positions match
-    :func:`step`.  A ball moves only to a strictly lower load, so ``took``
-    is exactly ``final_bins != primary_bins``.
+    took, load)``: their bins, True where a ball took its candidate, and
+    the load table so far (n loads, then a sink bin).  It yields one empty
+    chunk if t is 0, and drops a chunk before it draws the next.  Each
+    stream is read as one block draw of t reads it, so draws and stream
+    positions match :func:`step`.  A ball moves only to a strictly lower
+    load, so ``took`` is exactly ``final_bins != primary_bins``.
 
-    ``load`` starts as uint8, so the table of a million bins fits in L2.
-    It is widened once, to the narrowest type that holds t, just before a
-    load could pass 255: before a ready step, which raises a bin by at most
-    1, if ``top``, an upper bound on the loads, is 255; in the tail, before
-    a load of 256 is written.
+    ``load`` starts as uint8, so a million bins fit in L2.  It is widened
+    once, to the narrowest type that holds t, just before a load could
+    pass 255: before a ready step (at most +1 a bin) if ``top``, a bound on
+    the loads, is 255; in the tail, before a load of 256 is written.
     """
     wide = np.min_scalar_type(t)
     load = np.zeros(n + 1, dtype=np.uint8)
     top = 0
-    keys = np.empty(2 * _TWO_CHOICES_BLOCK, dtype=np.int64)
+    offsets = np.arange(_TWO_CHOICES_BLOCK, dtype=_key_type(n))
+    keys = np.empty(2 * offsets.size, dtype=offsets.dtype)
     for begin in range(0, max(t, 1), _TWO_CHOICES_CHUNK):
         m = min(t - begin, _TWO_CHOICES_CHUNK)
         p = primary_stream.bounded_block(n, m)
         s = secondary_stream.bounded_block(n, m)
-        took, load, top = _place_two_choices(p, s, keys, load, top, wide)
+        took, load, top = _place_two_choices(p, s, keys, offsets, load, top, wide)
         yield p, s, took, load
         del p, s, took
 
 
-def _place_two_choices(p, s, keys, load, top, wide):
+def _place_two_choices(p, s, keys, offsets, load, top, wide):
     """Place one chunk of :func:`_two_choices_kernel`; returns its took mask,
     the load table (widened if it had to be) and the new bound ``top``.  Its
-    block views of the chunk die when it returns, before the next draw.
+    views of the chunk die when it returns, before the next draw.
 
-    Per block of ``len(keys) // 2`` balls, those the index step
+    Per block of ``len(offsets)`` balls, the balls the index step
     (:func:`_waiting_balls`) does not return share no bin with each other or
-    an earlier ball of the block, so a load step places them at once with
-    the loads sequential placement would show them: it gathers both loads
-    of every ball and scatters ``min(lp, ls) + 1``, sending the waiting
-    balls to the sink bin n, which no ball reads.  The waiting balls are
-    then placed one by one in ball order.
+    an earlier ball of the block, so a load step of one gather of both
+    loads and one scatter of ``min(lp, ls) + 1`` places them with the loads
+    sequential placement shows them; it sends the waiting balls to the sink
+    bin n, which no ball reads, then places them one by one.
     """
-    n, block = load.size - 1, keys.size // 2
+    n, block = load.size - 1, offsets.size
     took = np.empty(p.size, dtype=bool)
     for start in range(0, p.size, block):
         part = slice(start, start + block)
         bp, bs, bt = p[part], s[part], took[part]
-        waiting = _waiting_balls(bp, bs, keys)
+        waiting = _waiting_balls(bp, bs, keys, offsets)
         if top == 255 and load.dtype != wide:
             load = load.astype(wide)
         lp, ls = load[bp], load[bs]
@@ -653,28 +651,32 @@ def _place_two_choices(p, s, keys, load, top, wide):
     return took, load, top
 
 
-def _waiting_balls(bp, bs, keys):
+def _key_type(n):
+    """The key dtype of :func:`_waiting_balls` for n bins."""
+    return np.uint32 if (n - 1) << (_TWO_CHOICES_BLOCK - 1).bit_length() < 2**32 else np.int64
+
+
+def _waiting_balls(bp, bs, keys, offsets):
     """Ascending offsets of the balls of a block (bins ``bp``, ``bs``) that
     share a bin with an earlier ball of it.
 
-    Each bin goes above its slot 2 * offset + side in an int64 key, with
-    ``len(keys)`` setting the slot width ``shift``; an n + 1-byte load
-    table within ``MEMORY_BUDGET_BYTES`` keeps n < 2**31, so keys fit in 63
-    bits.  Sorted, they run through each bin in ball order, so a ball waits
-    iff a key of its directly follows one of the same bin from another
-    ball: their xor is below 2**shift and above 1 (a ball whose two bins
-    are one has keys 1 apart, and stays ready).
+    Each bin goes above its block offset, no side bit, in ``keys`` (uint32
+    while n <= 2**20, else int64: n < 2**31 within the memory budget),
+    whose length sets the offset width ``shift``.  Sorted, keys run through
+    each bin in ball order, so a ball waits iff a key of its directly
+    follows another of the same bin: their xor is below 2**shift and not 0
+    (a ball whose bins are one has equal keys, and stays ready).
     """
-    shift = (keys.size - 1).bit_length()
-    k = keys[: 2 * len(bp)]
-    np.left_shift(bp, shift, out=k[0::2])
-    np.left_shift(bs, shift, out=k[1::2])
-    k |= np.arange(k.size)
+    b, shift = len(bp), (keys.size // 2 - 1).bit_length()
+    k = keys[: 2 * b]
+    for half, bins in ((k[:b], bp), (k[b:], bs)):
+        np.left_shift(bins, shift, out=half, casting="unsafe")
+        half |= offsets[:b]
     k.sort()
     pair = k[1:] ^ k[:-1]
-    follows = k[1:][(pair < (1 << shift)) & (pair > 1)]
-    waiting = np.zeros(len(bp), dtype=bool)
-    waiting[(follows & ((1 << shift) - 1)) >> 1] = True
+    follows = k[1:][(pair < (1 << shift)) & (pair != 0)]
+    waiting = np.zeros(b, dtype=bool)
+    waiting[follows & ((1 << shift) - 1)] = True
     return np.flatnonzero(waiting)
 
 
@@ -791,26 +793,26 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     with the most rejections a run can have and the widest load table it
     can need (for two-choices, w.h.p.; see below); the bound is the largest
     phase, since a phase frees its temporaries before the next begins.  The
-    tests check it against ``tracemalloc`` for every kind, for the counting
-    kinds on the path that counts again into a wide table too, and for
-    batches of every kind, in both regimes of the counting kernel.
+    tests check it against ``tracemalloc`` for every kind and path, and for
+    batches in both regimes of the counting kernel.
     """
     w = np.min_scalar_type(t).itemsize  # bytes per bin of a table that holds t
     if _counts_draws(spec):
         return _count_peak_bytes(n, t, spec)
     if spec.is_thinning:
         return _threshold_peak_bytes(n, t, spec) + n * w  # and the load table
-    # Two-choices holds the n + 1-bin load table, the keys (2 words per block
-    # ball), 16 KiB of Python objects and one chunk of c balls, either drawn
-    # (its bins and their draw buffers) or placed (its bins and took mask, a
-    # block's temporaries, at most 14 words per block ball with the waiting
-    # balls' Python lists, and while the table widens the uint8 table beside
-    # the wide one).  The table widens only once a load reaches 256.  A
-    # seeded run's max load exceeds t/n by about log2 log n, with a doubly
+    # Two-choices holds the n + 1-bin load table, keys and offsets (3 per
+    # block ball, uint32 while n <= 2**20), 16 KiB of Python objects and
+    # one chunk of c balls, either drawn (its bins and their draw buffers)
+    # or placed (its bins and took mask, a block's temporaries, at most 14
+    # words per block ball with the waiting balls' Python lists, and while
+    # the table widens the uint8 table beside the wide one).  A seeded
+    # run's max load exceeds t/n by about log2 log n, with a doubly
     # exponential tail, so the table is counted wide where t >= 128n.
     c = min(t, _TWO_CHOICES_CHUNK)
     wide = t >= 128 * n
-    tables = (n + 1) * (w if wide else 1) + 16 * _TWO_CHOICES_BLOCK
+    key = np.dtype(_key_type(n)).itemsize
+    tables = (n + 1) * (w if wide else 1) + 3 * key * _TWO_CHOICES_BLOCK
     placed = 17 * c + 112 * min(c, _TWO_CHOICES_BLOCK) + (n + 1) * wide
     return 16 * 1024 + tables + max(16 * c + _chunk_buffer_bytes(n, c), placed)
 

@@ -326,6 +326,20 @@ def waiting_by_scan(bp, bs):
     return waiting
 
 
+def waiting_balls(bp, bs, keys):
+    """``engine._waiting_balls`` of one block, in ``keys``' dtype and width."""
+    offsets = np.arange(keys.size // 2, dtype=keys.dtype)
+    bp, bs = np.asarray(bp, dtype=np.int64), np.asarray(bs, dtype=np.int64)
+    return engine._waiting_balls(bp, bs, keys, offsets).tolist()
+
+
+# The widest bin of each key type at the kernel's 2**12-ball blocks: n =
+# 2**20 is the last n of uint32 keys, and a run within the memory budget has
+# n < 2**31.
+BLOCK = 1 << 12
+WIDEST = {np.uint32: 2**20 - 1, np.int64: 2**31 - 1}
+
+
 @pytest.mark.parametrize(
     "bp, bs, waiting",
     [
@@ -333,27 +347,51 @@ def waiting_by_scan(bp, bs):
         ([5, 1], [5, 5], [1]),  # a later ball repeats a self-pair's bin
         ([3, 7, 8], [4, 3, 4], [1, 2]),  # later candidates repeat bins
         ([1, 3, 4], [2, 4, 1], [2]),  # ball 2 repeats both its bins
-        ([2**31 - 1, 0], [0, 2**31 - 1], [1]),  # the widest bins
+        ([-1, 0], [0, -1], [1]),  # the widest bins (-1) of each key type
     ],
 )
 def test_waiting_balls_of_hand_built_blocks(bp, bs, waiting):
-    # The widest bins a run within the memory budget can have fit the keys.
+    assert engine._TWO_CHOICES_BLOCK == BLOCK
+    assert engine._key_type(2**20) is np.uint32 and engine._key_type(2**20 + 1) is np.int64
     assert summary_peak_bytes(2**31, 1, TWO_CHOICES) > engine.MEMORY_BUDGET_BYTES
-    assert 31 + (2 * engine._TWO_CHOICES_BLOCK - 1).bit_length() <= 63
-    keys = np.full(8, -1, dtype=np.int64)  # a block of 4 balls
-    bp, bs = np.array(bp, dtype=np.int64), np.array(bs, dtype=np.int64)
-    assert engine._waiting_balls(bp, bs, keys).tolist() == waiting
+    assert 31 + (BLOCK - 1).bit_length() <= 63
+    for dtype, widest in WIDEST.items():
+        keys = np.full(2 * BLOCK, np.iinfo(dtype).max, dtype=dtype)
+        bp_, bs_ = ([widest if b < 0 else b for b in bins] for bins in (bp, bs))
+        assert waiting_balls(bp_, bs_, keys) == waiting == waiting_by_scan(bp_, bs_)
 
 
 def test_waiting_balls_matches_a_scan():
-    # Full blocks and short last ones, each behind another block's keys.
+    # Full blocks and short last ones, each behind another block's keys, in
+    # every key type that holds the bins, with the widest bin in each block.
     rand = np.random.default_rng(7)
-    keys = np.empty(2 * 64, dtype=np.int64)
-    for n in (1, 2, 50, 500, 10**6):
-        for length in (64, 63, 17, 1):
-            bp, bs = rand.integers(0, n, size=(2, length))
-            waiting = engine._waiting_balls(bp, bs, keys)
-            assert waiting.tolist() == waiting_by_scan(bp.tolist(), bs.tolist())
+    for n in (1, 2, 50, 500, 10**6, 2**20, 2**20 + 1, 2**31):
+        for dtype in {engine._key_type(n), np.int64}:
+            keys = np.empty(2 * BLOCK, dtype=dtype)
+            for length in (BLOCK, BLOCK - 1, 17, 1):
+                bp, bs = rand.integers(0, n, size=(2, length))
+                bp[-1] = bs[0] = n - 1
+                expected = waiting_by_scan(bp.tolist(), bs.tolist())
+                assert waiting_balls(bp, bs, keys) == expected
+
+
+@pytest.mark.parametrize("n", [2**20, 2**20 + 1])
+def test_two_choices_kernel_on_each_side_of_the_key_width(n):
+    # The last n of uint32 keys and the first of int64 keys, over 3 blocks.
+    assert_paths_agree(n, 3 * engine._TWO_CHOICES_BLOCK + 5, TWO_CHOICES, seed=29)
+
+
+def test_benchmark_size_sorts_uint32_keys(monkeypatch):
+    # The benchmark's two-choices run at n = 10**6 sorts 32-bit keys.
+    real, dtypes = engine._waiting_balls, set()
+
+    def spy(bp, bs, keys, offsets):
+        dtypes.add((keys.dtype, offsets.dtype))
+        return real(bp, bs, keys, offsets)
+
+    monkeypatch.setattr(engine, "_waiting_balls", spy)
+    run_summary(10**6, 10**6, TWO_CHOICES, 0)
+    assert dtypes == {(np.dtype(np.uint32),) * 2}
 
 
 def test_two_choices_kernel_widens_the_load_table():
@@ -853,9 +891,9 @@ def test_summary_peak_within_estimate(strategy, n, t):
     "strategy, n, table_bytes, chunk, chunk_bytes",
     [
         # The uint8 load table; a chunk's bins and took mask beside its draw
-        # buffers, and the key buffer (16 bytes per block ball: 4 per chunk
-        # ball).
-        ("two-choices", 10**6, 1, TWO_CHOICES_CHUNK, 37),
+        # buffers, and the uint32 key buffer (8 bytes per block ball: 2 per
+        # chunk ball).
+        ("two-choices", 10**6, 1, TWO_CHOICES_CHUNK, 35),
         # count and the loads (uint32) and cut (uint16); few balls are
         # rejected, so a chunk's primaries beside its draw buffers, or its
         # columns, bind.  This is the benchmark's size: two chunks.
