@@ -20,8 +20,9 @@ counts the draws (see the end of this docstring), or runs the kernel
 
 - one-choice and always-reject: the kind decides every ball, and the
   rejected balls take consecutive pool draws;
-- threshold, for every retry budget: one chunk of ``_CHUNK`` balls at a
-  time (:func:`_threshold_chunks`), so the kernel holds no t-length array;
+- threshold, for every retry budget: one chunk of 2**14 balls at a time
+  (:mod:`thinlab.threshold`), which yields per chunk only the rejected
+  balls' landings, so the kernel holds no t-length array;
 - two-choices (outside the thinning class: it sees both candidate bins,
   and consumes one secondary draw per ball): one chunk of 2**14 balls at a
   time, sorting keys of bin above block offset (uint32 while n <= 2**20)
@@ -52,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ResourceLimitError, _as_int
 from .counting import _count_groups, _count_peak_bytes, _counts_draws, _seed_streams, _summaries
-from .rng import _CHUNK, _chunk_buffer_bytes
+from .rng import _chunk_buffer_bytes
 from .strategies import (
     ALWAYS_REJECT,
     THRESHOLD,
@@ -62,6 +63,7 @@ from .strategies import (
     parse_strategy,
     two_choices_decide,
 )
+from .threshold import _THRESHOLD_CHUNK, _threshold_chunks, _threshold_peak_bytes
 
 _TALLY_FIELDS = ("load", "primary_suggested", "primary_accepted", "secondary_used")
 
@@ -428,36 +430,6 @@ def _assemble_trace(n, t, spec, seed, primary_bins, final_bins, reject_counts) -
     )
 
 
-def _occurrence_index(values: np.ndarray, n: int) -> np.ndarray:
-    """occ[i] = how many earlier entries equal values[i], for values in [0, n).
-
-    Each value is packed above its index into one int64 key.  The keys are
-    unique, so numpy's default sort of them yields the stable order of the
-    values, which is several times faster than a stable argsort.  A bound
-    and length whose keys would need more than 63 bits raise
-    ResourceLimitError; tallies that large could not be allocated anyway.
-    """
-    t = len(values)
-    shift = t.bit_length()
-    if (n - 1).bit_length() + shift > 63:
-        raise ResourceLimitError(
-            f"cannot pack {t} draws below {n} into 63-bit occurrence keys"
-        )
-    keys = values << shift
-    keys |= np.arange(t, dtype=np.int64)
-    keys.sort()
-    order = keys & ((1 << shift) - 1)
-    sorted_values = np.right_shift(keys, shift, out=keys)
-    positions = np.arange(t, dtype=np.int64)
-    run_start = np.ones(t, dtype=bool)
-    run_start[1:] = sorted_values[1:] != sorted_values[:-1]
-    start_positions = np.maximum.accumulate(np.where(run_start, positions, 0))
-    positions -= start_positions
-    occurrence = np.empty(t, dtype=np.int64)
-    occurrence[order] = positions
-    return occurrence
-
-
 def _run_reference(n, t, spec, seed, primary_stream, secondary_stream) -> Trace:
     state = new_process(n, spec)
     primary_bins = np.zeros(t, dtype=np.int64)
@@ -493,7 +465,9 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
         primary_bins, final_bins, rejected = (np.concatenate(c) for c in zip(*chunks))
         return primary_bins, final_bins, rejected.astype(np.int64)
     if spec.kind == THRESHOLD:
-        chunks = list(_threshold_chunks(n, t, spec, primary_stream, secondary_stream))
+        chunks = _threshold_chunks(n, t, spec, primary_stream, secondary_stream)
+        # map holds no chunk while the kernel places the next one.
+        chunks = list(map(_threshold_columns, chunks))
         return tuple(np.concatenate(c) for c in zip(*chunks))
     primary_bins = primary_stream.bounded_block(n, t)
     rejected = np.full(t, spec.kind == ALWAYS_REJECT)
@@ -502,76 +476,15 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
     return primary_bins, final_bins, rejected.astype(np.int64)
 
 
-def _threshold_chunks(n, t, spec, primary_stream, secondary_stream):
-    """Threshold placement, one chunk of ``_CHUNK`` balls at a time.
-
-    A generator of each chunk's primary bins, final bins and reject counts
-    (int64); once, empty, when t is 0.  Streams are read as block draws
-    read them, so draws and stream positions match :func:`step`.  A primary
-    is rejected iff its bin already had ell, which ``count`` settles for
-    all balls but those whose bin reaches ell in the chunk: they alone take
-    an occurrence index.  Rejected balls take pool draws in ball order
-    until one is accepted or k are used; a draw to bin b for ball j is
-    rejected iff b's ell-th primary (counted before any pool draw of its
-    ball) is at or before j: iff ``count[b] >= ell`` at the chunk's end
-    and ``cut[b] <= j``, ``cut`` holding that primary's chunk offset, or 0.
-    The pool is refilled with one draw per unlanded ball, which each needs.
-    """
-    ell = min(spec.ell, t)  # a bin never has t primaries before a ball
-    count = np.zeros(n, dtype=np.min_scalar_type(t))
-    cut = np.zeros(n, dtype=np.uint16)
-    for begin in range(0, max(t, 1), _CHUNK):
-        p = primary_stream.bounded_block(n, min(t - begin, _CHUNK))
-        before = count[p]
-        np.add.at(count, p, count.dtype.type(1))  # a Python int would take a slow path
-        rejected = before >= ell
-        reaching = np.flatnonzero(~rejected & (count[p] >= ell))
-        occurrence = _occurrence_index(p[reaching], n) + before[reaching]
-        rejected[reaching[occurrence >= ell]] = True
-        ell_th = reaching[occurrence == ell - 1]  # chunk offsets
-        del before, reaching, occurrence  # not held through the pool draws
-        cut[p[ell_th]] = ell_th
-        landed = _pool_landings(
-            p, rejected, count, cut, ell, spec.retry_budget, secondary_stream)
-        cut[p[ell_th]] = 0
-        yield p, *landed
-        del p, rejected, ell_th, landed
-
-
-def _pool_landings(p, rejected, count, cut, ell, budget, secondary_stream):
-    """Final bins and reject counts of one chunk; see :func:`_threshold_chunks`."""
-    n, m = count.size, p.size
-    balls = np.flatnonzero(rejected)
-    if budget == 1 or not balls.size:
-        final = p.copy()
-        final[balls] = secondary_stream.bounded_block(n, balls.size)
-        return final, rejected.astype(np.int64)
-    landing, blocks, limits = [], [], []
-    base = q = size = 0  # the pool index of limits[0], the next draw's in limits, its length
-    for i, ball in enumerate(balls.tolist()):
-        left = budget
-        while True:
-            if q == size:
-                base += size
-                more = secondary_stream.bounded_block(n, balls.size - i)
-                blocks.append(more)
-                # The first chunk offset whose draw to this bin is rejected.
-                limit = cut[more].astype(np.int64)
-                limit[count[more] < ell] = m
-                limits = limit.tolist()
-                q, size = 0, len(limits)
-            left -= 1
-            if not left or ball < limits[q]:
-                break
-            q += 1
-        landing.append(base + q)
-        q += 1
-    landing = np.array(landing, dtype=np.int64)
+def _threshold_columns(chunk):
+    """Primary bins, final bins and reject counts of one chunk of
+    :func:`_threshold_chunks`."""
+    p, balls, landed, rejects, _ = chunk
     final = p.copy()
-    final[balls] = np.concatenate(blocks)[landing]
-    reject_counts = np.zeros(m, dtype=np.int64)
-    reject_counts[balls] = np.diff(landing, prepend=-1)
-    return final, reject_counts
+    final[balls] = landed
+    reject_counts = np.zeros(p.size, dtype=np.int64)
+    reject_counts[balls] = rejects
+    return p, final, reject_counts
 
 
 def _two_choices_kernel(n, t, primary_stream, secondary_stream):
@@ -745,9 +658,17 @@ def run_summary_batch(n: int, t: int, strategy, seeds: Sequence[int]) -> Iterato
 
     The arguments, and the memory budget as :func:`run_summary` checks it,
     are checked when this is called; the runs are made as the result is
-    iterated, by the kernel :func:`_summary_groups` picks.
+    iterated, by the kernel :func:`_summary_groups` picks.  ``seeds`` must
+    be sized and sliceable, such as a list, a range or a numpy array: the
+    check reads it once and the kernel again, and a grid takes slices.
     """
     n, t, spec = _check_run(n, t, strategy)
+    try:
+        len(seeds), seeds[:0]
+    except (TypeError, KeyError):
+        raise ConfigurationError(
+            f"seeds must be a sized, sliceable sequence, not {type(seeds).__name__}"
+        ) from None
     for seed in seeds:  # not copied, so a batch holds no list of seeds
         _as_int(seed, "seed")
     _check_budget(summary_peak_bytes(n, t, spec), f"a summary of {t} balls in {n} bins")
@@ -762,25 +683,33 @@ def _summary_groups(n, t, spec, seeds):
     per group, whose tables are released before the next run draws:
     two-choices keeps its kernel's load table and counts the balls its
     masks mark as moved; retry budgets above 1 count the threshold kernel's
-    final bins into a table of ``np.min_scalar_type(t)``.  No kernel holds a
-    t-length array, nor more than one chunk at a time.
+    landing bins into a table of ``np.min_scalar_type(t)`` and add it to
+    the kernel's primary counts, capped at ell.  No kernel holds a t-length
+    array, nor more than one chunk at a time.
     """
     if _counts_draws(spec):
         yield from _count_groups(n, t, spec, seeds)
         return
     for seed in seeds:
         rejections = 0
+        # Each kernel yields at least once, so loads is always bound.
         if spec.kind == TWO_CHOICES_GREEDY:
-            # The kernel yields at least once, so loads is always bound.
             for p, s, took, loads in _two_choices_kernel(n, t, *_seed_streams(seed)):
                 rejections += int(np.count_nonzero(took))
                 del p, s, took
         else:
-            loads = np.zeros(n, dtype=np.min_scalar_type(t))
-            for p, final, reject_counts in _threshold_chunks(n, t, spec, *_seed_streams(seed)):
-                np.add.at(loads, final, loads.dtype.type(1))  # a Python int would take a slow path
-                rejections += int(reject_counts.sum())
-                del p, final, reject_counts
+            landings = np.zeros(n, dtype=np.min_scalar_type(t))
+            one = landings.dtype.type(1)  # a Python int would take a slow path
+            for p, balls, landed, rejects, loads in _threshold_chunks(
+                    n, t, spec, *_seed_streams(seed)):
+                np.add.at(landings, landed, one)
+                rejections += int(rejects.sum())
+                del p, balls, landed, rejects
+            # A bin keeps min(count, ell) of its primaries: pool draws never
+            # move a primary count.
+            np.minimum(loads, min(spec.ell, t), out=loads)
+            loads += landings
+            del landings
         yield loads[None, :n], [rejections]
         del loads  # released before the next run draws
 
@@ -800,7 +729,7 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     if _counts_draws(spec):
         return _count_peak_bytes(n, t, spec)
     if spec.is_thinning:
-        return _threshold_peak_bytes(n, t, spec) + n * w  # and the load table
+        return _threshold_peak_bytes(n, t, spec) + n * w  # and the landings
     # Two-choices holds the n + 1-bin load table, keys and offsets (3 per
     # block ball, uint32 while n <= 2**20), 16 KiB of Python objects and
     # one chunk of c balls, either drawn (its bins and their draw buffers)
@@ -815,24 +744,6 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     tables = (n + 1) * (w if wide else 1) + 3 * key * _TWO_CHOICES_BLOCK
     placed = 17 * c + 112 * min(c, _TWO_CHOICES_BLOCK) + (n + 1) * wide
     return 16 * 1024 + tables + max(16 * c + _chunk_buffer_bytes(n, c), placed)
-
-
-def _threshold_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
-    """Upper bound on the memory :func:`_threshold_chunks` holds at once,
-    besides the chunks it has yielded: ``count`` and ``cut``, 16 KiB of
-    Python objects, a chunk's ell-th primaries and their bins, and per
-    chunk ball the largest phase, every ball rejected:
-    deciding (66 + w: the bins, ``before``, a mask, the reaching balls and
-    :func:`_occurrence_index`'s seven arrays of them); the retry scan
-    (137 + 8k: the bins, mask and rejected balls, two lists of 40 bytes an
-    entry, and the landings and blocks so far or the new block's limits);
-    or its end (105 + 16k: the blocks beside their concatenation).
-    """
-    w = np.min_scalar_type(t).itemsize
-    k = spec.retry_budget
-    m = min(t, _CHUNK)
-    per_ball = 66 + w if k == 1 else max(137 + 8 * k, 105 + 16 * k)
-    return n * (w + 2) + per_ball * m + 16 * min(n, m // spec.ell) + 16 * 1024
 
 
 def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
@@ -855,9 +766,9 @@ def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     elif spec.kind == THRESHOLD:
         # The kernel beside the chunks before its own (three columns, and at
         # most 1 KiB of headers and a tuple each), then their concatenation.
-        kept = 3 * t + 128 * -(-t // _CHUNK)
+        kept = 3 * t + 128 * -(-t // _THRESHOLD_CHUNK)
         kernel = -(-_threshold_peak_bytes(n, t, spec) // 8)
-        columns = max(kept - 3 * min(t, _CHUNK) + kernel, 2 * kept)
+        columns = max(kept - 3 * min(t, _THRESHOLD_CHUNK) + kernel, 2 * kept)
     else:
         # The primary bins, the rejected mask, the final bins and the pool
         # block (at most t draws, with its draw buffers); at the end, the

@@ -5,13 +5,14 @@ import hashlib
 import json
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinlab import counting, engine, rng
+from thinlab import counting, engine, rng, threshold
 from thinlab.engine import (
     AllocationRecord,
     Trace,
@@ -260,13 +261,16 @@ def test_threshold_kernel_at_extreme_sizes(strategy, n, t):
     assert_paths_agree(n, t, parse_strategy(strategy, n=n), seed=5)
 
 
+THRESHOLD_CHUNK = threshold._THRESHOLD_CHUNK
+
+
 def test_threshold_kernel_cut_at_the_first_and_last_ball_of_a_chunk():
     # ell = 2.  Bin 1's second primary is the last ball of the first chunk,
     # bin 0's the first ball of the second; every other primary goes to bin
     # 2, so nearly every ball is rejected and retries into the pool, whose
     # draws to bins 0 and 1 straddle both cuts.
-    t = 2 * _CHUNK
-    primaries = [0, 1] + [2] * (_CHUNK - 3) + [1, 0] + [2] * (_CHUNK - 1)
+    t = 2 * THRESHOLD_CHUNK
+    primaries = [0, 1] + [2] * (THRESHOLD_CHUNK - 3) + [1, 0] + [2] * (THRESHOLD_CHUNK - 1)
     pool = RngStream(mix_seeds(9, 1)).bounded_block(3, 3 * t).tolist()
     spec = StrategySpec("threshold", ell=2, retry_budget=2)
     runs = []
@@ -281,6 +285,49 @@ def test_threshold_kernel_cut_at_the_first_and_last_ball_of_a_chunk():
     assert fast.final_state == slow.final_state
     # Pool draws to bins 0 and 1 were accepted before their cuts.
     assert (fast.reject_counts == 1).sum() > 0
+
+
+def threshold_outcomes(n, t, spec, seed, method="auto"):
+    """A run's columns, final state and both stream positions."""
+    streams = RngStream(mix_seeds(seed, 0)), RngStream(mix_seeds(seed, 1))
+    trace = run_with_streams(n, t, spec, *streams, method=method)
+    columns = [c.tolist() for c in (trace.primary_bins, trace.final_bins, trace.reject_counts)]
+    return columns, trace.final_state, [(stream.counter, stream.draws) for stream in streams]
+
+
+def summary_outcome(n, t, spec, seed):
+    """run_summary's loads, their dtype, and its rejections."""
+    loads, rejections = run_summary(n, t, spec, seed)
+    return loads.tolist(), loads.dtype, rejections
+
+
+# Every retry budget above 1 and ell in {1, 2, 4} at each edge of one
+# chunk, and a run of ten bins whose pool scan takes most of its time.  At
+# n = 2000 most bins reach ell late in some 2**12-ball chunk while the next
+# chunk's pool draws hit them, which only the reset of ``cut`` rejects.
+@pytest.mark.parametrize(
+    "strategy, n, t",
+    [
+        (f"threshold:{ell},k={k}", 2000, t)
+        for k in (2, 3, 4)
+        for ell in (1, 2, 4)
+        for t in (0, 1, THRESHOLD_CHUNK, THRESHOLD_CHUNK + 1)
+    ] + [("threshold:2,k=3", 10, 10**5)],
+)
+def test_threshold_chunk_size_changes_no_draw(monkeypatch, strategy, n, t):
+    # Chunks are a memory knob only: at another size the kernel reads the
+    # same draws, so columns, summaries and both stream positions are
+    # unchanged.
+    spec = parse_strategy(strategy, n=n)
+    run_outcome = threshold_outcomes(n, t, spec, seed=31)
+    summary = summary_outcome(n, t, spec, seed=31)
+    state = run_outcome[1]
+    assert summary == (state.load.tolist(), np.min_scalar_type(t), state.rejections)
+    assert threshold_outcomes(n, t, spec, seed=31, method="reference") == run_outcome
+    for chunk in (1 << 12, 1 << 16):
+        monkeypatch.setattr(threshold, "_THRESHOLD_CHUNK", chunk)
+        assert threshold_outcomes(n, t, spec, seed=31) == run_outcome
+        assert summary_outcome(n, t, spec, seed=31) == summary
 
 
 def test_threshold_kernel_reads_exactly_the_fixed_draws_step_reads():
@@ -519,17 +566,17 @@ def occurrence_by_counting(values):
 )
 def test_occurrence_index_matches_counting(n, t):
     values = RngStream(mix_seeds(t, 2)).bounded_block(n, t)
-    assert engine._occurrence_index(values, n).tolist() == occurrence_by_counting(
+    assert threshold._occurrence_index(values, n).tolist() == occurrence_by_counting(
         values.tolist())
     same = np.full(t, n - 1, dtype=np.int64)  # every value equal
-    assert engine._occurrence_index(same, n).tolist() == list(range(t))
+    assert threshold._occurrence_index(same, n).tolist() == list(range(t))
 
 
 def test_occurrence_index_refuses_keys_wider_than_63_bits():
     values = np.zeros(1000, dtype=np.int64)  # shift = 10 bits
-    assert engine._occurrence_index(values, 2**53).tolist() == list(range(1000))
+    assert threshold._occurrence_index(values, 2**53).tolist() == list(range(1000))
     with pytest.raises(ResourceLimitError):
-        engine._occurrence_index(values, 2**53 + 1)
+        threshold._occurrence_index(values, 2**53 + 1)
 
 
 def test_vectorized_retry_consumes_no_extra_fixed_draws():
@@ -894,10 +941,11 @@ def test_summary_peak_within_estimate(strategy, n, t):
         # buffers, and the uint32 key buffer (8 bytes per block ball: 2 per
         # chunk ball).
         ("two-choices", 10**6, 1, TWO_CHOICES_CHUNK, 35),
-        # count and the loads (uint32) and cut (uint16); few balls are
-        # rejected, so a chunk's primaries beside its draw buffers, or its
-        # columns, bind.  This is the benchmark's size: two chunks.
-        ("threshold:4,k=2", 10**5, 10, _CHUNK, 25),
+        # count and the landings (uint32) and cut (uint16); few balls are
+        # rejected, so a chunk's primaries beside its draw buffers bind
+        # (25 bytes per ball, and 3.8 KB of Python objects).  This is the
+        # benchmark's size: seven chunks.
+        ("threshold:4,k=2", 10**5, 10, THRESHOLD_CHUNK, 25),
     ],
 )
 def test_summary_holds_one_chunk(strategy, n, table_bytes, chunk, chunk_bytes):
@@ -1218,3 +1266,17 @@ def test_summaries_refuse_runs_beyond_the_memory_budget(monkeypatch, strategy):
         run_summary(10**6, 10**6, spec, 1)
     with pytest.raises(ResourceLimitError, match="a summary of 1000000 balls"):
         run_summary_batch(10**6, 10**6, spec, [1, 2])
+
+
+# Every process compiles engine.py when bytecode caching is off, so its
+# compile() peak adds to each worker's peak RSS.  Under tracemalloc on
+# CPython 3.11 it measured 1987 KiB once the threshold kernel had moved to
+# thinlab.threshold, against 2197 KiB before; code that belongs to one
+# kernel goes in that kernel's module.
+ENGINE_COMPILE_BUDGET = 2048 * 1024
+
+
+def test_engine_compile_peak_within_budget():
+    path = Path(engine.__file__)
+    source = path.read_text()
+    assert traced_peak(lambda: compile(source, str(path), "exec")) < ENGINE_COMPILE_BUDGET

@@ -9,6 +9,7 @@ bits, so a seed outside [0, 2**64) runs the streams of its residue.
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -157,6 +158,50 @@ def test_any_integer_seed_keeps_its_trace(strategy, seed):
     expected = (int(counted.loads.max()), counted.final_state.rejections)
     for seeds in ([seed], [seed, seed]):  # a run, and a grid
         assert list(run_summary_batch(8, 30, "threshold:1", seeds)) == [expected] * len(seeds)
+
+
+SEED_SEQUENCES = {
+    "list": lambda: [1, 2],
+    "tuple": lambda: (1, 2),
+    "range": lambda: range(1, 3),
+    "numpy": lambda: np.array([1, 2], dtype=np.uint64),
+}
+NOT_SEQUENCES = {
+    "iterator": lambda: iter([1, 2]),
+    "generator": lambda: (seed for seed in (1, 2)),
+    "set": lambda: {1, 2},
+    "dict": lambda: {1: 0, 2: 0},
+}
+
+
+# The batch reads its seeds twice, once to check them and once to run
+# them, and a grid takes slices of them; the counting kinds grid these runs.
+@pytest.mark.parametrize("strategy", ["one-choice", "threshold:1,k=2", "two-choices"])
+@pytest.mark.parametrize("kind", sorted(SEED_SEQUENCES))
+def test_batch_takes_a_sized_sliceable_sequence_of_seeds(strategy, kind):
+    per_seed = (run_summary(100, 100, strategy, seed) for seed in (1, 2))
+    expected = [(int(loads.max()), rejections) for loads, rejections in per_seed]
+    assert list(run_summary_batch(100, 100, strategy, SEED_SEQUENCES[kind]())) == expected
+
+
+@pytest.mark.parametrize("strategy", ["one-choice", "threshold:1,k=2", "two-choices"])
+@pytest.mark.parametrize("kind", sorted(NOT_SEQUENCES))
+def test_batch_refuses_seeds_it_cannot_read_twice_or_slice(strategy, kind):
+    with pytest.raises(ConfigurationError, match="sized, sliceable sequence"):
+        run_summary_batch(100, 100, strategy, NOT_SEQUENCES[kind]())
+
+
+@pytest.mark.parametrize("kind", [list, np.array])
+def test_batch_holds_no_copy_of_its_seeds(kind):
+    seeds = kind(range(10**5))
+    tracemalloc.start()
+    try:
+        batch = run_summary_batch(8, 8, "one-choice", seeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5  # a copy holds at least 8 bytes per seed
+    assert len(list(batch)) == 10**5
 
 
 def _rho_config(rho):
