@@ -13,10 +13,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds, oracle
-from .engine import level_set_count, max_load, replay, run, trace_from_json
+from .engine import level_set_count, max_load, run
 from .errors import ConfigurationError
 from .rng import RngStream, mix_seeds
 from .strategies import THRESHOLD, StrategySpec, parse_strategy
+from .trace import replay, trace_from_json
 
 SUITE_NAMES = ("engine", "bounds", "oracle", "all")
 

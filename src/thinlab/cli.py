@@ -1,8 +1,11 @@
-"""Command-line entry point.
+"""Command-line entry point: the subcommand handlers, the subcommand table,
+the parser and the merge of flags with a config file.
 
 Subcommands: simulate, scale, bounds, oracle, diagnose, check.  Every
 subcommand accepts --format {csv,json}, --out PATH, --no-meta, and
 --config FILE (a JSON object of parameter defaults; explicit flags win).
+The parameter converters, the shared parameter tables and the output cell
+helpers are in :mod:`thinlab.cli_params`.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 check failure,
 3 I/O failure.
@@ -19,18 +22,33 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from . import __version__, bounds
-from .checks import SUITE_NAMES, oracle_suite, run_suite
+from .checks import oracle_suite, run_suite
+from .cli_params import (
+    _BOUND_PARAMS,
+    _COMMON,
+    _cell,
+    _conv_bool,
+    _conv_bound_name,
+    _conv_float,
+    _conv_int,
+    _conv_list,
+    _conv_natural,
+    _conv_rho,
+    _conv_seed,
+    _conv_str,
+    _conv_suite,
+    _json_ready,
+    _meta_text,
+)
 from .engine import run
-from .errors import ConfigurationError, ThinlabError, _as_int
+from .errors import ConfigurationError, ThinlabError
 from .experiments import (
     ExperimentConfig,
     _check_tail_request,
-    parse_rho,
     rejection_stats,
     run_trials,
     scaling_study,
@@ -39,7 +57,6 @@ from .experiments import (
 from .oracle import exact_maxload_distribution
 from .strategies import parse_strategy
 
-_FORMATS = ("csv", "json")
 _REQUIRED = object()
 
 
@@ -50,112 +67,6 @@ class CliConfig:
     subcommand: str
     params: dict
 
-
-# ---------------------------------------------------------------------------
-# Value converters (shared by flag parsing and config-file merging)
-
-
-def _conv_int(value, flag: str, minimum: int = 1) -> int:
-    # Flag text is parsed; a config-file value follows the integer rule.
-    if isinstance(value, str):
-        try:
-            value = int(value)
-        except ValueError:
-            raise ConfigurationError(f"{flag} must be an integer, got {value!r}") from None
-    return _as_int(value, flag, minimum)
-
-
-def _conv_natural(value, flag: str) -> int:
-    return _conv_int(value, flag, 0)
-
-
-def _conv_seed(value, flag: str) -> int:
-    result = _conv_natural(value, flag)
-    if result >= 2**64:
-        raise ConfigurationError(f"{flag} must fit in 64 bits, got {result}")
-    return result
-
-
-def _conv_float(value, flag: str) -> float:
-    # Only parsed: the evaluator that takes the value checks its range.
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{flag} must be a number, got {value!r}") from None
-
-
-def _conv_rho(value, flag: str) -> Fraction:
-    try:
-        return parse_rho(value)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{flag}: {exc}") from None
-
-
-def _conv_bool(value, flag: str) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise ConfigurationError(f"{flag} must be true or false, got {value!r}")
-
-
-def _conv_choice(choices: tuple[str, ...]):
-    def convert(value, flag: str) -> str:
-        if value in choices:
-            return value
-        listed = ", ".join(choices)
-        raise ConfigurationError(f"{flag} must be one of {listed}; got {value!r}")
-
-    return convert
-
-
-def _conv_str(value, flag: str) -> str:
-    if not isinstance(value, str) or not value.strip():
-        raise ConfigurationError(f"{flag} must be a non-empty string, got {value!r}")
-    return value.strip()
-
-
-def _split_list(value) -> list:
-    if isinstance(value, str):
-        parts = [piece.strip() for piece in value.split(",")]
-        if any(not piece for piece in parts):
-            raise ConfigurationError(f"empty element in list {value!r}")
-        return parts
-    if isinstance(value, (list, tuple)):
-        return list(value)
-    return [value]
-
-
-def _conv_list(element_converter):
-    def convert(value, flag: str) -> list:
-        return [element_converter(piece, flag) for piece in _split_list(value)]
-
-    return convert
-
-
-_conv_format = _conv_choice(_FORMATS)
-_conv_suite = _conv_choice(SUITE_NAMES)
-_conv_bound_name = _conv_choice(bounds.BOUND_NAMES)
-
-# ---------------------------------------------------------------------------
-# Parameter tables: (name, converter, default); _REQUIRED means mandatory.
-
-_COMMON = (
-    ("format", _conv_format, None),
-    ("out", _conv_str, None),
-    ("no_meta", _conv_bool, False),
-)
-
-# The bound parameters, in the order of their CSV columns.
-_BOUND_PARAMS = (
-    ("n", _conv_list(_conv_int), None),
-    ("rho", _conv_list(_conv_rho), None),
-    ("eta", _conv_list(_conv_float), None),
-    ("theta", _conv_list(_conv_float), None),
-    ("epsilon", _conv_list(_conv_float), None),
-    ("a", _conv_list(_conv_natural), None),
-    ("set_size", _conv_list(_conv_float), None),
-)
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems as ConfigurationError."""
@@ -257,42 +168,7 @@ def parse_args(argv=None) -> CliConfig:
 
 
 # ---------------------------------------------------------------------------
-# Emission helpers
-
-
-def _round6(value):
-    if isinstance(value, bool) or not isinstance(value, float):
-        return value
-    return float(format(value, ".6g"))
-
-
-def _json_ready(value):
-    if isinstance(value, dict):
-        return {key: _json_ready(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_ready(item) for item in value]
-    if isinstance(value, Fraction):
-        return str(value)
-    return _round6(value)
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".6g")
-    text = str(value)
-    if any(risky in text for risky in (",", '"', "\n")):
-        escaped = text.replace('"', '""')
-        return f'"{escaped}"'
-    return text
-
-
-def _meta_text(subcommand: str) -> str:
-    stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-    return f"thinlab {__version__} {subcommand} {stamp}"
+# Emission
 
 
 def _emit(params: dict, subcommand: str, header: list[str], rows: list[tuple], payload: dict) -> None:

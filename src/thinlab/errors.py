@@ -1,4 +1,5 @@
-"""Exception types shared across thinlab modules, and the one integer rule."""
+"""Exception types shared across thinlab modules, the one integer rule and
+the one memory-budget rule."""
 
 import operator
 
@@ -44,3 +45,16 @@ def _as_int(value, what: str, minimum: int | None = None, error=ConfigurationErr
     if minimum is not None and result < minimum:
         raise error(f"{what} must be at least {minimum}, got {result}")
     return result
+
+
+# Most memory one run, trace or campaign may hold at once.
+MEMORY_BUDGET_BYTES = 2 * 1024**3
+
+
+def _check_budget(needed: int, what: str) -> None:
+    """Refuse ``what``, which needs about ``needed`` bytes at once, with
+    ResourceLimitError if that exceeds ``MEMORY_BUDGET_BYTES`` as it is now."""
+    if needed > MEMORY_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"{what} needs about {needed} bytes, beyond the budget of {MEMORY_BUDGET_BYTES}"
+        )

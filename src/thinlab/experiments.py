@@ -26,10 +26,11 @@ import numpy as np
 
 from .bounds import rejection_budget, stage_params, target_maxload
 from .counting import _counts_draws
-from .engine import Trace, _check_budget, run_summary, run_summary_batch, summary_peak_bytes
-from .errors import ConfigurationError, WorkerError, _as_int
+from .engine import run_summary, run_summary_batch, summary_peak_bytes
+from .errors import ConfigurationError, WorkerError, _as_int, _check_budget
 from .rng import mix_seed_range, mix_seeds
 from .strategies import StrategySpec, parse_strategy
+from .trace import Trace
 
 WORKERS_ENV = "THINLAB_WORKERS"
 WILSON_Z95 = 1.959963984540054
@@ -185,10 +186,17 @@ def _resolve_workers(workers: int | None) -> int:
 _TRIAL_RESULT_BYTES = 192
 
 
+def _chunk_size(trials: int, workers: int) -> int:
+    """Trials per chunk of a campaign: about four chunks per worker."""
+    return max(1, trials // (workers * 4))
+
+
 def _check_memory(n: int, t: int, spec: StrategySpec, trials: int, workers: int) -> None:
-    # Each worker runs one chunk of trials at a time, which holds at most
-    # summary_peak_bytes at once.
-    needed = summary_peak_bytes(n, t, spec) * workers + _TRIAL_RESULT_BYTES * trials
+    # Each chunk of trials holds at most summary_peak_bytes at once, and at
+    # most one chunk per worker runs at a time; a single chunk runs in this
+    # process.
+    running = min(workers, -(-trials // _chunk_size(trials, workers)))
+    needed = summary_peak_bytes(n, t, spec) * running + _TRIAL_RESULT_BYTES * trials
     _check_budget(needed, f"a campaign of {trials} trials on {workers} workers")
 
 
@@ -224,7 +232,7 @@ def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryS
     n, t, trials = config.n, config.ball_count, config.trials
     _check_memory(n, t, spec, trials, workers)
     seeds = mix_seed_range(config.base_seed, trials).tolist()
-    size = max(1, trials // (workers * 4))
+    size = _chunk_size(trials, workers)
     chunks = [(n, t, spec, seeds[i : i + size]) for i in range(0, trials, size)]
     if workers == 1 or len(chunks) == 1:
         done = [_run_chunk(chunk) for chunk in chunks]

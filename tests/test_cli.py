@@ -400,3 +400,35 @@ def test_every_subcommand_honors_json_format(capsys, tmp_path):
         code, out, _ = run_cli(capsys, argv + ["--format", "csv", "--no-meta"])
         assert code == 0, argv
         assert "," in out.split("\n")[0], argv
+
+
+def test_handlers_call_the_names_the_benchmark_swaps(capsys, monkeypatch):
+    # benchmarks/workloads.py (instrumented) swaps these module globals for
+    # spanning wrappers, so a handler or campaign that stopped reading them
+    # would run untraced; the trace workload calls the engine names itself.
+    simulate = ["simulate", "-n", "50", "--strategy", "two-choices", "--trials", "3",
+                "--seed", "2", "--workers", "1", "--no-meta"]
+    diagnose = ["diagnose", "-n", "100", "--rho", "1", "--epsilon", "1", "--seed", "21",
+                "--no-meta"]
+    expected = [run_cli(capsys, argv) for argv in (simulate, diagnose)]
+    calls = []
+
+    def record(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((cli, "run_trials"), (cli, "run"), (cli, "stage_diagnostics"),
+                        (experiments, "run_summary")):
+        record(owner, name)
+    assert run_cli(capsys, simulate) == expected[0]
+    assert calls == ["run_trials"] + ["run_summary"] * 3
+    calls.clear()
+    assert run_cli(capsys, diagnose) == expected[1]
+    assert calls == ["run", "stage_diagnostics"]
+    for name in ("run", "run_summary", "trace_from_json", "replay"):
+        assert callable(getattr(engine, name)), name

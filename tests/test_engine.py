@@ -5,14 +5,13 @@ import hashlib
 import json
 import tracemalloc
 from collections import deque
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinlab import counting, engine, rng, threshold
+from thinlab import counting, engine, errors, rng, threshold, two_choices
 from thinlab.engine import (
     AllocationRecord,
     Trace,
@@ -32,6 +31,7 @@ from thinlab.engine import (
 from thinlab.errors import ConfigurationError, ResourceLimitError
 from thinlab.rng import _CHUNK, FixedStream, RngStream, mix_seeds
 from thinlab.strategies import StrategySpec, parse_strategy
+from thinlab.trace import _JSON_BYTES_PER_CHAR
 
 THRESHOLD_1 = StrategySpec("threshold", ell=1)
 ONE_CHOICE = StrategySpec("always_accept")
@@ -350,7 +350,7 @@ def test_threshold_kernel_reads_exactly_the_fixed_draws_step_reads():
 
 def test_two_choices_kernel_across_blocks():
     trace, _ = assert_paths_agree(20_000, 300_000, TWO_CHOICES, seed=5)
-    assert trace.t > 2 * engine._TWO_CHOICES_BLOCK
+    assert trace.t > 2 * two_choices._TWO_CHOICES_BLOCK
 
 
 @pytest.mark.parametrize(
@@ -374,10 +374,10 @@ def waiting_by_scan(bp, bs):
 
 
 def waiting_balls(bp, bs, keys):
-    """``engine._waiting_balls`` of one block, in ``keys``' dtype and width."""
+    """``two_choices._waiting_balls`` of one block, in ``keys``' dtype and width."""
     offsets = np.arange(keys.size // 2, dtype=keys.dtype)
     bp, bs = np.asarray(bp, dtype=np.int64), np.asarray(bs, dtype=np.int64)
-    return engine._waiting_balls(bp, bs, keys, offsets).tolist()
+    return two_choices._waiting_balls(bp, bs, keys, offsets).tolist()
 
 
 # The widest bin of each key type at the kernel's 2**12-ball blocks: n =
@@ -398,9 +398,10 @@ WIDEST = {np.uint32: 2**20 - 1, np.int64: 2**31 - 1}
     ],
 )
 def test_waiting_balls_of_hand_built_blocks(bp, bs, waiting):
-    assert engine._TWO_CHOICES_BLOCK == BLOCK
-    assert engine._key_type(2**20) is np.uint32 and engine._key_type(2**20 + 1) is np.int64
-    assert summary_peak_bytes(2**31, 1, TWO_CHOICES) > engine.MEMORY_BUDGET_BYTES
+    assert two_choices._TWO_CHOICES_BLOCK == BLOCK
+    assert two_choices._key_type(2**20) is np.uint32
+    assert two_choices._key_type(2**20 + 1) is np.int64
+    assert summary_peak_bytes(2**31, 1, TWO_CHOICES) > errors.MEMORY_BUDGET_BYTES
     assert 31 + (BLOCK - 1).bit_length() <= 63
     for dtype, widest in WIDEST.items():
         keys = np.full(2 * BLOCK, np.iinfo(dtype).max, dtype=dtype)
@@ -413,7 +414,7 @@ def test_waiting_balls_matches_a_scan():
     # every key type that holds the bins, with the widest bin in each block.
     rand = np.random.default_rng(7)
     for n in (1, 2, 50, 500, 10**6, 2**20, 2**20 + 1, 2**31):
-        for dtype in {engine._key_type(n), np.int64}:
+        for dtype in {two_choices._key_type(n), np.int64}:
             keys = np.empty(2 * BLOCK, dtype=dtype)
             for length in (BLOCK, BLOCK - 1, 17, 1):
                 bp, bs = rand.integers(0, n, size=(2, length))
@@ -425,24 +426,24 @@ def test_waiting_balls_matches_a_scan():
 @pytest.mark.parametrize("n", [2**20, 2**20 + 1])
 def test_two_choices_kernel_on_each_side_of_the_key_width(n):
     # The last n of uint32 keys and the first of int64 keys, over 3 blocks.
-    assert_paths_agree(n, 3 * engine._TWO_CHOICES_BLOCK + 5, TWO_CHOICES, seed=29)
+    assert_paths_agree(n, 3 * two_choices._TWO_CHOICES_BLOCK + 5, TWO_CHOICES, seed=29)
 
 
 def test_benchmark_size_sorts_uint32_keys(monkeypatch):
     # The benchmark's two-choices run at n = 10**6 sorts 32-bit keys.
-    real, dtypes = engine._waiting_balls, set()
+    real, dtypes = two_choices._waiting_balls, set()
 
     def spy(bp, bs, keys, offsets):
         dtypes.add((keys.dtype, offsets.dtype))
         return real(bp, bs, keys, offsets)
 
-    monkeypatch.setattr(engine, "_waiting_balls", spy)
+    monkeypatch.setattr(two_choices, "_waiting_balls", spy)
     run_summary(10**6, 10**6, TWO_CHOICES, 0)
     assert dtypes == {(np.dtype(np.uint32),) * 2}
 
 
 def test_two_choices_kernel_widens_the_load_table():
-    block = engine._TWO_CHOICES_BLOCK
+    block = two_choices._TWO_CHOICES_BLOCK
     # One bin per ball of a block: every ball is ready, and the ready step
     # must widen before a bin passes load 255.
     tiled = np.tile(np.arange(block, dtype=np.int64), 300)
@@ -454,7 +455,7 @@ def test_two_choices_kernel_widens_the_load_table():
     # One bin: the tail places all balls but the first, past 255 and 65535.
     one_bin = np.zeros(70_000, dtype=np.int64)
     for n, bins in ((block, tiled), (block, tail_then_ready), (1, one_bin)):
-        chunks = list(engine._two_choices_kernel(
+        chunks = list(two_choices._two_choices_kernel(
             n, len(bins), FixedStream(bins.tolist()), FixedStream(bins.tolist())))
         rejected = np.concatenate([took for _, _, took, _ in chunks])
         load = chunks[-1][3]
@@ -468,7 +469,7 @@ def test_two_choices_kernel_widens_the_load_table():
     assert loads.tolist() == [300] and rejections == 0
 
 
-TWO_CHOICES_CHUNK = engine._TWO_CHOICES_CHUNK
+TWO_CHOICES_CHUNK = two_choices._TWO_CHOICES_CHUNK
 
 
 # The first chunk's edge, the fourth's, and a run of many chunks.
@@ -523,7 +524,7 @@ def assert_two_choices_size_changes_no_draw(monkeypatch, name, size):
         return columns, positions, run_summary(n, t, TWO_CHOICES, 23)
 
     expected = columns_and_positions()
-    monkeypatch.setattr(engine, name, size)
+    monkeypatch.setattr(two_choices, name, size)
     columns, positions, (loads, rejections) = columns_and_positions()
     assert all(np.array_equal(a, b) for a, b in zip(columns, expected[0]))
     assert positions == expected[1]
@@ -1202,7 +1203,7 @@ def test_trace_from_json_peak_within_estimate(strategy, n, t):
     trace_from_json(text)  # any lazy set-up happens outside the trace
     peak = traced_peak(lambda: trace_from_json(text))
     spec = parse_strategy(strategy, n=n)
-    estimate = engine._JSON_BYTES_PER_CHAR * len(text) + trace_peak_bytes(n, t, spec)
+    estimate = _JSON_BYTES_PER_CHAR * len(text) + trace_peak_bytes(n, t, spec)
     assert peak <= estimate <= 1.5 * peak
 
 
@@ -1211,18 +1212,18 @@ def test_trace_from_json_refuses_a_payload_beyond_the_memory_budget(monkeypatch)
         raise AssertionError("trace_from_json parsed a payload it should have refused")
 
     text = run(50, 200, "threshold:1", seed=3).to_json()
-    parse = engine._JSON_BYTES_PER_CHAR * len(text)
+    parse = _JSON_BYTES_PER_CHAR * len(text)
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "MEMORY_BUDGET_BYTES", parse - 1)
+        patch.setattr(errors, "MEMORY_BUDGET_BYTES", parse - 1)
         patch.setattr(json, "loads", no_parse)
         with pytest.raises(ResourceLimitError, match=f"payload of {len(text)} characters"):
             trace_from_json(text)
     # The parse fits, but not beside the trace it describes.
     needed = parse + trace_peak_bytes(50, 200, parse_strategy("threshold:1", n=50))
-    monkeypatch.setattr(engine, "MEMORY_BUDGET_BYTES", needed - 1)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", needed - 1)
     with pytest.raises(ResourceLimitError):
         trace_from_json(text)
-    monkeypatch.setattr(engine, "MEMORY_BUDGET_BYTES", needed)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", needed)
     assert trace_from_json(text).final_state == run(50, 200, "threshold:1", seed=3).final_state
 
 
@@ -1235,12 +1236,12 @@ def test_run_refuses_a_trace_beyond_the_memory_budget(monkeypatch):
     for method in ("auto", "reference"):
         with pytest.raises(ResourceLimitError, match="a trace of 1000000000 balls"):
             run(10**9, 10**9, ONE_CHOICE, seed=0, method=method)
-    assert trace_peak_bytes(10**9, 10**9, ONE_CHOICE) > engine.MEMORY_BUDGET_BYTES
+    assert trace_peak_bytes(10**9, 10**9, ONE_CHOICE) > errors.MEMORY_BUDGET_BYTES
 
 
 @pytest.mark.parametrize("method", ["auto", "reference"])
 def test_run_with_streams_refuses_a_trace_beyond_the_memory_budget(monkeypatch, method):
-    monkeypatch.setattr(engine, "MEMORY_BUDGET_BYTES", 2**20)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", 2**20)
     primary, secondary = RngStream(1), RngStream(2)
     with pytest.raises(ResourceLimitError, match="a trace of 1000000 balls"):
         run_with_streams(10**6, 10**6, "one-choice", primary, secondary, method=method)
@@ -1259,24 +1260,10 @@ def test_summaries_refuse_runs_beyond_the_memory_budget(monkeypatch, strategy):
     for kernel in ("_summary_groups", "_count_groups", "_summaries", "_two_choices_kernel",
                    "_threshold_chunks"):
         monkeypatch.setattr(engine, kernel, no_run)
-    monkeypatch.setattr(engine, "MEMORY_BUDGET_BYTES", 2**20)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", 2**20)
     spec = parse_strategy(strategy, n=10**6)
     assert summary_peak_bytes(10**6, 10**6, spec) > 2**20
     with pytest.raises(ResourceLimitError, match="a summary of 1000000 balls"):
         run_summary(10**6, 10**6, spec, 1)
     with pytest.raises(ResourceLimitError, match="a summary of 1000000 balls"):
         run_summary_batch(10**6, 10**6, spec, [1, 2])
-
-
-# Every process compiles engine.py when bytecode caching is off, so its
-# compile() peak adds to each worker's peak RSS.  Under tracemalloc on
-# CPython 3.11 it measured 1987 KiB once the threshold kernel had moved to
-# thinlab.threshold, against 2197 KiB before; code that belongs to one
-# kernel goes in that kernel's module.
-ENGINE_COMPILE_BUDGET = 2048 * 1024
-
-
-def test_engine_compile_peak_within_budget():
-    path = Path(engine.__file__)
-    source = path.read_text()
-    assert traced_peak(lambda: compile(source, str(path), "exec")) < ENGINE_COMPILE_BUDGET

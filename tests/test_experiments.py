@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import thinlab
-from thinlab import cli, experiments
+from thinlab import cli, errors, experiments
 from thinlab.bounds import rejection_budget, target_maxload
 from thinlab.engine import run, run_summary, summary_peak_bytes
 from thinlab.errors import ConfigurationError, ResourceLimitError
@@ -188,6 +188,18 @@ def test_memory_guard_admits_two_workers_at_1e8_balls(strategy):
     n = t = 10**8
     config = ExperimentConfig(n=n, strategy=strategy, trials=100, base_seed=1, t=t)
     experiments._check_memory(n, t, config.spec, config.trials, workers=2)
+
+
+def test_memory_guard_counts_only_the_kernels_that_run_at_once(monkeypatch):
+    # A campaign runs at most one chunk per worker at a time, and a single
+    # chunk in this process, so idle workers hold no kernel.
+    n = t = 10**5
+    config = ExperimentConfig(n=n, strategy="two-choices", trials=1, base_seed=1, t=t)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", 3 * summary_peak_bytes(n, t, config.spec))
+    assert run_trials(config, workers=4).trials == 1
+    experiments._check_memory(n, t, config.spec, 2, workers=8)  # two chunks
+    with pytest.raises(ResourceLimitError, match="a campaign of 4 trials on 4 workers"):
+        experiments._check_memory(n, t, config.spec, 4, workers=4)
 
 
 def test_campaign_peak_within_the_memory_guard():
