@@ -3,11 +3,13 @@
 One-choice, always-reject and threshold with retry budget 1 decide each
 ball from its primary bin's suggestion count alone, and a rejected ball
 takes the next draw of the secondary pool.  So a run's loads are, per bin,
-its primaries (capped at ell for a threshold rule) plus the pool draws
-that the rejections consume, and counts of the draws give them without a
-per-ball record.  :func:`_count_groups` counts the runs of many seeds;
-``engine._summary_groups`` serves these kinds from it, for
-``engine.run_summary`` and ``engine.run_summary_batch``.
+its primaries capped at the rule's level (``StrategySpec.level``: t for
+one-choice, whose cap never binds, and 0 for always-reject, whose
+primaries are not drawn) plus the pool draws that the rejections consume,
+and counts of the draws give them without a per-ball record.  The kernel
+branches on the level, never on the kind.  :func:`_count_groups` counts
+the runs of many seeds; ``engine._summary_groups`` serves these kinds from
+it, for ``engine.run_summary`` and ``engine.run_summary_batch``.
 """
 
 from __future__ import annotations
@@ -17,12 +19,7 @@ from functools import partial
 import numpy as np
 
 from .rng import _CHUNK, RngStream, _chunk_buffer_bytes, bounded_grid, mix_seed_array, mix_seeds
-from .strategies import (
-    ALWAYS_ACCEPT,
-    ALWAYS_REJECT,
-    THRESHOLD,
-    StrategySpec,
-)
+from .strategies import StrategySpec
 
 
 def _counts_draws(spec: StrategySpec) -> bool:
@@ -49,6 +46,7 @@ def _count_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     """Upper bound on the memory that counting the runs of any number of
     seeds holds at once; see ``engine.summary_peak_bytes``."""
     w = np.min_scalar_type(t).itemsize  # bytes per bin of a table that holds t
+    level = spec.level(t)
     m = _grid_rows(n, t)
     if m >= 2:
         # A grid of m runs (_count_grid), in bytes.  Drawing a grid holds it
@@ -61,20 +59,21 @@ def _count_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
         # again after a rejected word holds less.  A single seed is counted
         # as a table instead.
         data = max(16 * m * t, 8 * m * n + 8 * m * t)
-        if spec.kind != ALWAYS_ACCEPT:
+        if level < t:  # rejections are possible
             data = max(data, 8 * m * n + 17 * m * t + 8 * t, 16 * m * n + 8 * m * t)
         return 16 * 1024 + 64 * m + data
     # _count_runs holds its slice mask and its table: a uint8 one, or,
     # counting again after a bin wrapped, one of w bytes per bin, allocated
     # once the uint8 one is freed.  Beside them, one stream's chunk
-    # buffers, or, while a threshold table is capped, its bins above ell in
-    # one slice (an int64 index and a gathered load each), of which there
-    # are at most t // (ell + 1).  At most 32 KiB of Python objects,
-    # np.add.at's buffers and a batch's generators.
+    # buffers, or, while a table is capped, its bins above the level in one
+    # slice (an int64 index and a gathered load each), of which there are
+    # at most t // (level + 1); at level 0 no table is capped.  At most
+    # 32 KiB of Python objects, np.add.at's buffers and a batch's
+    # generators.
     part = min(n, _CHUNK)
     phase = _chunk_buffer_bytes(n, t)
-    if spec.kind == THRESHOLD:
-        phase = max(phase, (8 + w) * min(part, t // (spec.ell + 1)))
+    if level:
+        phase = max(phase, (8 + w) * min(part, t // (level + 1)))
     return n * w + part + phase + 32 * 1024
 
 
@@ -115,12 +114,11 @@ def _count_runs(n, t, spec, runs):
     secondary) streams of that run.  A generator: per run it yields the
     table and the run's rejection count, valid until the next run is
     requested, and a bool mask of one slice of ``_CHUNK`` bins, which a
-    threshold run's cap reuses.  The table starts as uint8.  A run in which
-    a bin passes 255
-    wraps it (see :func:`_count_run`); the uint8 table is then freed, a
-    table of ``np.min_scalar_type(t)``, which cannot wrap, takes its place
-    for this run and every later one, and the run is counted again from
-    fresh streams.
+    run's cap reuses.  The table starts as uint8.  A run in which a bin
+    passes 255 wraps it (see :func:`_count_run`); the uint8 table is then
+    freed, a table of ``np.min_scalar_type(t)``, which cannot wrap, takes
+    its place for this run and every later one, and the run is counted
+    again from fresh streams.
     """
     mask = np.empty(min(n, _CHUNK), dtype=bool)
     table = np.empty(n, dtype=np.uint8)
@@ -137,11 +135,12 @@ def _count_run(table, mask, t, spec, primary, secondary):
     """Count one run of a counting kind into ``table``; its rejections.
 
     The table is zeroed, then each chunk of draws is counted into it by
-    ``np.add.at``, so no t-length array is held.  A threshold table is
-    capped at ell once the primaries are counted, one slice of ``_CHUNK``
-    bins at a time, marked in ``mask``: only the bins above ell are touched,
-    each keeps ell of its primaries, and its excess is rejected.  The rejected balls land on
-    consecutive pool draws, which are counted into the same table.
+    ``np.add.at``, so no t-length array is held.  A table whose level is
+    below t is capped at it once the primaries are counted, one slice of
+    ``_CHUNK`` bins at a time, marked in ``mask``: only the bins above the
+    level are touched, each keeps that many of its primaries, and its
+    excess is rejected.  The rejected balls land on consecutive pool
+    draws, which are counted into the same table.
 
     A bin that passes the table's top wraps, which only a table whose top
     is below t can do.  Each wrap takes top + 1 from the table's sum, and
@@ -151,24 +150,23 @@ def _count_run(table, mask, t, spec, primary, secondary):
     """
     n = table.size
     top = int(np.iinfo(table.dtype).max)
+    level = spec.level(t)
     table.fill(0)
-    if spec.kind == ALWAYS_REJECT:
-        # Its loads come from the pool alone, so its primaries are not drawn.
-        rejections = t
-        _add_chunks(table, secondary.bounded_chunks(n, t))
-    else:
-        rejections = 0
+    # At level 0 the loads come from the pool alone, so the primaries are
+    # not drawn.
+    rejections = 0 if level else t
+    if level:
         _add_chunks(table, primary.bounded_chunks(n, t))
-        if spec.kind == THRESHOLD:
-            cap = min(spec.ell, top)  # a cap above top could not bind
-            for start in range(0, n, _CHUNK):
-                part = table[start : start + _CHUNK]
-                above = mask[: part.size]
-                np.greater(part, cap, out=above)
-                over = np.flatnonzero(above)
-                rejections += int(part[over].sum(dtype=np.int64)) - cap * over.size
-                part[over] = cap
-            _add_chunks(table, secondary.bounded_chunks(n, rejections))
+    if 0 < level < t:
+        cap = min(level, top)  # a cap above top could not bind
+        for start in range(0, n, _CHUNK):
+            part = table[start : start + _CHUNK]
+            above = mask[: part.size]
+            np.greater(part, cap, out=above)
+            over = np.flatnonzero(above)
+            rejections += int(part[over].sum(dtype=np.int64)) - cap * over.size
+            part[over] = cap
+    _add_chunks(table, secondary.bounded_chunks(n, rejections))
     # A sum of counts never passes t, so summing in the narrowest type that
     # holds t is exact, and faster than numpy's default uint64 accumulator.
     if top < t and table.sum(dtype=np.min_scalar_type(t)) != t:
@@ -181,15 +179,16 @@ def _count_grid(n, t, spec, seeds):
 
     The m runs' streams are drawn together as (m, t) grids
     (:func:`bounded_grid`); run i's bins are keyed ``i * n + bin``, so one
-    bincount counts every run.  A threshold run keeps min(count, ell) of
-    each bin's primaries, and its r rejected balls take the first r words
+    bincount counts every run.  A run keeps min(count, level) of each
+    bin's primaries, and its r rejected balls take the first r words
     of its pool row.  A run with a rejected raw word in either row is not
     what the grid assumes, so it is counted again by :func:`_count_runs`.
     Returns ``(loads, rejections)`` as a group of :func:`_count_groups`.
     """
     m = len(seeds)
     keys_base = np.arange(0, m * n, n, dtype=np.int64)[:, None]
-    if spec.kind == ALWAYS_REJECT:
+    level = spec.level(t)
+    if not level:
         loads = np.zeros((m, n), dtype=np.int64)
         rejections = np.full(m, t, dtype=np.int64)
         exact = np.ones(m, dtype=bool)
@@ -199,8 +198,8 @@ def _count_grid(n, t, spec, seeds):
         loads = np.bincount(bins.ravel(), minlength=m * n).reshape(m, n)
         del bins
         rejections = np.zeros(m, dtype=np.int64)
-        if spec.kind == THRESHOLD:
-            np.minimum(loads, spec.ell, out=loads)
+        if level < t:
+            np.minimum(loads, level, out=loads)
             rejections = t - loads.sum(axis=1)
     if rejections.any():
         bins, exact_pool = bounded_grid(mix_seed_array(seeds, 1), n, t)

@@ -11,19 +11,21 @@ tally arrays.
 
 :func:`step` allocates one ball at a time and is the reference oracle.
 :func:`run` and :func:`run_with_streams` go through one vectorized kernel,
-:func:`_columns`, which draws blocks of balls and yields bit-identical
-traces and stream positions.  :func:`run_summary` and
+:func:`_columns`, which yields bit-identical traces and stream positions.
+It picks its path by the thinning level (``StrategySpec.level``): a rule at
+level 0 or t, such as always-reject or one-choice, is drawn as blocks;
+other levels, and two-choices, run a kernel whose chunks ``_columns``
+writes into three preallocated columns.  :func:`run_summary` and
 :func:`run_summary_batch` never build the columns: :func:`_summary_groups`
-counts the draws, or runs the kernel ``_columns`` runs for the kind and
-keeps only the loads, and :func:`summary_peak_bytes` bounds what each
-kernel holds.  Each kernel has its own module:
+counts the draws, or runs a kernel and keeps only the loads, and
+:func:`summary_peak_bytes` bounds what each kernel holds.  Each kernel
+has its own module:
 
-- one-choice, always-reject and threshold with k = 1: the counting kernel
-  (:mod:`thinlab.counting`), which counts the runs of many seeds together;
-  its regimes are described there.  ``run_summary`` returns the table it
-  counted into, so its loads are exact but often narrower than int64.
-  ``_columns`` decides every ball of these kinds itself, and the rejected
-  balls take consecutive pool draws;
+- one-choice, always-reject and threshold with k = 1, in summaries: the
+  counting kernel (:mod:`thinlab.counting`), which counts the runs of many
+  seeds together; its regimes are described there.  ``run_summary``
+  returns the table it counted into, so its loads are exact but often
+  narrower than int64;
 - threshold, for every retry budget: one chunk of 2**14 balls at a time
   (:mod:`thinlab.threshold`), which yields per chunk only the rejected
   balls' landings, so the kernel holds no t-length array;
@@ -34,9 +36,9 @@ kernel holds.  Each kernel has its own module:
 
 What a run records (:class:`ProcessState`, :class:`AllocationRecord`,
 :class:`Trace`, :func:`trace_from_json`, :func:`replay` and
-:func:`trace_peak_bytes`) lives in :mod:`thinlab.trace`, and the memory
-budget (``MEMORY_BUDGET_BYTES``) in :mod:`thinlab.errors`; both are
-re-exported here.
+:func:`trace_peak_bytes`) lives in :mod:`thinlab.trace` and is re-exported
+here.  The memory budget, ``MEMORY_BUDGET_BYTES``, lives in
+:mod:`thinlab.errors`.
 """
 
 from __future__ import annotations
@@ -46,11 +48,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .counting import _count_groups, _count_peak_bytes, _counts_draws, _seed_streams, _summaries
-# MEMORY_BUDGET_BYTES, replay and trace_from_json are imported to re-export them.
-from .errors import MEMORY_BUDGET_BYTES, ConfigurationError, _as_int, _check_budget
+from .errors import ConfigurationError, _as_int, _check_budget
 from .strategies import (
-    ALWAYS_REJECT,
-    THRESHOLD,
     TWO_CHOICES_GREEDY,
     StrategySpec,
     decide,
@@ -58,6 +57,7 @@ from .strategies import (
     two_choices_decide,
 )
 from .threshold import _threshold_chunks, _threshold_peak_bytes
+# replay and trace_from_json are imported to re-export them.
 from .trace import (
     _TALLY_FIELDS,
     AllocationRecord,
@@ -165,35 +165,34 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
 
     Returns primary bins, final bins and reject counts, bit-identical to
     what :func:`step` records, and leaves both streams where it leaves them.
+    A rule at level 0 or t rejects every ball or none; any other level, and
+    two-choices, run a kernel whose chunks are written at their offsets.
     """
-    if spec.kind == TWO_CHOICES_GREEDY:
-        chunks = [
-            (p, np.where(took, s, p), took)
-            for p, s, took, _ in _two_choices_kernel(n, t, primary_stream, secondary_stream)
-        ]
-        primary_bins, final_bins, rejected = (np.concatenate(c) for c in zip(*chunks))
-        return primary_bins, final_bins, rejected.astype(np.int64)
-    if spec.kind == THRESHOLD:
-        chunks = _threshold_chunks(n, t, spec, primary_stream, secondary_stream)
-        # map holds no chunk while the kernel places the next one.
-        chunks = list(map(_threshold_columns, chunks))
-        return tuple(np.concatenate(c) for c in zip(*chunks))
-    primary_bins = primary_stream.bounded_block(n, t)
-    rejected = np.full(t, spec.kind == ALWAYS_REJECT)
-    final_bins = primary_bins.copy()
-    final_bins[rejected] = secondary_stream.bounded_block(n, int(rejected.sum()))
-    return primary_bins, final_bins, rejected.astype(np.int64)
-
-
-def _threshold_columns(chunk):
-    """Primary bins, final bins and reject counts of one chunk of
-    :func:`_threshold_chunks`."""
-    p, balls, landed, rejects, _ = chunk
-    final = p.copy()
-    final[balls] = landed
-    reject_counts = np.zeros(p.size, dtype=np.int64)
-    reject_counts[balls] = rejects
-    return p, final, reject_counts
+    level = spec.level(t)
+    if level in (0, t):
+        primary_bins = primary_stream.bounded_block(n, t)
+        final_bins = primary_bins.copy() if level else secondary_stream.bounded_block(n, t)
+        return primary_bins, final_bins, np.full(t, not level, dtype=np.int64)
+    primary_bins, final_bins = np.empty(t, dtype=np.int64), np.empty(t, dtype=np.int64)
+    reject_counts = np.zeros(t, dtype=np.int64)
+    begin = 0
+    if level is None:
+        for p, s, took, _ in _two_choices_kernel(n, t, primary_stream, secondary_stream):
+            chunk = slice(begin, begin + p.size)
+            primary_bins[chunk], final_bins[chunk] = p, np.where(took, s, p)
+            reject_counts[chunk] = took
+            begin += p.size
+            del p, s, took  # not held while the kernel places the next chunk
+    else:
+        for p, balls, landed, rejects, _ in _threshold_chunks(
+                n, t, spec, primary_stream, secondary_stream):
+            chunk = slice(begin, begin + p.size)
+            primary_bins[chunk] = final_bins[chunk] = p
+            final_bins[chunk][balls] = landed
+            reject_counts[chunk][balls] = rejects
+            begin += p.size
+            del p, balls, landed, rejects
+    return primary_bins, final_bins, reject_counts
 
 
 def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
@@ -279,16 +278,16 @@ def run_summary_batch(n: int, t: int, strategy, seeds: Sequence[int]) -> Iterato
 
 
 def _summary_groups(n, t, spec, seeds):
-    """The one choice of summary kernel by kind: groups of consecutive
-    seeds' runs, in order, shaped like those of ``counting._count_groups``.
+    """The one choice of summary kernel: groups of consecutive seeds'
+    runs, in order, shaped like those of ``counting._count_groups``.
 
     The counting kinds take that kernel's groups.  The others take one run
     per group, whose tables are released before the next run draws:
     two-choices keeps its kernel's load table and counts the balls its
     masks mark as moved; retry budgets above 1 count the threshold kernel's
     landing bins into a table of ``np.min_scalar_type(t)`` and add it to
-    the kernel's primary counts, capped at ell.  No kernel holds a t-length
-    array, nor more than one chunk at a time.
+    the kernel's primary counts, capped at the level.  No kernel holds a
+    t-length array, nor more than one chunk at a time.
     """
     if _counts_draws(spec):
         yield from _count_groups(n, t, spec, seeds)
@@ -296,7 +295,7 @@ def _summary_groups(n, t, spec, seeds):
     for seed in seeds:
         rejections = 0
         # Each kernel yields at least once, so loads is always bound.
-        if spec.kind == TWO_CHOICES_GREEDY:
+        if not spec.is_thinning:
             for p, s, took, loads in _two_choices_kernel(n, t, *_seed_streams(seed)):
                 rejections += int(np.count_nonzero(took))
                 del p, s, took
@@ -308,9 +307,9 @@ def _summary_groups(n, t, spec, seeds):
                 np.add.at(landings, landed, one)
                 rejections += int(rejects.sum())
                 del p, balls, landed, rejects
-            # A bin keeps min(count, ell) of its primaries: pool draws never
-            # move a primary count.
-            np.minimum(loads, min(spec.ell, t), out=loads)
+            # A bin keeps min(count, level) of its primaries: pool draws
+            # never move a primary count.
+            np.minimum(loads, spec.level(t), out=loads)
             loads += landings
             del landings
         yield loads[None, :n], [rejections]

@@ -243,7 +243,8 @@ def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryS
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # The pool forks every worker up front, so only those that get a chunk.
+            with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
                 done = list(pool.map(_run_chunk, chunks))
         except BrokenProcessPool as exc:
             raise WorkerError(

@@ -69,6 +69,17 @@ class StrategySpec:
         """Whether the strategy fits the thinning interface (decide)."""
         return self.kind != TWO_CHOICES_GREEDY
 
+    def level(self, t: int) -> int | None:
+        """The thinning level in a run of t balls, which the kernels branch
+        on: ell, t for one-choice, 0 for always-reject, None for
+        two-choices.  Capped at t, so it fits ``np.min_scalar_type(t)``.
+        :func:`decide` stays spelled out per kind, as their reference."""
+        if self.kind == THRESHOLD:
+            return min(self.ell, t)
+        if self.kind == ALWAYS_ACCEPT:
+            return t
+        return 0 if self.kind == ALWAYS_REJECT else None
+
     @property
     def label(self) -> str:
         """Canonical strategy-grammar spelling of this spec."""

@@ -1,13 +1,13 @@
-"""The threshold kernel: placement of threshold runs, one chunk at a time.
+"""The threshold kernel: placement of thinning runs, one chunk at a time.
 
-A threshold rule rejects a ball's primary iff its bin already had ell
-primaries.  :func:`_threshold_chunks` places the balls of a run, for every
-retry budget, in chunks of ``_THRESHOLD_CHUNK`` balls, so it holds no
-t-length array, and yields per chunk only the rejected balls' landings.
-``engine._columns`` rebuilds a trace's columns from them, and
+A thinning rule rejects a ball's primary iff its bin already had as many
+primaries as its level (``StrategySpec.level``), which the kernel branches
+on, never on the kind.  :func:`_threshold_chunks` places a run's balls,
+for every retry budget, in chunks of ``_THRESHOLD_CHUNK`` balls, so it
+holds no t-length array, and yields per chunk only the rejected balls'
+landings.  ``engine._columns`` writes them into a trace's columns, and
 ``engine._summary_groups`` counts them for a summary with retry budget
-above 1; threshold summaries with budget 1 are counted by
-:mod:`thinlab.counting`.
+above 1; summaries with budget 1 are counted by :mod:`thinlab.counting`.
 """
 
 from __future__ import annotations
@@ -37,17 +37,17 @@ def _threshold_chunks(n, t, spec, primary_stream, secondary_stream):
     are read as block draws read them, so draws and stream positions match
     ``engine.step``.
 
-    A primary is rejected iff its bin already had ell, which ``count``
-    settles for all balls but those whose bin reaches ell in the chunk:
-    they alone take an occurrence index.  Rejected balls take pool draws in
-    ball order until one is accepted or k are used; a draw to bin b for
-    ball j is rejected iff b's ell-th primary (counted before any pool draw
-    of its ball) is at or before j: iff ``count[b] >= ell`` at the chunk's
-    end and ``cut[b] <= j``, ``cut`` holding that primary's chunk offset,
-    or 0.  Pool draws never move ``count``, so a run's loads are
-    ``min(count, ell)`` plus its landings.
+    A primary is rejected iff its bin already had ell, the rule's level,
+    which ``count`` settles for all balls but those whose bin reaches ell
+    in the chunk: they alone take an occurrence index.
+    Rejected balls take pool draws in ball order until one is accepted or
+    k are used; a draw to bin b for ball j is rejected iff b's ell-th
+    primary (counted before any pool draw of its ball) is at or before j:
+    iff ``count[b] >= ell`` at the chunk's end and ``cut[b] <= j``, ``cut``
+    holding that primary's chunk offset, or 0.  Pool draws never move
+    ``count``, so a run's loads are ``min(count, ell)`` plus its landings.
     """
-    ell = min(spec.ell, t)  # a bin never has t primaries before a ball
+    ell = spec.level(t)
     count = np.zeros(n, dtype=np.min_scalar_type(t))
     cut = np.zeros(n, dtype=np.uint16)
     for begin in range(0, max(t, 1), _THRESHOLD_CHUNK):

@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import ConfigurationError, _as_int, _check_budget
 from .rng import _chunk_buffer_bytes
-from .strategies import THRESHOLD, TWO_CHOICES_GREEDY, StrategySpec, parse_strategy
-from .threshold import _THRESHOLD_CHUNK, _threshold_peak_bytes
-from .two_choices import _TWO_CHOICES_CHUNK, _two_choices_peak_bytes
+from .strategies import StrategySpec, parse_strategy
+from .threshold import _threshold_peak_bytes
+from .two_choices import _two_choices_peak_bytes
 
 _TALLY_FIELDS = ("load", "primary_suggested", "primary_accepted", "secondary_used")
 
@@ -311,31 +311,20 @@ def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     the most rejections a run can have, plus 16 KiB of Python objects.  The
     tests check it against ``tracemalloc`` for every kind.
     """
-    mask = t // 8 + 1  # a bool per ball
-    if spec.kind == TWO_CHOICES_GREEDY:
-        # The kernel's buffers beside the chunks kept so far (primary bins,
-        # final bins and took mask, and at most 1 KiB of array headers and a
-        # tuple per chunk) and the last chunk's candidates; then, beside
-        # those chunks, their concatenation and the int64 reject counts.
-        kept = 2 * t + mask + 128 * -(-t // _TWO_CHOICES_CHUNK)
-        c = min(t, _TWO_CHOICES_CHUNK)
-        columns = max(kept + c + _two_choices_peak_bytes(n, t) // 8, 2 * kept + t)
-    elif spec.kind == THRESHOLD:
-        # The kernel beside the chunks before its own (three columns, and at
-        # most 1 KiB of headers and a tuple each), then their concatenation.
-        kept = 3 * t + 128 * -(-t // _THRESHOLD_CHUNK)
-        kernel = -(-_threshold_peak_bytes(n, t, spec) // 8)
-        columns = max(kept - 3 * min(t, _THRESHOLD_CHUNK) + kernel, 2 * kept)
+    # _columns: its three int64 columns beside the kernel it runs, or, at
+    # level 0 or t, the draw buffers of its blocks.
+    level = spec.level(t)
+    if level is None:
+        kernel = _two_choices_peak_bytes(n, t)
+    elif 0 < level < t:
+        kernel = _threshold_peak_bytes(n, t, spec)
     else:
-        # The primary bins, the rejected mask, the final bins and the pool
-        # block (at most t draws, with its draw buffers); at the end, the
-        # int64 reject counts in place of the block.
-        columns = 3 * t + mask + -(-_chunk_buffer_bytes(n, t) // 8)
+        kernel = _chunk_buffer_bytes(n, t)
     # _assemble_trace: the three columns, four n-word tallies, one bincount
-    # at a time, the landed mask and its complement, and a gather of the
-    # final bins on one side of it.
-    assembly = 4 * t + 2 * mask + 5 * n
-    return 8 * max(columns, assembly) + 16 * 1024
+    # at a time, the landed mask and its complement (a bool per ball), and
+    # a gather of the final bins on one side of it.
+    mask = t // 8 + 1
+    return 8 * max(3 * t + -(-kernel // 8), 4 * t + 2 * mask + 5 * n) + 16 * 1024
 
 
 def replay(trace: Trace) -> ProcessState:

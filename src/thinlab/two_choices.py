@@ -7,7 +7,7 @@ to the less loaded of the two (the primary on ties).
 ``_TWO_CHOICES_CHUNK`` balls, sorting keys of bin above block offset
 (uint32 while n <= 2**20) per block of ``_TWO_CHOICES_BLOCK`` balls, and
 yields per chunk a mask of the balls that took their candidate.
-``engine._columns`` rebuilds a trace's columns from the chunks, and
+``engine._columns`` writes each chunk into a trace's columns, and
 ``engine._summary_groups`` keeps only the load table and the count of
 moved balls; :func:`_two_choices_peak_bytes` bounds what a summary holds.
 """

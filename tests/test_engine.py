@@ -1141,11 +1141,13 @@ def test_batch_of_zero_balls(n):
 
 
 # Either side of the regime boundary: grids of two runs (the last of the
-# five seeds alone in its grid), then one table for the batch.
+# five seeds alone in its grid), then one table for the batch.  A level
+# above t and above the uint16 loads binds no ball, with either budget.
 @pytest.mark.parametrize("size", [_CHUNK // 2, _CHUNK // 2 + 1])
 def test_batch_across_the_regime_boundary(size):
     seeds = [mix_seeds(8, i) for i in range(5)]
-    for strategy in ("one-choice", "always-reject", "threshold:auto"):
+    for strategy in ("one-choice", "always-reject", "threshold:auto", "threshold:100000",
+                     "threshold:100000,k=2"):
         batch = list(run_summary_batch(size, size, strategy, seeds))
         assert batch == traced_summaries(size, size, strategy, seeds)
 
@@ -1160,10 +1162,11 @@ def test_batch_matches_full_runs_of_the_other_strategies(strategy, n, t):
     assert batch == traced_summaries(n, t, strategy, seeds)
 
 
-# At the first size the columns of _columns bind, at the second the tallies
-# of _assemble_trace.  threshold:1,k=2 at n = 1000 rejects nearly every
-# ball, so its retry scan binds; it is not run at the two sizes, where
-# tracemalloc makes its per-ball scan take seconds.
+# At the first two sizes the tallies of _assemble_trace bind.  At n = 1000
+# the threshold kernel beside the three columns of _columns binds:
+# threshold:1,k=2 rejects nearly every ball, so its retry scan binds; it is
+# not run at the first two sizes, where tracemalloc makes its per-ball scan
+# take seconds.
 @pytest.mark.parametrize(
     "strategy, n, t",
     [
@@ -1171,7 +1174,7 @@ def test_batch_matches_full_runs_of_the_other_strategies(strategy, n, t):
         for n, t in ((20_000, 300_000), (200_000, 200_000))
         for strategy in ("one-choice", "always-reject", "threshold:auto", "threshold:1",
                          "threshold:20,k=2", "two-choices")
-    ] + [("threshold:1,k=2", 1_000, 50_000)],
+    ] + [("threshold:1,k=2", 1_000, 50_000), ("threshold:1", 1_000, 30_000)],
 )
 def test_trace_peak_within_estimate(strategy, n, t):
     spec = parse_strategy(strategy, n=n)

@@ -1,5 +1,6 @@
 """Tests for Monte Carlo campaigns, estimates, and diagnostics."""
 
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -200,6 +201,22 @@ def test_memory_guard_counts_only_the_kernels_that_run_at_once(monkeypatch):
     experiments._check_memory(n, t, config.spec, 2, workers=8)  # two chunks
     with pytest.raises(ResourceLimitError, match="a campaign of 4 trials on 4 workers"):
         experiments._check_memory(n, t, config.spec, 4, workers=4)
+
+
+def test_run_trials_forks_only_the_workers_that_get_a_chunk(monkeypatch):
+    # The pool forks all its workers up front, so a campaign of 2 chunks on
+    # 4 workers asks for 2.
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    config = small_config(strategy="two-choices", trials=2)
+    assert run_trials(config, workers=4) == run_trials(config, workers=1)
+    assert sizes == [2]
 
 
 def test_campaign_peak_within_the_memory_guard():

@@ -18,10 +18,10 @@ import thinlab.cli  # imports every module the CLI uses
 
 MODULES = sorted(path for root in thinlab.__path__ for path in Path(root).glob("*.py"))
 
-# compile() peaks under tracemalloc on CPython 3.11: cli 1110 KiB,
-# experiments 987, engine 895, checks 744, trace 732, oracle 719, rng 599,
-# bounds 525, counting 503, cli_params 390, two_choices 339, threshold
-# 330, strategies 319, __init__ 109 and errors 101 KiB.  Before engine.py
+# compile() peaks under tracemalloc on CPython 3.11: cli 1109 KiB,
+# experiments 987, engine 895, checks 744, oracle 718, trace 713, rng 598,
+# bounds 525, counting 502, cli_params 389, two_choices 339, strategies
+# 329, threshold 322, __init__ 108 and errors 101 KiB.  Before engine.py
 # and cli.py were split they peaked at 1987 and 1419 KiB.  Splitting only
 # one of the two left the benchmark's campaign peak RSS where it was, since
 # the other was then the largest; splitting both cut it by 0.8 MB.
