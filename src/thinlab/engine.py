@@ -14,10 +14,11 @@ tally arrays.
 :func:`_columns`, which yields bit-identical traces and stream positions.
 It picks its path by the thinning level (``StrategySpec.level``): a rule at
 level 0 or t, such as always-reject or one-choice, is drawn as blocks;
-other levels, and two-choices, run a kernel whose chunks ``_columns``
-writes into three preallocated columns.  :func:`run_summary` and
-:func:`run_summary_batch` never build the columns: :func:`_summary_groups`
-counts the draws, or runs a kernel and keeps only the loads, and
+other levels, and two-choices, run the placement kernel that
+:func:`_placements` picks, whose chunks ``_columns`` writes into three
+preallocated columns.  :func:`run_summary` and :func:`run_summary_batch`
+never build the columns: :func:`_summary_groups` counts the draws, or runs
+a placement kernel and keeps only the loads and rejections, and
 :func:`summary_peak_bytes` bounds what each kernel holds.  Each kernel
 has its own module:
 
@@ -26,13 +27,11 @@ has its own module:
   seeds together; its regimes are described there.  ``run_summary``
   returns the table it counted into, so its loads are exact but often
   narrower than int64;
-- threshold, for every retry budget: one chunk of 2**14 balls at a time
-  (:mod:`thinlab.threshold`), which yields per chunk only the rejected
-  balls' landings, so the kernel holds no t-length array;
+- threshold, for every retry budget: a placement kernel
+  (:mod:`thinlab.threshold`);
 - two-choices (outside the thinning class: it sees both candidate bins,
-  and consumes one secondary draw per ball): one chunk of 2**14 balls at a
-  time (:mod:`thinlab.two_choices`), which yields per chunk a mask of the
-  balls that took their secondary.
+  and consumes one secondary draw per ball): a placement kernel
+  (:mod:`thinlab.two_choices`).
 
 What a run records (:class:`ProcessState`, :class:`AllocationRecord`,
 :class:`Trace`, :func:`trace_from_json`, :func:`replay` and
@@ -166,7 +165,8 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
     Returns primary bins, final bins and reject counts, bit-identical to
     what :func:`step` records, and leaves both streams where it leaves them.
     A rule at level 0 or t rejects every ball or none; any other level, and
-    two-choices, run a kernel whose chunks are written at their offsets.
+    two-choices, run the placement kernel, whose chunks are written at
+    their offsets.
     """
     level = spec.level(t)
     if level in (0, t):
@@ -176,23 +176,28 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
     primary_bins, final_bins = np.empty(t, dtype=np.int64), np.empty(t, dtype=np.int64)
     reject_counts = np.zeros(t, dtype=np.int64)
     begin = 0
-    if level is None:
-        for p, s, took, _ in _two_choices_kernel(n, t, primary_stream, secondary_stream):
-            chunk = slice(begin, begin + p.size)
-            primary_bins[chunk], final_bins[chunk] = p, np.where(took, s, p)
-            reject_counts[chunk] = took
-            begin += p.size
-            del p, s, took  # not held while the kernel places the next chunk
-    else:
-        for p, balls, landed, rejects, _ in _threshold_chunks(
-                n, t, spec, primary_stream, secondary_stream):
-            chunk = slice(begin, begin + p.size)
-            primary_bins[chunk] = final_bins[chunk] = p
-            final_bins[chunk][balls] = landed
-            reject_counts[chunk][balls] = rejects
-            begin += p.size
-            del p, balls, landed, rejects
+    for p, balls, landed, rejects, _ in _placements(n, t, spec, primary_stream, secondary_stream):
+        chunk = slice(begin, begin + p.size)
+        primary_bins[chunk] = final_bins[chunk] = p
+        final_bins[chunk][balls] = landed
+        reject_counts[chunk][balls] = rejects
+        begin += p.size
+        del p, balls, landed, rejects  # not held while the kernel places the next chunk
     return primary_bins, final_bins, reject_counts
+
+
+def _placements(n, t, spec, primary_stream, secondary_stream):
+    """The one choice of placement kernel, for a run's chunks of 2**14 balls.
+
+    Both kernels yield ``(p, balls, landed, rejects, loads)`` per chunk:
+    its primary bins, the ascending chunk offsets of the balls that left
+    their primary, their landing bins and int64 reject counts, and the load
+    table, whose first n entries are the run's loads once the last chunk is
+    yielded.  So neither holds a t-length array.
+    """
+    if spec.is_thinning:
+        return _threshold_chunks(n, t, spec, primary_stream, secondary_stream)
+    return _two_choices_kernel(n, t, primary_stream, secondary_stream)
 
 
 def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
@@ -282,12 +287,10 @@ def _summary_groups(n, t, spec, seeds):
     runs, in order, shaped like those of ``counting._count_groups``.
 
     The counting kinds take that kernel's groups.  The others take one run
-    per group, whose tables are released before the next run draws:
-    two-choices keeps its kernel's load table and counts the balls its
-    masks mark as moved; retry budgets above 1 count the threshold kernel's
-    landing bins into a table of ``np.min_scalar_type(t)`` and add it to
-    the kernel's primary counts, capped at the level.  No kernel holds a
-    t-length array, nor more than one chunk at a time.
+    per group from the placement kernel, keeping its load table and the
+    sum of its reject counts; the table is released before the next run
+    draws.  No kernel holds a t-length array, nor more than one chunk at a
+    time.
     """
     if _counts_draws(spec):
         yield from _count_groups(n, t, spec, seeds)
@@ -295,23 +298,9 @@ def _summary_groups(n, t, spec, seeds):
     for seed in seeds:
         rejections = 0
         # Each kernel yields at least once, so loads is always bound.
-        if not spec.is_thinning:
-            for p, s, took, loads in _two_choices_kernel(n, t, *_seed_streams(seed)):
-                rejections += int(np.count_nonzero(took))
-                del p, s, took
-        else:
-            landings = np.zeros(n, dtype=np.min_scalar_type(t))
-            one = landings.dtype.type(1)  # a Python int would take a slow path
-            for p, balls, landed, rejects, loads in _threshold_chunks(
-                    n, t, spec, *_seed_streams(seed)):
-                np.add.at(landings, landed, one)
-                rejections += int(rejects.sum())
-                del p, balls, landed, rejects
-            # A bin keeps min(count, level) of its primaries: pool draws
-            # never move a primary count.
-            np.minimum(loads, spec.level(t), out=loads)
-            loads += landings
-            del landings
+        for p, balls, landed, rejects, loads in _placements(n, t, spec, *_seed_streams(seed)):
+            rejections += int(rejects.sum())
+            del p, balls, landed, rejects
         yield loads[None, :n], [rejections]
         del loads  # released before the next run draws
 
@@ -330,8 +319,8 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     """
     if _counts_draws(spec):
         return _count_peak_bytes(n, t, spec)
-    if spec.is_thinning:  # the kernel, and its landings in a table that holds t
-        return _threshold_peak_bytes(n, t, spec) + n * np.min_scalar_type(t).itemsize
+    if spec.is_thinning:
+        return _threshold_peak_bytes(n, t, spec)
     return _two_choices_peak_bytes(n, t)
 
 

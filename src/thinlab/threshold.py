@@ -3,11 +3,10 @@
 A thinning rule rejects a ball's primary iff its bin already had as many
 primaries as its level (``StrategySpec.level``), which the kernel branches
 on, never on the kind.  :func:`_threshold_chunks` places a run's balls,
-for every retry budget, in chunks of ``_THRESHOLD_CHUNK`` balls, so it
-holds no t-length array, and yields per chunk only the rejected balls'
-landings.  ``engine._columns`` writes them into a trace's columns, and
-``engine._summary_groups`` counts them for a summary with retry budget
-above 1; summaries with budget 1 are counted by :mod:`thinlab.counting`.
+for every retry budget, in chunks of ``_THRESHOLD_CHUNK`` balls, and
+yields them as ``engine._placements`` describes, for ``engine._columns``
+and for summaries with retry budget above 1; summaries with budget 1 are
+counted by :mod:`thinlab.counting`.
 """
 
 from __future__ import annotations
@@ -29,12 +28,10 @@ _THRESHOLD_CHUNK = 1 << 14
 def _threshold_chunks(n, t, spec, primary_stream, secondary_stream):
     """Threshold placement, one chunk of ``_THRESHOLD_CHUNK`` balls at a time.
 
-    A generator: per chunk it yields ``(p, balls, landed, rejects, count)``:
-    the chunk's primary bins, the ascending chunk offsets of its rejected
-    balls, their landing bins and reject counts (int64), and the
-    primary-count table so far (``np.min_scalar_type(t)``); once, empty,
-    when t is 0.  A chunk is dropped before the next is drawn.  Streams
-    are read as block draws read them, so draws and stream positions match
+    A generator of the chunks ``engine._placements`` describes, with the
+    load table ``count`` (``np.min_scalar_type(t)``); once, empty, when t
+    is 0.  A chunk is dropped before the next is drawn.  Streams are read
+    as block draws read them, so draws and stream positions match
     ``engine.step``.
 
     A primary is rejected iff its bin already had ell, the rule's level,
@@ -45,15 +42,18 @@ def _threshold_chunks(n, t, spec, primary_stream, secondary_stream):
     primary (counted before any pool draw of its ball) is at or before j:
     iff ``count[b] >= ell`` at the chunk's end and ``cut[b] <= j``, ``cut``
     holding that primary's chunk offset, or 0.  Pool draws never move
-    ``count``, so a run's loads are ``min(count, ell)`` plus its landings.
+    ``count``, a bin's primaries until the last chunk is yielded, so the
+    run's loads are then ``min(count, ell)`` plus the bin's landings.
     """
     ell = spec.level(t)
     count = np.zeros(n, dtype=np.min_scalar_type(t))
+    landings = np.zeros_like(count)
+    one = count.dtype.type(1)  # a Python int would take a slow path
     cut = np.zeros(n, dtype=np.uint16)
     for begin in range(0, max(t, 1), _THRESHOLD_CHUNK):
         p = primary_stream.bounded_block(n, min(t - begin, _THRESHOLD_CHUNK))
         before = count[p]
-        np.add.at(count, p, count.dtype.type(1))  # a Python int would take a slow path
+        np.add.at(count, p, one)
         rejected = before >= ell
         reaching = np.flatnonzero(~rejected & (count[p] >= ell))
         occurrence = _occurrence_index(p[reaching], n) + before[reaching]
@@ -66,8 +66,11 @@ def _threshold_chunks(n, t, spec, primary_stream, secondary_stream):
         landed, rejects = _pool_landings(
             balls, p.size, count, cut, ell, spec.retry_budget, secondary_stream)
         cut[p[ell_th]] = 0
+        np.add.at(landings, landed, one)
         yield p, balls, landed, rejects, count
         del p, balls, ell_th, landed, rejects
+    np.minimum(count, ell, out=count)
+    count += landings
 
 
 def _pool_landings(balls, m, count, cut, ell, budget, secondary_stream):
@@ -138,16 +141,17 @@ def _threshold_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     """Upper bound on the memory :func:`_threshold_chunks` holds at once,
     besides the chunks it has yielded; see ``engine.summary_peak_bytes``.
 
-    ``count`` and ``cut``, 16 KiB of Python objects, and per chunk ball the
-    largest phase, every ball rejected (a ball whose primary is its bin's
-    ell-th is not, and costs less): deciding (66 + w: the bins, ``before``,
-    a mask, the reaching balls and :func:`_occurrence_index`'s seven arrays
-    of them); the retry scan (96 + 8k: the bins and rejected balls, 36
-    bytes of list entry per ball, 44 per landing or limit with the new
-    block's limit array, and at most k pool draws); or its end (32 + 16k:
-    the pool blocks beside their concatenation).
+    ``count``, ``landings`` and ``cut``, 16 KiB of Python objects, and per
+    chunk ball the largest phase, every ball rejected (a ball whose primary
+    is its bin's ell-th is not, and costs less): deciding (66 + w: the
+    bins, ``before``, a mask, the reaching balls and
+    :func:`_occurrence_index`'s seven arrays of them); the retry scan (96 +
+    8k: the bins and rejected balls, 36 bytes of list entry per ball, 44
+    per landing or limit with the new block's limit array, and at most k
+    pool draws); or its end (32 + 16k: the pool blocks beside their
+    concatenation).
     """
     w = np.min_scalar_type(t).itemsize
     k = spec.retry_budget
     per_ball = 66 + w if k == 1 else max(96 + 8 * k, 32 + 16 * k)
-    return n * (w + 2) + per_ball * min(t, _THRESHOLD_CHUNK) + 16 * 1024
+    return n * (2 * w + 2) + per_ball * min(t, _THRESHOLD_CHUNK) + 16 * 1024

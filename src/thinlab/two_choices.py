@@ -6,10 +6,8 @@ to the less loaded of the two (the primary on ties).
 :func:`_two_choices_kernel` places the balls of a run in chunks of
 ``_TWO_CHOICES_CHUNK`` balls, sorting keys of bin above block offset
 (uint32 while n <= 2**20) per block of ``_TWO_CHOICES_BLOCK`` balls, and
-yields per chunk a mask of the balls that took their candidate.
-``engine._columns`` writes each chunk into a trace's columns, and
-``engine._summary_groups`` keeps only the load table and the count of
-moved balls; :func:`_two_choices_peak_bytes` bounds what a summary holds.
+yields them as ``engine._placements`` describes, as the threshold kernel
+does; :func:`_two_choices_peak_bytes` bounds what a summary holds.
 """
 
 from __future__ import annotations
@@ -33,13 +31,14 @@ def _two_choices_kernel(n, t, primary_stream, secondary_stream):
     """Two-choices placement, drawn and placed one chunk at a time.
 
     A generator: per chunk of ``_TWO_CHOICES_CHUNK`` balls it draws the
-    primaries, then the candidates, places the balls and yields ``(p, s,
-    took, load)``: their bins, True where a ball took its candidate, and
-    the load table so far (n loads, then a sink bin).  It yields one empty
-    chunk if t is 0, and drops a chunk before it draws the next.  Each
-    stream is read as one block draw of t reads it, so draws and stream
-    positions match ``engine.step``.  A ball moves only to a strictly lower
-    load, so ``took`` is exactly ``final_bins != primary_bins``.
+    primaries, then the candidates, places the balls and yields the chunk
+    as ``engine._placements`` describes it, with the load table so far (n
+    loads, then a sink bin).  It yields one empty chunk if t is 0, and
+    drops a chunk before it draws the next.  Each stream is read as one
+    block draw of t reads it, so draws and stream positions match
+    ``engine.step``.  A ball moves, with one reject, only to a strictly
+    lower load, so the moved balls are exactly where ``final_bins !=
+    primary_bins``.
 
     ``load`` starts as uint8, so a million bins fit in L2.  It is widened
     once, to the narrowest type that holds t, just before a load could
@@ -56,8 +55,9 @@ def _two_choices_kernel(n, t, primary_stream, secondary_stream):
         p = primary_stream.bounded_block(n, m)
         s = secondary_stream.bounded_block(n, m)
         took, load, top = _place_two_choices(p, s, keys, offsets, load, top, wide)
-        yield p, s, took, load
-        del p, s, took
+        balls = np.flatnonzero(took)
+        yield p, balls, s[balls], np.ones(balls.size, dtype=np.int64), load
+        del p, s, took, balls
 
 
 def _place_two_choices(p, s, keys, offsets, load, top, wide):
@@ -141,10 +141,12 @@ def _two_choices_peak_bytes(n: int, t: int) -> int:
 
     The kernel holds the n + 1-bin load table, keys and offsets (3 per
     block ball, uint32 while n <= 2**20), 16 KiB of Python objects and one
-    chunk of c balls, either drawn (its bins and their draw buffers) or
+    chunk of c balls, either drawn (its bins and their draw buffers),
     placed (its bins and took mask, a block's temporaries, at most 14 words
     per block ball with the waiting balls' Python lists, and while the
-    table widens the uint8 table beside the wide one).  A seeded run's max
+    table widens the uint8 table beside the wide one) or yielded (its bins
+    and took mask, and three words per moved ball, which the temporaries'
+    bound covers while a chunk is at most four blocks).  A seeded run's max
     load exceeds t/n by about log2 log n, with a doubly exponential tail,
     so the table is counted wide where t >= 128n.
     """

@@ -258,7 +258,19 @@ def test_threshold_kernel_at_chunk_edges(strategy, t):
     ],
 )
 def test_threshold_kernel_at_extreme_sizes(strategy, n, t):
-    assert_paths_agree(n, t, parse_strategy(strategy, n=n), seed=5)
+    spec = parse_strategy(strategy, n=n)
+    trace, _ = assert_paths_agree(n, t, spec, seed=5)
+    assert_kernel_loads(trace.final_state, spec, seed=5)
+
+
+def assert_kernel_loads(state, spec, seed):
+    """The threshold kernel's table holds the run's loads, in the dtype of
+    t, once its last chunk is yielded."""
+    streams = RngStream(mix_seeds(seed, 0)), RngStream(mix_seeds(seed, 1))
+    for *_, loads in threshold._threshold_chunks(state.n, state.t, spec, *streams):
+        pass
+    assert loads.dtype == np.min_scalar_type(state.t)
+    assert np.array_equal(loads, state.load)
 
 
 THRESHOLD_CHUNK = threshold._THRESHOLD_CHUNK
@@ -323,6 +335,7 @@ def test_threshold_chunk_size_changes_no_draw(monkeypatch, strategy, n, t):
     summary = summary_outcome(n, t, spec, seed=31)
     state = run_outcome[1]
     assert summary == (state.load.tolist(), np.min_scalar_type(t), state.rejections)
+    assert_kernel_loads(state, spec, seed=31)
     assert threshold_outcomes(n, t, spec, seed=31, method="reference") == run_outcome
     for chunk in (1 << 12, 1 << 16):
         monkeypatch.setattr(threshold, "_THRESHOLD_CHUNK", chunk)
@@ -457,9 +470,9 @@ def test_two_choices_kernel_widens_the_load_table():
     for n, bins in ((block, tiled), (block, tail_then_ready), (1, one_bin)):
         chunks = list(two_choices._two_choices_kernel(
             n, len(bins), FixedStream(bins.tolist()), FixedStream(bins.tolist())))
-        rejected = np.concatenate([took for _, _, took, _ in chunks])
-        load = chunks[-1][3]
-        assert not rejected.any()
+        moved = np.concatenate([balls for _, balls, _, _, _ in chunks])
+        load = chunks[-1][4]
+        assert not moved.size
         assert load.dtype == np.min_scalar_type(len(bins))
         assert np.array_equal(load[:n], np.bincount(bins, minlength=n))
     assert load[:n].tolist() == [70_000]
