@@ -15,7 +15,7 @@ import numpy as np
 from . import bounds, oracle
 from .engine import level_set_count, max_load, run
 from .errors import ConfigurationError
-from .rng import RngStream, mix_seeds
+from .rng import _seed_streams
 from .strategies import THRESHOLD, StrategySpec, parse_strategy
 from .trace import replay, trace_from_json
 
@@ -108,7 +108,7 @@ def engine_suite(seed: int = 2024) -> list[CheckResult]:
         landed = trace.reject_counts > 0
         pool_indices = trace.pool_indices[landed]
         draws = int(pool_indices.max()) + 1 if pool_indices.size else 0
-        pool = RngStream(mix_seeds(seed, 1)).bounded_block(n, draws)
+        pool = _seed_streams(seed)[1].bounded_block(n, draws)
         consumed = bool(np.array_equal(pool[pool_indices], trace.final_bins[landed]))
         if not spec.is_thinning:
             _check(

@@ -218,7 +218,6 @@ def _run_simulate(params: dict) -> int:
         for i in range(stats.trials)
     ]
     payload = stats.as_dict()
-    payload["per_trial_seeds"] = list(stats.per_trial_seeds)
     if level is not None:
         payload["tail"] = stats.tail(level)._asdict()
     _emit(params, "simulate", header, rows, payload)

@@ -8,8 +8,10 @@ one-choice, whose cap never binds, and 0 for always-reject, whose
 primaries are not drawn) plus the pool draws that the rejections consume,
 and counts of the draws give them without a per-ball record.  The kernel
 branches on the level, never on the kind.  :func:`_count_groups` counts
-the runs of many seeds; ``engine._summary_groups`` serves these kinds from
-it, for ``engine.run_summary`` and ``engine.run_summary_batch``.
+the runs of many seeds, each from the streams ``rng._seed_streams``
+derives from its seed; ``engine._summary_groups`` serves these kinds from
+it, for ``engine.run_summary`` and ``engine.run_summary_batch``, and
+``engine.summary_peak_bytes`` reads its bound, :func:`_count_peak_bytes`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .rng import _CHUNK, RngStream, _chunk_buffer_bytes, bounded_grid, mix_seed_array, mix_seeds
+from .rng import _CHUNK, _chunk_buffer_bytes, _seed_streams, bounded_grid, mix_seed_array
 from .strategies import StrategySpec
 
 
@@ -26,11 +28,6 @@ def _counts_draws(spec: StrategySpec) -> bool:
     """Whether a run's loads follow from counts of its draws: one-choice,
     always-reject and threshold with retry budget 1."""
     return spec.is_thinning and spec.retry_budget == 1
-
-
-def _seed_streams(seed: int) -> tuple[RngStream, RngStream]:
-    """Fresh primary and secondary streams of a run on ``seed``."""
-    return RngStream(mix_seeds(seed, 0)), RngStream(mix_seeds(seed, 1))
 
 
 def _summaries(groups):

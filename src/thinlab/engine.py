@@ -13,13 +13,16 @@ tally arrays.
 :func:`run` and :func:`run_with_streams` go through one vectorized kernel,
 :func:`_columns`, which yields bit-identical traces and stream positions.
 It picks its path by the thinning level (``StrategySpec.level``): a rule at
-level 0 or t, such as always-reject or one-choice, is drawn as blocks;
-other levels, and two-choices, run the placement kernel that
-:func:`_placements` picks, whose chunks ``_columns`` writes into three
-preallocated columns.  :func:`run_summary` and :func:`run_summary_batch`
-never build the columns: :func:`_summary_groups` counts the draws, or runs
-a placement kernel and keeps only the loads and rejections, and
-:func:`summary_peak_bytes` bounds what each kernel holds.  Each kernel
+level 0 or t, such as always-reject or one-choice, is drawn as blocks
+(:func:`_drawn_as_blocks`); other levels, and two-choices, run the
+placement kernel that :func:`_placements` picks, whose chunks ``_columns``
+writes into three preallocated columns.  :func:`run_summary` and
+:func:`run_summary_batch` never build the columns: :func:`_summary_groups`
+counts the draws, or runs a placement kernel and keeps only the loads and
+rejections.  Both memory bounds read these choices here:
+:func:`trace_peak_bytes` bounds a run and :func:`summary_peak_bytes` a
+summary, each from the bound of the kernel it runs
+(:func:`_placement_peak_bytes` for the placement kernels).  Each kernel
 has its own module:
 
 - one-choice, always-reject and threshold with k = 1, in summaries: the
@@ -34,10 +37,10 @@ has its own module:
   (:mod:`thinlab.two_choices`).
 
 What a run records (:class:`ProcessState`, :class:`AllocationRecord`,
-:class:`Trace`, :func:`trace_from_json`, :func:`replay` and
-:func:`trace_peak_bytes`) lives in :mod:`thinlab.trace` and is re-exported
-here.  The memory budget, ``MEMORY_BUDGET_BYTES``, lives in
-:mod:`thinlab.errors`.
+:class:`Trace`, :func:`trace_from_json` and :func:`replay`) lives in
+:mod:`thinlab.trace` and is re-exported here.  A run's two streams come
+from ``rng._seed_streams``.  The memory budget, ``MEMORY_BUDGET_BYTES``,
+lives in :mod:`thinlab.errors`.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .counting import _count_groups, _count_peak_bytes, _counts_draws, _seed_streams, _summaries
+from .counting import _count_groups, _count_peak_bytes, _counts_draws, _summaries
 from .errors import ConfigurationError, _as_int, _check_budget
+from .rng import _chunk_buffer_bytes, _seed_streams
 from .strategies import (
     TWO_CHOICES_GREEDY,
     StrategySpec,
@@ -63,9 +67,9 @@ from .trace import (
     ProcessState,
     Trace,
     _assemble_trace,
+    _assembly_peak_bytes,
     replay,
     trace_from_json,
-    trace_peak_bytes,
 )
 from .two_choices import _two_choices_kernel, _two_choices_peak_bytes
 
@@ -159,17 +163,24 @@ def _run_reference(n, t, spec, seed, primary_stream, secondary_stream) -> Trace:
     return trace
 
 
+def _drawn_as_blocks(t, spec) -> bool:
+    """Whether :func:`_columns` draws a run of ``t`` balls as blocks, not
+    through a placement kernel: its rule is at level 0 or t, so it rejects
+    every ball or none."""
+    return spec.level(t) in (0, t)
+
+
 def _columns(n, t, spec, primary_stream, secondary_stream):
     """The vectorized kernel: per-ball columns of a run.
 
     Returns primary bins, final bins and reject counts, bit-identical to
     what :func:`step` records, and leaves both streams where it leaves them.
-    A rule at level 0 or t rejects every ball or none; any other level, and
-    two-choices, run the placement kernel, whose chunks are written at
+    A run that :func:`_drawn_as_blocks` is drawn as blocks; any other, and
+    two-choices, runs the placement kernel, whose chunks are written at
     their offsets.
     """
-    level = spec.level(t)
-    if level in (0, t):
+    if _drawn_as_blocks(t, spec):
+        level = spec.level(t)
         primary_bins = primary_stream.bounded_block(n, t)
         final_bins = primary_bins.copy() if level else secondary_stream.bounded_block(n, t)
         return primary_bins, final_bins, np.full(t, not level, dtype=np.int64)
@@ -198,6 +209,32 @@ def _placements(n, t, spec, primary_stream, secondary_stream):
     if spec.is_thinning:
         return _threshold_chunks(n, t, spec, primary_stream, secondary_stream)
     return _two_choices_kernel(n, t, primary_stream, secondary_stream)
+
+
+def _placement_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
+    """Upper bound on the memory the kernel :func:`_placements` picks holds
+    at once, its yielded chunks and load table included."""
+    if spec.is_thinning:
+        return _threshold_peak_bytes(n, t, spec)
+    return _two_choices_peak_bytes(n, t)
+
+
+def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
+    """Upper bound on the memory one :func:`run` call holds at once.
+
+    Counted like :func:`summary_peak_bytes`, with the most rejections a run
+    can have, as the larger of two phases: :func:`_columns`, whose three
+    int64 columns sit beside the placement kernel it runs (or, for a run
+    drawn as blocks, the draw buffers of its blocks) and 16 KiB of Python
+    objects; then ``trace._assembly_peak_bytes``, which builds the trace
+    from them.  The tests check it against ``tracemalloc`` for every kind.
+    """
+    if _drawn_as_blocks(t, spec):
+        kernel = _chunk_buffer_bytes(n, t)
+    else:
+        kernel = _placement_peak_bytes(n, t, spec)
+    columns = 8 * (3 * t + -(-kernel // 8)) + 16 * 1024
+    return max(columns, _assembly_peak_bytes(n, t))
 
 
 def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
@@ -319,9 +356,7 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     """
     if _counts_draws(spec):
         return _count_peak_bytes(n, t, spec)
-    if spec.is_thinning:
-        return _threshold_peak_bytes(n, t, spec)
-    return _two_choices_peak_bytes(n, t)
+    return _placement_peak_bytes(n, t, spec)
 
 
 def max_load(state: ProcessState, subset: Iterable[int] | None = None) -> int:

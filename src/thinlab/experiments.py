@@ -145,6 +145,7 @@ class SummaryStats:
             "normalized_ratio": self.normalized_ratio,
             "per_trial_maxload": list(self.per_trial_maxload),
             "per_trial_rejections": list(self.per_trial_rejections),
+            "per_trial_seeds": list(self.per_trial_seeds),
         }
 
     def tail(self, level: int) -> TailEstimate:

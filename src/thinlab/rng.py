@@ -35,7 +35,10 @@ is a ~5e-12 per-draw event.
 
 Seed derivation (per-trial seeds, per-run stream seeds) uses the same
 finalizer: ``mix_seeds(seed, i) = fmix64((seed + (i + 1) * GAMMA) mod 2**64)``,
-i.e. entry ``i`` of the SplitMix64 output stream for ``seed``.
+i.e. entry ``i`` of the SplitMix64 output stream for ``seed``.  A run on
+``seed`` draws from the two streams :func:`_seed_streams` gives, its
+primaries from ``mix_seeds(seed, 0)`` and its secondary pool from
+``mix_seeds(seed, 1)``.
 """
 
 from __future__ import annotations
@@ -87,6 +90,12 @@ def mix_seeds(seed: int, index: int) -> int:
     child seeds because the finalizer is a bijection on 64-bit words.
     """
     return fmix64(operator.index(seed) + (index + 1) * GAMMA)
+
+
+def _seed_streams(seed: int) -> tuple[RngStream, RngStream]:
+    """Fresh primary and secondary streams of a run on ``seed``:
+    ``mix_seeds(seed, 0)`` and ``mix_seeds(seed, 1)``."""
+    return RngStream(mix_seeds(seed, 0)), RngStream(mix_seeds(seed, 1))
 
 
 class RngStream:

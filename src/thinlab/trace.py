@@ -9,8 +9,11 @@ order, so the pool index a ball consumes is derived from the reject counts
 :meth:`Trace.to_json` and :attr:`Trace.records` all work from the three
 columns, :func:`_assemble_trace` derives the final state from them, and
 :func:`_check_rejections` is the one check that a strategy can yield them.
-:func:`trace_from_json` rebuilds and checks a serialized trace, and
-:func:`trace_peak_bytes` bounds the memory ``engine.run`` holds.
+:func:`trace_from_json` rebuilds and checks a serialized trace.  This
+module runs no kernel: :func:`_assembly_peak_bytes` bounds what building a
+trace holds, for :func:`trace_from_json`'s guard and for
+``engine.trace_peak_bytes``, which adds the kernel that ``engine.run``
+runs first.
 
 Bins are 1-based in every public record and serialization, 0-based in the
 tally arrays.
@@ -24,18 +27,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, _as_int, _check_budget
-from .rng import _chunk_buffer_bytes
 from .strategies import StrategySpec, parse_strategy
-from .threshold import _threshold_peak_bytes
-from .two_choices import _two_choices_peak_bytes
 
 _TALLY_FIELDS = ("load", "primary_suggested", "primary_accepted", "secondary_used")
 
 # Bytes that trace_from_json holds per character of a payload as to_json
-# writes it, besides the trace it builds: json.loads's objects (3.1 to 4.9
-# bytes per character under tracemalloc, from bin-heavy to ball-heavy
-# payloads) and the two lists of loads that it compares (16 bytes per bin,
-# and a bin takes at least 3 characters).
+# writes it, besides what _assembly_peak_bytes counts: json.loads's objects
+# (3.1 to 4.9 bytes per character under tracemalloc, from bin-heavy to
+# ball-heavy payloads), the two lists of loads that it compares (16 bytes
+# per bin, and a bin takes at least 3 characters), and at most two int64
+# arrays per ball beyond the assembly's four (sec_idx, then the pool
+# indices it is checked against; a record takes at least 75 characters).
 _JSON_BYTES_PER_CHAR = 6
 
 
@@ -187,8 +189,9 @@ def trace_from_json(text: str) -> Trace:
 
     A payload whose parse, at ``_JSON_BYTES_PER_CHAR`` bytes per character,
     would exceed ``errors.MEMORY_BUDGET_BYTES`` raises ``ResourceLimitError``
-    before it is parsed; one whose parse plus :func:`trace_peak_bytes` of
-    the trace it describes would, raises it before any column is built.
+    before it is parsed; one whose parse plus the arrays it builds
+    (:func:`_assembly_peak_bytes` of the trace it describes) would, raises
+    it before any column is built.  No kernel runs, so none is counted.
     """
     parse_bytes = _JSON_BYTES_PER_CHAR * len(text)
     what = f"a trace payload of {len(text)} characters"
@@ -207,7 +210,7 @@ def trace_from_json(text: str) -> Trace:
     t = _as_int(t, "trace payload ball count", 0)
     if len(raw_records) != t or len(loads) != n:
         raise ConfigurationError("trace payload lengths disagree with n, t")
-    _check_budget(parse_bytes + trace_peak_bytes(n, t, strategy), what)
+    _check_budget(parse_bytes + _assembly_peak_bytes(n, t), what)
     primary_bins = np.zeros(t, dtype=np.int64)
     final_bins = np.zeros(t, dtype=np.int64)
     reject_counts = np.zeros(t, dtype=np.int64)
@@ -303,28 +306,19 @@ def _assemble_trace(n, t, spec, seed, primary_bins, final_bins, reject_counts) -
     )
 
 
-def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
-    """Upper bound on the memory one ``engine.run`` call holds at once.
+def _assembly_peak_bytes(n: int, t: int) -> int:
+    """Upper bound on the memory that building a trace of ``t`` balls in
+    ``n`` bins holds once its columns are filled.
 
-    Counted like ``engine.summary_peak_bytes``, in words, as the largest
-    phase of ``engine._columns`` and then of :func:`_assemble_trace`, with
-    the most rejections a run can have, plus 16 KiB of Python objects.  The
-    tests check it against ``tracemalloc`` for every kind.
+    In words: four t-word arrays (the three int64 columns and a gather of
+    the final bins on one side of the landed mask), the mask and its
+    complement (a bool per ball), and :func:`_assemble_trace`'s four n-word
+    tallies beside one bincount at a time; plus 16 KiB of Python objects.
+    It is the last phase of ``engine.trace_peak_bytes``, and, beside its
+    parse, the whole guard of :func:`trace_from_json`.
     """
-    # _columns: its three int64 columns beside the kernel it runs, or, at
-    # level 0 or t, the draw buffers of its blocks.
-    level = spec.level(t)
-    if level is None:
-        kernel = _two_choices_peak_bytes(n, t)
-    elif 0 < level < t:
-        kernel = _threshold_peak_bytes(n, t, spec)
-    else:
-        kernel = _chunk_buffer_bytes(n, t)
-    # _assemble_trace: the three columns, four n-word tallies, one bincount
-    # at a time, the landed mask and its complement (a bool per ball), and
-    # a gather of the final bins on one side of it.
     mask = t // 8 + 1
-    return 8 * max(3 * t + -(-kernel // 8), 4 * t + 2 * mask + 5 * n) + 16 * 1024
+    return 8 * (4 * t + 2 * mask + 5 * n) + 16 * 1024
 
 
 def replay(trace: Trace) -> ProcessState:

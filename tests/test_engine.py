@@ -31,7 +31,7 @@ from thinlab.engine import (
 from thinlab.errors import ConfigurationError, ResourceLimitError
 from thinlab.rng import _CHUNK, FixedStream, RngStream, mix_seeds
 from thinlab.strategies import StrategySpec, parse_strategy
-from thinlab.trace import _JSON_BYTES_PER_CHAR
+from thinlab.trace import _JSON_BYTES_PER_CHAR, _assembly_peak_bytes
 
 THRESHOLD_1 = StrategySpec("threshold", ell=1)
 ONE_CHOICE = StrategySpec("always_accept")
@@ -999,12 +999,7 @@ def test_counting_kinds_hold_no_draw_block(strategy):
     n, t = 1000, 300_000
     spec = parse_strategy(strategy, n=n)
     run_summary(n, t, spec, 1)  # any lazy set-up happens outside the trace
-    tracemalloc.start()
-    try:
-        run_summary(n, t, spec, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: run_summary(n, t, spec, 2))
     # Less than one t-word block: only the table (which widens at n = 1000)
     # and one stream's chunk buffers.
     assert peak < 8 * t
@@ -1068,12 +1063,13 @@ def test_counting_kernel_frees_the_uint8_table_before_the_wide_one():
     def streams():
         return FixedStream(bins), FixedStream([])
 
-    tracemalloc.start()
-    try:
-        loads, _ = next(counting._count_runs(n, t, ONE_CHOICE, [streams]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    counted = []
+
+    def count():
+        counted.extend(next(counting._count_runs(n, t, ONE_CHOICE, [streams])))
+
+    peak = traced_peak(count)
+    loads, _ = counted
     assert loads.dtype == np.uint16 and int(loads[0]) == t
     assert peak <= summary_peak_bytes(n, t, ONE_CHOICE)
 
@@ -1192,12 +1188,7 @@ def test_batch_matches_full_runs_of_the_other_strategies(strategy, n, t):
 def test_trace_peak_within_estimate(strategy, n, t):
     spec = parse_strategy(strategy, n=n)
     run(n, t, spec, 1)  # any lazy set-up happens outside the trace
-    tracemalloc.start()
-    try:
-        run(n, t, spec, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: run(n, t, spec, 1))
     estimate = trace_peak_bytes(n, t, spec)
     assert peak <= estimate
     # k > 1 estimates assume every ball is rejected, so hold them to it where
@@ -1218,8 +1209,7 @@ def test_trace_from_json_peak_within_estimate(strategy, n, t):
     text = run(n, t, strategy, 1).to_json()
     trace_from_json(text)  # any lazy set-up happens outside the trace
     peak = traced_peak(lambda: trace_from_json(text))
-    spec = parse_strategy(strategy, n=n)
-    estimate = _JSON_BYTES_PER_CHAR * len(text) + trace_peak_bytes(n, t, spec)
+    estimate = _JSON_BYTES_PER_CHAR * len(text) + _assembly_peak_bytes(n, t)
     assert peak <= estimate <= 1.5 * peak
 
 
@@ -1235,7 +1225,7 @@ def test_trace_from_json_refuses_a_payload_beyond_the_memory_budget(monkeypatch)
         with pytest.raises(ResourceLimitError, match=f"payload of {len(text)} characters"):
             trace_from_json(text)
     # The parse fits, but not beside the trace it describes.
-    needed = parse + trace_peak_bytes(50, 200, parse_strategy("threshold:1", n=50))
+    needed = parse + _assembly_peak_bytes(50, 200)
     monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", needed - 1)
     with pytest.raises(ResourceLimitError):
         trace_from_json(text)

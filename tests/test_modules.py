@@ -7,6 +7,7 @@ So a process's peak RSS follows the largest compile peak among all
 modules, and every module is held to the budget, not only the largest.
 """
 
+import ast
 import sys
 import tracemalloc
 from pathlib import Path
@@ -19,12 +20,15 @@ import thinlab.cli  # imports every module the CLI uses
 MODULES = sorted(path for root in thinlab.__path__ for path in Path(root).glob("*.py"))
 
 # compile() peaks under tracemalloc on CPython 3.11: cli 1109 KiB,
-# experiments 987, checks 744, engine 735, oracle 718, trace 713, rng 598,
-# bounds 525, counting 502, cli_params 389, two_choices 347, threshold
-# 341, strategies 329, __init__ 108 and errors 101 KiB.  Before engine.py
-# and cli.py were split they peaked at 1987 and 1419 KiB.  Splitting only
-# one of the two left the benchmark's campaign peak RSS where it was, since
-# the other was then the largest; splitting both cut it by 0.8 MB.
+# experiments 988, engine 898, checks 744, oracle 719, trace 689, rng 620,
+# bounds 525, counting 491, cli_params 390, two_choices 348, threshold
+# 341, strategies 330, __init__ 109 and errors 101 KiB.  A module's peak
+# steps up by about 120 KiB where it passes 2048 tokens: engine went from
+# 2038 to 2199 tokens, and from 735 to 898 KiB, when the run bound moved
+# into it.  Before engine.py and cli.py were split they peaked at 1987 and
+# 1419 KiB.  Splitting only one of the two left the benchmark's campaign
+# peak RSS where it was, since the other was then the largest; splitting
+# both cut it by 0.8 MB.
 COMPILE_BUDGET = 1152 * 1024
 
 
@@ -44,3 +48,13 @@ def test_module_compile_peak_within_budget(path):
     finally:
         tracemalloc.stop()
     assert peak < COMPILE_BUDGET
+
+
+def test_trace_imports_no_kernel():
+    # What a run records is built without running a kernel, so trace.py
+    # imports no kernel, stream or bound of one: engine picks the kernel and
+    # bounds the run that uses it.
+    tree = ast.parse(Path(thinlab.__file__).with_name("trace.py").read_text())
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"errors", "strategies"}
