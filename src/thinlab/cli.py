@@ -49,6 +49,7 @@ from .errors import ConfigurationError, ThinlabError
 from .experiments import (
     ExperimentConfig,
     _check_tail_request,
+    _stage_plan,
     rejection_stats,
     run_trials,
     scaling_study,
@@ -135,11 +136,11 @@ def _merge_params(subcommand: str, namespace: argparse.Namespace, file_config: d
             merged[param] = default
 
     if "rho" in merged and "t" in merged:
-        merged.update(_resolve_rho_t(merged, from_flags, subcommand))
+        merged.update(_resolve_rho_t(merged, from_flags))
     return merged
 
 
-def _resolve_rho_t(merged: dict, from_flags: set, subcommand: str) -> dict:
+def _resolve_rho_t(merged: dict, from_flags: set) -> dict:
     rho, t = merged.get("rho"), merged.get("t")
     if rho is not None and t is not None:
         # Flags beat config-file values; simultaneous explicit flags conflict.
@@ -305,7 +306,7 @@ def _run_diagnose(params: dict) -> int:
     else:
         t = int(rho * n)
     spec = parse_strategy(params["strategy"], n=n)
-    bounds.stage_params(n, rho, params["epsilon"])  # refuses bad parameters before run draws
+    _stage_plan(n, t, rho, params["epsilon"])  # refuses a bad request before run draws
     trace = run(n, t, spec, params["seed"])
     diagnostics = stage_diagnostics(trace, rho, params["epsilon"])
     rejections = rejection_stats(trace)

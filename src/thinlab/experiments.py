@@ -10,6 +10,11 @@ The load factor rho is held as an exact rational and the ball count is
 floor(rho * n) in integer arithmetic, so grid boundaries can never shift
 with platform float rounding.  String inputs like "1/2" or "0.5" convert
 exactly, as do integers; other reals convert through their shortest decimal.
+
+A request is checked whole before anything is drawn.  The stage plan of
+a diagnosis, :func:`_stage_plan`, needs only n, t, rho and epsilon, and
+:func:`scaling_study` checks every grid point's configuration, target and
+memory guard before its first campaign.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import rejection_budget, stage_params, target_maxload
+from .bounds import StageParams, rejection_budget, stage_params, target_maxload
 from .counting import _counts_draws
 from .engine import run_summary, run_summary_batch, summary_peak_bytes
 from .errors import ConfigurationError, WorkerError, _as_int, _check_budget
@@ -349,14 +354,19 @@ def scaling_study(
 
     Each grid point runs its own campaign on seed mix_seeds(base_seed, n).
     Strategy strings resolve per grid point, so "threshold:auto" uses the
-    level appropriate to each n.
+    level appropriate to each n.  The whole grid is planned before the
+    first campaign runs: every point's configuration, its target (which
+    needs n >= 3) and its memory guard, so a bad point is refused before
+    anything is drawn.  Each row's ratio is its campaign's
+    ``normalized_ratio``.
     """
     grid = list(n_grid)
     if not grid:
         raise ConfigurationError("the bin-count grid must be non-empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError("the bin-count grid must be strictly ascending")
-    rows = []
+    workers = _resolve_workers(workers)
+    plan = []
     for n in grid:
         config = ExperimentConfig(
             n=n,
@@ -365,14 +375,18 @@ def scaling_study(
             base_seed=mix_seeds(base_seed, n),
             rho=rho,
         )
-        stats = run_trials(config, workers=workers)
         target = target_maxload(n)
+        _check_memory(n, config.ball_count, config.spec, trials, workers)
+        plan.append((config, target))
+    rows = []
+    for config, target in plan:
+        stats = run_trials(config, workers=workers)
         rows.append(
             ScaleRow(
-                n=n,
+                n=config.n,
                 target=target,
                 median_maxload=stats.median_maxload,
-                ratio=stats.median_maxload / target,
+                ratio=stats.normalized_ratio,
                 trials=trials,
             )
         )
@@ -429,22 +443,35 @@ class StageDiagnostics:
         }
 
 
+def _stage_plan(n: int, t: int, rho, epsilon: float) -> StageParams:
+    """The stage decomposition of a t-ball run into n bins, checked.
+
+    Returns :func:`stage_params` (n, rho, epsilon), and refuses a run
+    too short to hold all s stages of w balls.  It needs only the
+    request, so a caller can refuse before it draws anything.
+    """
+    params = stage_params(n, rho, epsilon)
+    needed = params.s * params.w
+    if t < needed:
+        raise ConfigurationError(
+            f"stage diagnostics need a trace of at least s*w = {params.s}*{params.w} "
+            f"= {needed} balls, got {t}"
+        )
+    return params
+
+
 def stage_diagnostics(trace: Trace, rho, epsilon: float) -> StageDiagnostics:
     """Evaluate the stage decomposition events on a recorded trace.
 
-    rich_bins is computed from primary suggestions (accepted or not),
-    exactly as the stage set is defined; it is NOT clipped to be monotone
-    across stages, because the literal per-stage definition can admit a
-    bin into stage k+1 that stage k missed.
+    The stages are those of :func:`_stage_plan`, which refuses a trace
+    shorter than s*w balls.  rich_bins is computed from primary
+    suggestions (accepted or not), exactly as the stage set is defined;
+    it is NOT clipped to be monotone across stages, because the literal
+    per-stage definition can admit a bin into stage k+1 that stage k
+    missed.
     """
     rho = parse_rho(rho)
-    params = stage_params(trace.n, rho, epsilon)
-    needed = params.s * params.w
-    if trace.t < needed:
-        raise ConfigurationError(
-            f"stage diagnostics need a trace of at least s*w = {params.s}*{params.w} "
-            f"= {needed} balls, got {trace.t}"
-        )
+    params = _stage_plan(trace.n, trace.t, rho, epsilon)
     n = trace.n
     load_target = (2 - epsilon) * params.ell
     rows = []

@@ -206,25 +206,23 @@ def test_oracle_check_instance(capsys):
 
 
 def test_diagnose_outputs(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["diagnose", "-n", "100", "--rho", "1", "--epsilon", "1",
-         "--strategy", "one-choice", "--seed", "21", "--no-meta"],
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert (payload["ell"], payload["s"], payload["w"]) == (2, 2, 25)
-    assert len(payload["stages"]) == 2
-    assert payload["rejections"]["total"] == 0
-
-    code, out, _ = run_cli(
-        capsys,
-        ["diagnose", "-n", "100", "--rho", "1", "--epsilon", "1",
-         "--strategy", "one-choice", "--seed", "21", "--format", "csv", "--no-meta"],
-    )
-    lines = out.strip().split("\n")
-    assert lines[0] == "k,rich_bins,count_below_zeta,load_below_target"
-    assert len(lines) == 3
+    # The exact bytes, key order included: the stage plan and rows, then
+    # the strategy, seed and rejections that the handler appends.
+    stages = {
+        "n": 100, "rho": "1", "epsilon": 1.0, "ell": 2, "s": 2, "w": 25, "zeta": 0.0229925,
+        "stages": [
+            {"k": 1, "rich_bins": 25, "count_below_zeta": False, "load_below_target": True},
+            {"k": 2, "rich_bins": 7, "count_below_zeta": False, "load_below_target": False},
+        ],
+    }
+    csv = "k,rich_bins,count_below_zeta,load_below_target\n1,25,false,true\n2,7,false,false\n"
+    for strategy, rejections in (("one-choice", {"total": 0, "budget_ratio": 0.0}),
+                                 ("threshold:2,k=2", {"total": 7, "budget_ratio": 0.21})):
+        argv = ["diagnose", "-n", "100", "--rho", "1", "--epsilon", "1",
+                "--strategy", strategy, "--seed", "21", "--no-meta"]
+        payload = {**stages, "strategy": strategy, "seed": 21, "rejections": rejections}
+        assert run_cli(capsys, argv) == (0, json.dumps(payload, indent=2) + "\n", "")
+        assert run_cli(capsys, argv + ["--format", "csv"]) == (0, csv, "")
 
 
 def _no_run(*args, **kwargs):
@@ -244,10 +242,15 @@ def test_diagnose_refuses_a_trace_beyond_the_memory_budget(capsys, monkeypatch):
 
 def test_diagnose_checks_its_parameters_before_it_draws(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run", _no_run)
-    code, out, err = run_cli(capsys, ["diagnose", "-n", "1000000", "--epsilon", "0"])
-    assert code == 1
-    assert out == ""
-    assert err == "thinlab: error: epsilon must lie in (0, 2), got 0.0\n"
+    for epsilon, message in (
+        ("0", "epsilon must lie in (0, 2), got 0.0"),
+        ("0.25", "stage diagnostics need a trace of at least s*w = 6*166667 = 1000002 "
+                 "balls, got 1000000"),
+    ):
+        code, out, err = run_cli(capsys, ["diagnose", "-n", "1000000", "--epsilon", epsilon])
+        assert code == 1
+        assert out == ""
+        assert err == f"thinlab: error: {message}\n"
 
 
 def test_check_subcommand_passes(capsys):

@@ -14,7 +14,7 @@ import thinlab
 from thinlab import cli, errors, experiments
 from thinlab.bounds import rejection_budget, target_maxload
 from thinlab.engine import run, run_summary, summary_peak_bytes
-from thinlab.errors import ConfigurationError, ResourceLimitError
+from thinlab.errors import ConfigurationError, DomainError, ResourceLimitError
 from thinlab.experiments import (
     ExperimentConfig,
     parse_rho,
@@ -286,7 +286,7 @@ def test_scaling_study_composition():
     stats = run_trials(config)
     assert row.median_maxload == stats.median_maxload
     assert row.target == pytest.approx(target_maxload(50))
-    assert row.ratio == pytest.approx(stats.median_maxload / target_maxload(50))
+    assert row.ratio == stats.normalized_ratio
     assert row.trials == 20
 
 
@@ -304,13 +304,24 @@ def test_scaling_study_with_growing_ball_counts():
         assert row.median_maxload == type1_quantile(maxloads, 0.5)
 
 
-def test_scaling_study_grid_validation():
+def test_scaling_study_grid_validation(monkeypatch):
     with pytest.raises(ConfigurationError):
         scaling_study([], rho=1, strategy="one-choice", trials=5, base_seed=1)
     with pytest.raises(ConfigurationError):
         scaling_study([100, 100], rho=1, strategy="one-choice", trials=5, base_seed=1)
     with pytest.raises(ConfigurationError):
         scaling_study([1000, 100], rho=1, strategy="one-choice", trials=5, base_seed=1)
+
+    # The whole grid is checked before its first campaign runs.
+    def no_campaign(*args, **kwargs):
+        raise AssertionError("scaling_study ran a campaign of a grid it should have refused")
+
+    monkeypatch.setattr(experiments, "run_trials", no_campaign)
+    with pytest.raises(DomainError, match="bin count must be at least 3, got 2"):
+        scaling_study([2, 10], rho=1, strategy="one-choice", trials=200_000, base_seed=1)
+    with pytest.raises(ResourceLimitError, match="a campaign of 20 trials on 1 workers"):
+        scaling_study([200_000, 10**12], rho=1, strategy="threshold:auto", trials=20,
+                      base_seed=1, workers=1)
 
 
 def test_stage_diagnostics_counts():
