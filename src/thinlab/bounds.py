@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, _as_int
+from .errors import DomainError, _as_fraction, _as_int
 
 _EXACT_FACTORIAL_MAX = 20
 
@@ -131,20 +131,31 @@ class StageParams(NamedTuple):
     zeta: float
 
 
-def stage_params(n: int, rho: float, epsilon: float) -> StageParams:
+def _exact(value, what: str, valid: Callable, condition: str) -> Fraction:
+    """``value`` by the exact-rational rule, or DomainError if not ``valid``.
+    A real is checked first, so a NaN or an infinity is refused as outside."""
+    message = f"{what} {condition}, got {value}"
+    _require(not isinstance(value, numbers.Real) or valid(value), message)
+    exact = _as_fraction(value, what, DomainError)
+    _require(valid(exact), message)
+    return exact
+
+
+def stage_params(n: int, rho, epsilon) -> StageParams:
     """Stage decomposition: s stages of w balls each, event rate zeta.
 
     ell = lower_ell(n), s = ceil((2 - epsilon) ell), w = ceil(rho n / (2 ell)),
-    zeta = rho / (8 e ell).  The ceilings are computed in exact rational
-    arithmetic so float rounding can never shift a boundary case.
+    zeta = rho / (8 e ell).  rho and epsilon follow the exact-rational rule
+    of ``parse_rho`` and the CLI (0.1 is 1/10, "1/2" is one half), and the
+    ceilings are exact, so float rounding can never shift a boundary case.
     """
     n = _as_int(n, "bin count", 3, DomainError)
-    _require(rho > 0, f"load ratio must be positive, got {rho}")
-    _require(0 < epsilon < 2, f"epsilon must lie in (0, 2), got {epsilon}")
+    rho = _exact(rho, "load ratio", lambda x: x > 0, "must be positive")
+    epsilon = _exact(epsilon, "epsilon", lambda x: 0 < x < 2, "must lie in (0, 2)")
     ell = lower_ell(n)
-    s = math.ceil((Fraction(2) - Fraction(epsilon)) * ell)
-    w = math.ceil(Fraction(rho) * n / (2 * ell))
-    zeta = rho / (8.0 * math.e * ell)
+    s = math.ceil((2 - epsilon) * ell)
+    w = math.ceil(rho * n / (2 * ell))
+    zeta = float(rho) / (8.0 * math.e * ell)
     return StageParams(ell, s, w, zeta)
 
 

@@ -1,7 +1,9 @@
-"""Exception types shared across thinlab modules, the one integer rule and
-the one memory-budget rule."""
+"""Exception types shared across thinlab modules, the one integer rule, the
+one exact-rational rule and the one memory-budget rule."""
 
+import numbers
 import operator
+from fractions import Fraction
 
 
 class ThinlabError(Exception):
@@ -45,6 +47,25 @@ def _as_int(value, what: str, minimum: int | None = None, error=ConfigurationErr
     if minimum is not None and result < minimum:
         raise error(f"{what} must be at least {minimum}, got {result}")
     return result
+
+
+def _as_fraction(value, what: str, error=ConfigurationError) -> Fraction:
+    """``value`` as an exact Fraction, or ``error`` naming ``what``.
+
+    The exact-rational rule of every real input: integers, Rationals and
+    strings ("1/2", "0.5") convert exactly, other reals through their
+    shortest decimal (0.1 is 1/10).  Bools, non-numbers and non-finite
+    values are refused.
+    """
+    if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
+        raise error(f"{what} must be numeric, got {value!r}")
+    try:
+        if isinstance(value, numbers.Rational):
+            # A numpy integer's numerator is a numpy integer; Fraction would keep it.
+            return Fraction(operator.index(value.numerator), operator.index(value.denominator))
+        return Fraction(str(value).strip())
+    except (ValueError, ZeroDivisionError):
+        raise error(f"unparsable {what} {value!r}") from None
 
 
 # Most memory one run, trace or campaign may hold at once.

@@ -6,10 +6,9 @@ aggregation folds results in trial order, so output is identical for any
 worker count.  Scaling studies derive one campaign seed per grid point by
 the same mixing, keyed on the bin count.
 
-The load factor rho is held as an exact rational and the ball count is
-floor(rho * n) in integer arithmetic, so grid boundaries can never shift
-with platform float rounding.  String inputs like "1/2" or "0.5" convert
-exactly, as do integers; other reals convert through their shortest decimal.
+The load factor rho is held as an exact rational, by the exact-rational
+rule of :mod:`thinlab.errors`, and the ball count is floor(rho * n) in
+integer arithmetic, so grid boundaries never shift with float rounding.
 
 A request is checked whole before anything is drawn.  The stage plan of
 a diagnosis, :func:`_stage_plan`, needs only n, t, rho and epsilon, and
@@ -20,10 +19,8 @@ memory guard before its first campaign.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -32,7 +29,7 @@ import numpy as np
 from .bounds import StageParams, rejection_budget, stage_params, target_maxload
 from .counting import _counts_draws
 from .engine import run_summary, run_summary_batch, summary_peak_bytes
-from .errors import ConfigurationError, WorkerError, _as_int, _check_budget
+from .errors import ConfigurationError, WorkerError, _as_fraction, _as_int, _check_budget
 from .rng import mix_seed_range, mix_seeds
 from .strategies import StrategySpec, parse_strategy
 from .trace import Trace
@@ -44,22 +41,12 @@ WILSON_Z95 = 1.959963984540054
 def parse_rho(value) -> Fraction:
     """Convert a load factor to an exact Fraction.
 
-    Integers (numpy's included), Fractions and strings convert exactly
-    ("1/2" and "0.5" both give one half); other reals go through their
-    shortest decimal, ``str(value)``, so the conversion is reproducible and
-    documented rather than binary-exact.  Bools, non-numbers, and
-    non-finite or non-positive values raise ConfigurationError.
+    The exact-rational rule of :func:`errors._as_fraction` ("1/2", "0.5"
+    and 0.5 all give one half; 0.1 gives 1/10) plus positivity: bools,
+    non-numbers, and non-finite or non-positive values raise
+    ConfigurationError.
     """
-    if isinstance(value, bool) or not isinstance(value, (str, numbers.Real)):
-        raise ConfigurationError(f"load factor must be numeric, got {value!r}")
-    try:
-        if isinstance(value, numbers.Rational):
-            # A numpy integer's numerator is a numpy integer; Fraction would keep it.
-            rho = Fraction(operator.index(value.numerator), operator.index(value.denominator))
-        else:
-            rho = Fraction(str(value).strip())
-    except (ValueError, ZeroDivisionError):
-        raise ConfigurationError(f"unparsable load factor {value!r}") from None
+    rho = _as_fraction(value, "load factor")
     if rho <= 0:
         raise ConfigurationError(f"load factor must be positive, got {value!r}")
     return rho
@@ -81,6 +68,7 @@ class ExperimentConfig:
     base_seed: int
     rho: object = None
     t: int | None = None
+    spec: StrategySpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.rho is None) == (self.t is None):
@@ -94,11 +82,8 @@ class ExperimentConfig:
             counts.append(("t", "ball count", 0))
         for name, what, minimum in counts:
             object.__setattr__(self, name, _as_int(getattr(self, name), what, minimum))
-        self.spec  # fail fast on an unparsable strategy
-
-    @property
-    def spec(self) -> StrategySpec:
-        return parse_strategy(self.strategy, n=self.n)
+        # Resolved once; an unparsable strategy fails here.
+        object.__setattr__(self, "spec", parse_strategy(self.strategy, n=self.n))
 
     @property
     def ball_count(self) -> int:
@@ -170,16 +155,11 @@ class SummaryStats:
 
 def _resolve_workers(workers: int | None) -> int:
     if workers is None:
-        env = os.environ.get(WORKERS_ENV, "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{WORKERS_ENV} must be an integer, got {env!r}"
-                ) from None
-        else:
-            workers = 1
+        env = os.environ.get(WORKERS_ENV, "").strip() or "1"
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ConfigurationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return _as_int(workers, "worker count", 1)
 
 
@@ -253,9 +233,7 @@ def run_trials(config: ExperimentConfig, workers: int | None = None) -> SummaryS
             with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
                 done = list(pool.map(_run_chunk, chunks))
         except BrokenProcessPool as exc:
-            raise WorkerError(
-                f"a worker process died during the campaign ({exc})"
-            ) from exc
+            raise WorkerError(f"a worker process died during the campaign ({exc})") from exc
     outcomes = [outcome for chunk in done for outcome in chunk]
     maxloads = tuple(m for m, _ in outcomes)
     rejections = tuple(r for _, r in outcomes)
@@ -318,9 +296,7 @@ def _check_tail_request(level, trials: int) -> int:
     """The tail level, checked, once the trial count is known to suffice."""
     level = _as_int(level, "level", 0)
     if trials < 100:
-        raise ConfigurationError(
-            f"tail estimation needs at least 100 trials, got {trials}"
-        )
+        raise ConfigurationError(f"tail estimation needs at least 100 trials, got {trials}")
     return level
 
 
@@ -382,13 +358,7 @@ def scaling_study(
     for config, target in plan:
         stats = run_trials(config, workers=workers)
         rows.append(
-            ScaleRow(
-                n=config.n,
-                target=target,
-                median_maxload=stats.median_maxload,
-                ratio=stats.normalized_ratio,
-                trials=trials,
-            )
+            ScaleRow(config.n, target, stats.median_maxload, stats.normalized_ratio, trials)
         )
     return rows
 
@@ -473,7 +443,6 @@ def stage_diagnostics(trace: Trace, rho, epsilon: float) -> StageDiagnostics:
     rho = parse_rho(rho)
     params = _stage_plan(trace.n, trace.t, rho, epsilon)
     n = trace.n
-    load_target = (2 - epsilon) * params.ell
     rows = []
     for k in range(1, params.s + 1):
         upto = k * params.w
@@ -485,7 +454,9 @@ def stage_diagnostics(trace: Trace, rho, epsilon: float) -> StageDiagnostics:
                 k=k,
                 rich_bins=rich,
                 count_below_zeta=rich < n * params.zeta**k,
-                load_below_target=max_load_now < load_target,
+                # An integer load is below (2 - epsilon) * ell exactly when
+                # it is below s, that exact target's ceiling.
+                load_below_target=max_load_now < params.s,
             )
         )
     return StageDiagnostics(

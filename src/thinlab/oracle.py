@@ -91,7 +91,7 @@ def pmf_from_counts(counts: dict[int, int]) -> Pmf:
 def tv_distance(first: Pmf, second: Pmf) -> float:
     """Total-variation distance: half the L1 gap over the joint support."""
     values = sorted(set(first.support) | set(second.support))
-    gap = sum(abs(Fraction(first.prob_of(v)) - Fraction(second.prob_of(v))) for v in values)
+    gap = sum(abs(first.prob_of(v) - second.prob_of(v)) for v in values)
     return float(gap / 2)
 
 
@@ -224,9 +224,7 @@ def poisson_excess_mean(lam: float, level: int) -> float:
 
 def _surjections(t: int, m: int) -> int:
     """Labeled placements of t balls onto m bins leaving none empty."""
-    return sum(
-        (-1) ** i * math.comb(m, i) * (m - i) ** t for i in range(m + 1)
-    )
+    return sum((-1) ** i * math.comb(m, i) * (m - i) ** t for i in range(m + 1))
 
 
 def _multinomial_max_ge(n: int, t: int, a: int) -> Fraction:
@@ -239,38 +237,36 @@ def _multinomial_max_ge(n: int, t: int, a: int) -> Fraction:
 
 
 def _multinomial_empties_ge(n: int, t: int, k: int) -> Fraction:
-    """Exact P(at least k bins stay empty) with t uniform balls in n bins."""
-    if k <= 0:
-        return Fraction(1)
-    if k > n:
-        return Fraction(0)
-    total = n**t
+    """Exact P(at least k >= 0 bins stay empty) with t uniform balls in n bins."""
+    # t balls fill at most t bins, so terms with n - j > t are zero.
     favorable = sum(
-        math.comb(n, j) * _surjections(t, n - j) for j in range(k, n + 1)
+        math.comb(n, j) * _surjections(t, n - j) for j in range(max(k, n - t), n + 1)
     )
-    return Fraction(favorable, total)
+    return Fraction(favorable, n**t)
 
 
 def _poisson_max_ge(n: int, lam: float, a: int) -> float:
     """P(max of n iid Poisson(lam) >= a)."""
     if a <= 0:
         return 1.0
-    per_bin_below = 1.0 - poisson_tail(lam, a - 1)  # P(Y <= a - 1)
-    return 1.0 - per_bin_below**n
+    # 1 - (1 - tail)^n without rounding 1 - tail to 1 for a tiny tail.
+    return -math.expm1(n * math.log1p(-poisson_tail(lam, a - 1)))
 
 
 def _poisson_empties_ge(n: int, lam: float, k: int) -> float:
-    """P(at least k of n iid Poisson(lam) bins are empty)."""
-    if k <= 0:
-        return 1.0
-    if k > n:
-        return 0.0
+    """P(at least k >= 0 of n iid Poisson(lam) bins are empty)."""
+    # Binomial(n, e^-lam) weights relative to the mode, by the term ratio,
+    # over their sum: no comb(n, j) to overflow a float, and no cancellation.
     p_empty = math.exp(-lam)
-    terms = [
-        math.comb(n, j) * p_empty**j * (1.0 - p_empty) ** (n - j)
-        for j in range(k, n + 1)
-    ]
-    return min(1.0, math.fsum(terms))
+    odds = p_empty / -math.expm1(-lam)
+    mode = min(n, int((n + 1) * p_empty))
+    weights = [0.0] * (n + 1)
+    weights[mode] = 1.0
+    for j in range(mode, n):
+        weights[j + 1] = weights[j] * (n - j) / (j + 1) * odds
+    for j in range(mode, 0, -1):
+        weights[j - 1] = weights[j] * j / ((n - j + 1) * odds)
+    return math.fsum(weights[k:]) / math.fsum(weights)
 
 
 class PoissonizationCheck(NamedTuple):

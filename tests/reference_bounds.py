@@ -85,3 +85,9 @@ def rel_err(value, reference):
     if reference == 0:
         return float(mp.fabs(value))
     return float(mp.fabs((mp.mpf(value) - reference) / reference))
+
+
+def ref_poisson_empties_ge(n, lam, k):
+    """P(at least k of n iid Poisson(lam) bins are empty) at high precision."""
+    p = mp.exp(-mp.mpf(lam))
+    return mp.fsum(mp.binomial(n, j) * p**j * (1 - p) ** (n - j) for j in range(k, n + 1))

@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 import reference_bounds as ref
-from thinlab import bounds
+from thinlab import bounds, cli
+from thinlab.engine import run
 from thinlab.errors import DomainError
+from thinlab.experiments import stage_diagnostics
 
 
 def test_threshold_levels_at_known_sizes():
@@ -172,6 +174,42 @@ def test_reports_serialize_a_fraction_input():
     assert report.inputs["rho"] == Fraction(1, 2)
     data = json.loads(json.dumps(report.as_dict()))
     assert data["inputs"] == {"n": 1000, "rho": "1/2", "epsilon": 0.5}
+
+
+def test_stage_params_read_reals_by_the_exact_rational_rule(capsys):
+    # 0.1 is 1/10, as in parse_rho and the CLI; its binary value is above
+    # 1/10 and gave w = ceil(25.000...1) = 26.
+    assert bounds.stage_params(1000, 0.1, 0.5).w == 25
+    argv = ["bounds", "--name", "stage_params", "-n", "1000", "--rho", "0.1",
+            "--epsilon", "0.5", "--no-meta"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["details"]["w"] == 25
+    assert stage_diagnostics(run(1000, 100, "one-choice", 1), 0.1, 0.5).w == 25
+    # (2 - 3/5) * 5 = 7 exactly; the binary 0.6 is below 3/5 and gave 8.
+    assert bounds.lower_ell(10**26) == 5
+    assert [bounds.stage_params(10**26, 1, eps).s for eps in (0.6, 1.2, 1.4)] == [7, 4, 3]
+    assert bounds.stage_params(1000, "1/2", 0.5) == bounds.stage_params(1000, Fraction(1, 2), 0.5)
+
+
+@pytest.mark.parametrize("rho, epsilon, message", [
+    (float("inf"), 0.5, "unparsable load ratio inf"),
+    (True, 0.5, "load ratio must be numeric, got True"),
+    (1, "x", "unparsable epsilon 'x'"),
+    (None, 0.5, "load ratio must be numeric, got None"),
+    (0, 0.5, "load ratio must be positive, got 0"),
+    (float("nan"), 0.5, "load ratio must be positive, got nan"),
+    (False, 0.5, "load ratio must be positive, got False"),
+    ("-1/2", 0.5, "load ratio must be positive, got -1/2"),
+    (1, 0.0, "epsilon must lie in (0, 2), got 0.0"),
+    (1, float("-inf"), "epsilon must lie in (0, 2), got -inf"),
+    (1, "2", "epsilon must lie in (0, 2), got 2"),
+])
+def test_stage_params_refusals(rho, epsilon, message):
+    with pytest.raises(DomainError) as direct:
+        bounds.stage_params(1000, rho, epsilon)
+    with pytest.raises(DomainError) as evaluated:
+        bounds.evaluate("stage_params", n=1000, rho=rho, epsilon=epsilon)
+    assert str(direct.value) == str(evaluated.value) == message
 
 
 def test_integer_arguments_are_enforced():

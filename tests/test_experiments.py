@@ -28,7 +28,7 @@ from thinlab.experiments import (
 )
 from thinlab.oracle import exact_one_choice_maxload, pmf_from_counts, tv_distance
 from thinlab.rng import _CHUNK, RngStream, mix_seeds
-from thinlab.strategies import StrategySpec
+from thinlab.strategies import StrategySpec, parse_strategy
 
 
 def small_config(**overrides):
@@ -302,6 +302,19 @@ def test_scaling_study_with_growing_ball_counts():
             for i in range(3)
         )
         assert row.median_maxload == type1_quantile(maxloads, 0.5)
+
+
+def test_scaling_study_resolves_each_strategy_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return parse_strategy(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "parse_strategy", counted)
+    scaling_study([100, 200, 400], rho=1, strategy="threshold:auto", trials=3, base_seed=1,
+                  workers=1)
+    assert len(calls) == 3
 
 
 def test_scaling_study_grid_validation(monkeypatch):

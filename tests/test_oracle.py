@@ -1,12 +1,16 @@
 """Tests for the exact oracles: enumeration, DP, and Poisson routines."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
 
 import reference_bounds as ref
+from thinlab import oracle
 from thinlab.errors import ConfigurationError, StateSpaceLimitError
 from thinlab.oracle import (
+    STATISTICS,
     Pmf,
     exact_maxload_distribution,
     exact_one_choice_maxload,
@@ -178,6 +182,48 @@ def test_poissonization_check_battery():
                 assert poissonization_check(n, t, "max_ge_a", a).holds
             for k in range(0, n + 2):
                 assert poissonization_check(n, t, "empties_ge_k", k).holds
+
+
+def test_exact_empties_sum_matches_every_term():
+    # The sum skips terms n - j > t, which are zero: t balls fill at most t bins.
+    def onto(t, m):
+        return sum((-1) ** i * math.comb(m, i) * (m - i) ** t for i in range(m + 1))
+
+    for n in range(1, 9):
+        for t in range(1, 9):
+            for k in range(0, n + 2):
+                full = sum(math.comb(n, j) * onto(t, n - j) for j in range(k, n + 1))
+                assert oracle._multinomial_empties_ge(n, t, k) == Fraction(full, n**t)
+
+
+def test_exact_empties_side_is_quick_for_few_balls():
+    start = time.perf_counter()
+    result = poissonization_check(1000, 1, "empties_ge_k", 1)
+    assert time.perf_counter() - start < 0.5
+    assert result.lhs == 1.0 and result.holds
+
+
+@pytest.mark.parametrize("a", [18, 20, 22])
+def test_poisson_max_side_keeps_a_tiny_tail(a):
+    # 1 - (1 - tail)^200 with a tail below 1e-16: the naive form gives 0.
+    tail = ref.ref_poisson_tail(1, a)
+    expected = 2 * (1 - (1 - tail) ** 200)
+    rhs = poissonization_check(200, 200, "max_ge_a", a).rhs
+    assert abs(rhs - expected) <= 1e-10 * expected
+
+
+@pytest.mark.parametrize("n, lam, k", [
+    (4, 0.5, 1), (100, 1.0, 37), (1000, 1.0, 400), (2000, 0.0005, 1), (2000, 1.0, 800),
+])
+def test_poisson_empties_side_against_high_precision(n, lam, k):
+    expected = ref.ref_poisson_empties_ge(n, lam, k)
+    assert abs(oracle._poisson_empties_ge(n, lam, k) - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize("statistic", STATISTICS)
+def test_poisson_sides_stay_finite_at_2000_bins(statistic):
+    result = poissonization_check(2000, 1, statistic, 1)
+    assert math.isfinite(result.lhs) and math.isfinite(result.rhs) and result.holds
 
 
 def test_poissonization_check_validation():
