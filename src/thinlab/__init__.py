@@ -35,6 +35,7 @@ from .engine import (
     new_process,
     replay,
     run,
+    run_reference,
     run_summary,
     run_summary_batch,
     run_with_streams,
@@ -90,6 +91,7 @@ __all__ = [
     "new_process",
     "step",
     "run",
+    "run_reference",
     "run_summary",
     "run_summary_batch",
     "run_with_streams",

@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds, oracle
-from .engine import level_set_count, max_load, run
+from .engine import level_set_count, max_load, run, run_reference
 from .errors import ConfigurationError
 from .rng import _seed_streams
 from .strategies import THRESHOLD, StrategySpec, parse_strategy
@@ -143,16 +143,10 @@ def engine_suite(seed: int = 2024) -> list[CheckResult]:
         # A row for it here would change the row count of run_suite("all"),
         # which benchmarks/digests.json records for the oracle workload.
         if spec.is_thinning:
-            other = run(n, t, spec, seed, method="reference")
-            _check(
-                rows,
-                f"method-equivalence[{tag}]",
-                bool(
-                    np.array_equal(other.final_bins, trace.final_bins)
-                    and other.final_state == state
-                ),
-                "vectorized and reference paths agree",
-            )
+            other = run_reference(n, t, spec, *_seed_streams(seed), seed=seed)
+            same = np.array_equal(other.final_bins, trace.final_bins) and other.final_state == state
+            _check(rows, f"method-equivalence[{tag}]", bool(same),
+                   "vectorized and reference paths agree")
     return rows
 
 

@@ -33,10 +33,10 @@ from .cli_params import (
     _cell,
     _conv_bool,
     _conv_bound_name,
-    _conv_float,
     _conv_int,
     _conv_list,
     _conv_natural,
+    _conv_real,
     _conv_rho,
     _conv_seed,
     _conv_str,
@@ -393,7 +393,7 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
             ("t", _conv_natural, None),
             ("strategy", _conv_str, "threshold:auto"),
             ("seed", _conv_seed, 0),
-            ("epsilon", _conv_float, 0.5),
+            ("epsilon", _conv_real, 0.5),
         )),
     "check": _Subcommand(
         _run_check, "csv", "run invariant suites and exit nonzero on any violation",

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import __version__, bounds
 from .checks import SUITE_NAMES
-from .errors import ConfigurationError, _as_int
+from .errors import ConfigurationError, _as_fraction, _as_int
 from .experiments import parse_rho
 
 _FORMATS = ("csv", "json")
@@ -47,14 +47,20 @@ def _conv_seed(value, flag: str) -> int:
     return result
 
 
-def _conv_float(value, flag: str) -> float:
-    # Only parsed: the evaluator that takes the value checks its range.
+def _conv_real(value, flag: str) -> float | Fraction:
+    # Only parsed: the evaluator that takes the value checks its range.  What
+    # float() reads stays a float; other text ("1/2") follows the rule of --rho.
     try:
         if isinstance(value, bool):
             raise TypeError
         return float(value)
     except (TypeError, ValueError):
-        raise ConfigurationError(f"{flag} must be a number, got {value!r}") from None
+        try:
+            exact = _as_fraction(value, flag)
+            float(exact)  # the evaluators do float arithmetic on it
+        except (ConfigurationError, OverflowError):
+            raise ConfigurationError(f"{flag} must be a number, got {value!r}") from None
+        return exact
 
 
 def _conv_rho(value, flag: str) -> Fraction:
@@ -121,11 +127,11 @@ _COMMON = (
 _BOUND_PARAMS = (
     ("n", _conv_list(_conv_int), None),
     ("rho", _conv_list(_conv_rho), None),
-    ("eta", _conv_list(_conv_float), None),
-    ("theta", _conv_list(_conv_float), None),
-    ("epsilon", _conv_list(_conv_float), None),
+    ("eta", _conv_list(_conv_real), None),
+    ("theta", _conv_list(_conv_real), None),
+    ("epsilon", _conv_list(_conv_real), None),
     ("a", _conv_list(_conv_natural), None),
-    ("set_size", _conv_list(_conv_float), None),
+    ("set_size", _conv_list(_conv_real), None),
 )
 
 

@@ -9,11 +9,12 @@ the strategy again, and after k rejections the next pool draw is forced.
 Bins are 1-based in every public record and serialization, 0-based in the
 tally arrays.
 
-:func:`step` allocates one ball at a time and is the reference oracle.
-:func:`run` and :func:`run_with_streams` go through one vectorized kernel,
+:func:`step` allocates one ball at a time and is the reference oracle;
+:func:`run_reference` steps a whole run, only to check the kernel against.
+:func:`run` and :func:`run_with_streams` always run one vectorized kernel,
 :func:`_columns`, which yields bit-identical traces and stream positions.
-It picks its path by the thinning level (``StrategySpec.level``): a rule at
-level 0 or t, such as always-reject or one-choice, is drawn as blocks
+It picks its path by the thinning level (``StrategySpec.level``): a rule
+at level 0 or t, such as always-reject or one-choice, is drawn as blocks
 (:func:`_drawn_as_blocks`); other levels, and two-choices, run the
 placement kernel that :func:`_placements` picks, whose chunks ``_columns``
 writes into three preallocated columns.  :func:`run_summary` and
@@ -142,26 +143,6 @@ def step(state: ProcessState, primary_stream, secondary_stream) -> AllocationRec
     state.t += 1
     return AllocationRecord(ball_index, primary + 1, decisions, fresh + 1, pool_index)
 
-def _run_reference(n, t, spec, seed, primary_stream, secondary_stream) -> Trace:
-    state = new_process(n, spec)
-    primary_bins = np.zeros(t, dtype=np.int64)
-    final_bins = np.zeros(t, dtype=np.int64)
-    reject_counts = np.zeros(t, dtype=np.int64)
-    pool_indices = np.full(t, -1, dtype=np.int64)
-    for i in range(t):
-        record = step(state, primary_stream, secondary_stream)
-        primary_bins[i] = record.primary_bin - 1
-        final_bins[i] = record.final_bin - 1
-        reject_counts[i] = sum(1 for d in record.decisions if d == "reject")
-        if record.secondary_pool_index is not None:
-            pool_indices[i] = record.secondary_pool_index
-    trace = _assemble_trace(n, t, spec, seed, primary_bins, final_bins, reject_counts)
-    if trace.final_state != state:
-        raise AssertionError("columnar state assembly diverged from stepping")
-    if not np.array_equal(trace.pool_indices, pool_indices):
-        raise AssertionError("pool indices derived from reject counts diverged from stepping")
-    return trace
-
 
 def _drawn_as_blocks(t, spec) -> bool:
     """Whether :func:`_columns` draws a run of ``t`` balls as blocks, not
@@ -237,42 +218,61 @@ def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     return max(columns, _assembly_peak_bytes(n, t))
 
 
-def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
-                     seed: int | None = None, method: str = "reference") -> Trace:
-    """Run ``t`` balls against caller-provided streams (e.g. preset draws).
-
-    ``method`` is "reference" (step one ball at a time) or "auto" (the
-    vectorized kernel, for every strategy).  Both paths give bit-identical
-    traces and leave the streams in the same position.  ``seed`` only
-    labels the trace; it may be None.  A run whose :func:`trace_peak_bytes`
-    exceeds ``MEMORY_BUDGET_BYTES`` raises ``ResourceLimitError`` before
-    anything is allocated or drawn.
-    """
+def _check_streams_run(n, t, strategy, seed):
+    """A streams run's checked arguments, refused beyond the memory budget."""
     n, t, spec = _check_run(n, t, strategy)
-    if seed is not None:
-        seed = _as_int(seed, "seed")
+    seed = None if seed is None else _as_int(seed, "seed")
     _check_budget(trace_peak_bytes(n, t, spec), f"a trace of {t} balls in {n} bins")
-    if method == "reference":
-        return _run_reference(n, t, spec, seed, primary_stream, secondary_stream)
-    if method != "auto":
-        raise ConfigurationError(f"unknown method {method!r}; expected 'auto' or 'reference'")
+    return n, t, spec, seed
+
+
+def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
+                     seed: int | None = None) -> Trace:
+    """Run ``t`` balls against caller-provided streams (e.g. preset draws)
+    through the vectorized kernel, :func:`_columns`.
+
+    ``seed`` only labels the trace; it may be None.  A run whose
+    :func:`trace_peak_bytes` exceeds ``MEMORY_BUDGET_BYTES`` raises
+    ``ResourceLimitError`` before anything is allocated or drawn.
+    """
+    n, t, spec, seed = _check_streams_run(n, t, strategy, seed)
     columns = _columns(n, t, spec, primary_stream, secondary_stream)
     return _assemble_trace(n, t, spec, seed, *columns)
 
 
-def run(n: int, t: int, strategy, seed: int, method: str = "auto") -> Trace:
+def run_reference(n, t, strategy, primary_stream, secondary_stream,
+                  seed: int | None = None) -> Trace:
+    """:func:`run_with_streams` by :func:`step`, one ball at a time, for
+    checking: the same checks, trace and stream positions, and a check that
+    the assembled trace holds the state and pool indices stepping reached."""
+    n, t, spec, seed = _check_streams_run(n, t, strategy, seed)
+    state = new_process(n, spec)
+    primary_bins, final_bins, reject_counts, pool_indices = np.zeros((4, t), dtype=np.int64)
+    for i in range(t):
+        record = step(state, primary_stream, secondary_stream)
+        primary_bins[i] = record.primary_bin - 1
+        final_bins[i] = record.final_bin - 1
+        reject_counts[i] = record.decisions.count("reject")
+        pool_indices[i] = -1 if record.secondary_pool_index is None else record.secondary_pool_index
+    trace = _assemble_trace(n, t, spec, seed, primary_bins, final_bins, reject_counts)
+    if trace.final_state != state:
+        raise AssertionError("columnar state assembly diverged from stepping")
+    if not np.array_equal(trace.pool_indices, pool_indices):
+        raise AssertionError("pool indices derived from reject counts diverged from stepping")
+    return trace
+
+
+def run(n: int, t: int, strategy, seed: int) -> Trace:
     """Deterministic run: trace is a pure function of (n, t, strategy, seed).
 
     The primary and secondary streams are derived from ``seed`` by index
     mixing, so the two are independent and the derivation is documented and
-    portable.  ``method`` selects the execution path: "auto" uses the
-    vectorized kernel for every strategy, "reference" steps one ball at a
-    time.  Both produce bit-identical traces.  A run whose
-    :func:`trace_peak_bytes` exceeds ``MEMORY_BUDGET_BYTES`` raises
+    portable.  It runs the kernel, through :func:`run_with_streams`.  A run
+    whose :func:`trace_peak_bytes` exceeds ``MEMORY_BUDGET_BYTES`` raises
     ``ResourceLimitError`` before anything is allocated.
     """
     seed = _as_int(seed, "seed")
-    return run_with_streams(n, t, strategy, *_seed_streams(seed), seed=seed, method=method)
+    return run_with_streams(n, t, strategy, *_seed_streams(seed), seed=seed)
 
 
 def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:

@@ -306,6 +306,3 @@ class FixedStream:
 
     def bounded_block(self, n: int, count: int) -> np.ndarray:
         return np.array([self.next_bounded(n) for _ in range(count)], dtype=np.int64)
-
-    def bounded_chunks(self, n: int, count: int) -> Iterator[np.ndarray]:
-        yield self.bounded_block(n, count)

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from thinlab import cli, engine, experiments
+from thinlab import bounds, cli, cli_params, engine, experiments
 from thinlab.checks import CheckResult
 from thinlab.errors import ConfigurationError, WorkerError
 
@@ -162,6 +162,31 @@ def test_float_flags_are_range_checked_by_their_evaluators(capsys):
     assert (code, "epsilon must lie in (0, 2)" in err) == (1, True)
 
 
+def test_real_flags_read_fraction_text_exactly(capsys):
+    # As --rho does: "1/3" is one third, so (2 - 1/3) * 3 = 5 stages at
+    # n = 10**6, where the float 1/3 would give ceil(5.000...1) = 6.
+    for n, epsilon in ((1000, "1/2"), (10**6, "1/3")):
+        argv = ["bounds", "--name", "stage_params", "-n", str(n), "--rho", "1/2",
+                "--epsilon", epsilon, "--no-meta"]
+        code, out, _ = run_cli(capsys, argv)
+        params = bounds.stage_params(n, "1/2", epsilon)
+        data = json.loads(out)
+        assert code == 0
+        assert data["inputs"]["epsilon"] == epsilon
+        assert data["value"] == pytest.approx(params.zeta, rel=1e-5)
+        assert data["details"] == {**params._asdict(), "zeta": data["value"]}
+    assert bounds.stage_params(10**6, 1, "1/3").s == 5
+    # What float() reads converts as before; other text is refused as before,
+    # and so is a fraction beyond the range of a float.
+    assert cli_params._conv_real("0.1", "--eta") == 0.1
+    assert cli_params._conv_real(" 1e-3 ", "--eta") == 1e-3
+    for text in ("x", "1/0", "1/2/3", "1" + "0" * 400 + "/3"):
+        code, out, err = run_cli(capsys, ["bounds", "--name", "prop41", "-n", "100",
+                                          "--eta", text])
+        assert (code, out) == (1, "")
+        assert err == f"thinlab: error: --eta must be a number, got {text!r}\n"
+
+
 def test_bounds_missing_params_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["bounds", "--name", "prop41", "-n", "100"])
     assert code == 1
@@ -231,7 +256,7 @@ def _no_run(*args, **kwargs):
 
 def test_diagnose_refuses_a_trace_beyond_the_memory_budget(capsys, monkeypatch):
     # engine.run refuses it before anything is allocated.
-    for path in ("_columns", "_run_reference"):
+    for path in ("_columns", "step"):
         monkeypatch.setattr(engine, path, _no_run)
     code, out, err = run_cli(
         capsys, ["diagnose", "-n", "1000000000", "--rho", "1", "--no-meta"])

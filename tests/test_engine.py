@@ -20,6 +20,7 @@ from thinlab.engine import (
     new_process,
     replay,
     run,
+    run_reference,
     run_summary,
     run_summary_batch,
     run_with_streams,
@@ -29,7 +30,7 @@ from thinlab.engine import (
     trace_peak_bytes,
 )
 from thinlab.errors import ConfigurationError, ResourceLimitError
-from thinlab.rng import _CHUNK, FixedStream, RngStream, mix_seeds
+from thinlab.rng import _CHUNK, FixedStream, RngStream, _seed_streams, mix_seeds
 from thinlab.strategies import StrategySpec, parse_strategy
 from thinlab.trace import _JSON_BYTES_PER_CHAR, _assembly_peak_bytes
 
@@ -193,16 +194,16 @@ def test_zero_balls():
     assert trace.records == ()
     assert trace.final_state.load.tolist() == [0, 0, 0, 0]
     assert max_load(trace.final_state) == 0
+    with pytest.raises(ConfigurationError):
+        run(5, -1, THRESHOLD_1, seed=1)
 
 
 def assert_paths_agree(n, t, spec, seed):
     """Vectorized and reference runs agree on every column and stream position."""
     runs = []
-    for method in ("auto", "reference"):
+    for runner in (run_with_streams, run_reference):
         secondary = RngStream(mix_seeds(seed, 1))
-        trace = run_with_streams(
-            n, t, spec, RngStream(mix_seeds(seed, 0)), secondary, seed=seed, method=method
-        )
+        trace = runner(n, t, spec, RngStream(mix_seeds(seed, 0)), secondary, seed=seed)
         runs.append((trace, secondary))
     (fast, fast_secondary), (slow, slow_secondary) = runs
     assert np.array_equal(fast.primary_bins, slow.primary_bins)
@@ -286,9 +287,9 @@ def test_threshold_kernel_cut_at_the_first_and_last_ball_of_a_chunk():
     pool = RngStream(mix_seeds(9, 1)).bounded_block(3, 3 * t).tolist()
     spec = StrategySpec("threshold", ell=2, retry_budget=2)
     runs = []
-    for method in ("auto", "reference"):
+    for runner in (run_with_streams, run_reference):
         streams = FixedStream(primaries), FixedStream(pool)
-        trace = run_with_streams(3, t, spec, *streams, method=method)
+        trace = runner(3, t, spec, *streams)
         runs.append((trace, [stream.draws for stream in streams]))
     (fast, fast_draws), (slow, slow_draws) = runs
     assert fast_draws == slow_draws
@@ -299,10 +300,10 @@ def test_threshold_kernel_cut_at_the_first_and_last_ball_of_a_chunk():
     assert (fast.reject_counts == 1).sum() > 0
 
 
-def threshold_outcomes(n, t, spec, seed, method="auto"):
+def threshold_outcomes(n, t, spec, seed, runner=run_with_streams):
     """A run's columns, final state and both stream positions."""
     streams = RngStream(mix_seeds(seed, 0)), RngStream(mix_seeds(seed, 1))
-    trace = run_with_streams(n, t, spec, *streams, method=method)
+    trace = runner(n, t, spec, *streams)
     columns = [c.tolist() for c in (trace.primary_bins, trace.final_bins, trace.reject_counts)]
     return columns, trace.final_state, [(stream.counter, stream.draws) for stream in streams]
 
@@ -336,7 +337,7 @@ def test_threshold_chunk_size_changes_no_draw(monkeypatch, strategy, n, t):
     state = run_outcome[1]
     assert summary == (state.load.tolist(), np.min_scalar_type(t), state.rejections)
     assert_kernel_loads(state, spec, seed=31)
-    assert threshold_outcomes(n, t, spec, seed=31, method="reference") == run_outcome
+    assert threshold_outcomes(n, t, spec, seed=31, runner=run_reference) == run_outcome
     for chunk in (1 << 12, 1 << 16):
         monkeypatch.setattr(threshold, "_THRESHOLD_CHUNK", chunk)
         assert threshold_outcomes(n, t, spec, seed=31) == run_outcome
@@ -352,9 +353,9 @@ def test_threshold_kernel_reads_exactly_the_fixed_draws_step_reads():
     primaries = RngStream(mix_seeds(4, 0)).bounded_block(n, t).tolist()
     pool = RngStream(mix_seeds(4, 1)).bounded_block(n, secondary.draws).tolist()
     runs = []
-    for method in ("auto", "reference"):
+    for runner in (run_with_streams, run_reference):
         streams = FixedStream(primaries), FixedStream(pool)
-        runs.append(run_with_streams(n, t, spec, *streams, method=method))
+        runs.append(runner(n, t, spec, *streams))
         assert [stream.draws for stream in streams] == [t, len(pool)]
     fast, slow = runs
     assert np.array_equal(fast.final_bins, slow.final_bins)
@@ -504,9 +505,9 @@ def test_two_choices_kernel_reads_exactly_t_fixed_draws():
     primaries = RngStream(mix_seeds(4, 0)).bounded_block(n, t).tolist()
     candidates = RngStream(mix_seeds(4, 1)).bounded_block(n, t).tolist()
     runs = []
-    for method in ("auto", "reference"):
+    for runner in (run_with_streams, run_reference):
         streams = FixedStream(primaries), FixedStream(candidates)
-        runs.append(run_with_streams(n, t, TWO_CHOICES, *streams, method=method))
+        runs.append(runner(n, t, TWO_CHOICES, *streams))
         assert [stream.draws for stream in streams] == [t, t]
     fast, slow = runs
     assert np.array_equal(fast.final_bins, slow.final_bins)
@@ -531,7 +532,7 @@ def assert_two_choices_size_changes_no_draw(monkeypatch, name, size):
 
     def columns_and_positions():
         streams = RngStream(mix_seeds(23, 0)), RngStream(mix_seeds(23, 1))
-        trace = run_with_streams(n, t, TWO_CHOICES, *streams, method="auto")
+        trace = run_with_streams(n, t, TWO_CHOICES, *streams)
         columns = (trace.primary_bins, trace.final_bins, trace.reject_counts)
         positions = [(stream.counter, stream.draws) for stream in streams]
         return columns, positions, run_summary(n, t, TWO_CHOICES, 23)
@@ -595,11 +596,11 @@ def test_occurrence_index_refuses_keys_wider_than_63_bits():
 
 def test_vectorized_retry_consumes_no_extra_fixed_draws():
     spec = StrategySpec("threshold", ell=1, retry_budget=2)
-    fast = run_with_streams(2, 3, spec, FixedStream([0, 0, 0]), FixedStream([0, 1, 1]),
-                            method="auto")
-    slow = run_with_streams(2, 3, spec, FixedStream([0, 0, 0]), FixedStream([0, 1, 1]))
+    fast = run_with_streams(2, 3, spec, FixedStream([0, 0, 0]), FixedStream([0, 1, 1]))
+    slow = run_reference(2, 3, spec, FixedStream([0, 0, 0]), FixedStream([0, 1, 1]))
     assert fast.records == slow.records
     assert fast.final_state == slow.final_state
+    assert_paths_agree(5, 5, spec, seed=1)
 
 
 @pytest.mark.parametrize(
@@ -658,7 +659,7 @@ def test_pool_indices_are_consecutive_for_thinning():
 
 def test_streams_positioning_allows_resuming():
     spec = StrategySpec("threshold", ell=2)
-    whole = run(8, 40, spec, seed=55, method="reference")
+    whole = run_reference(8, 40, spec, *_seed_streams(55), seed=55)
     state = new_process(8, spec)
     primary_stream = RngStream(mix_seeds(55, 0))
     secondary_stream = RngStream(mix_seeds(55, 1))
@@ -829,24 +830,13 @@ def test_single_bin_runs():
     assert trace.final_state.rejections == 5
 
 
-def test_method_validation():
-    for method in ("warp", "vectorized"):
-        with pytest.raises(ConfigurationError):
-            run(5, 5, THRESHOLD_1, seed=1, method=method)
-    retry = StrategySpec("threshold", ell=1, retry_budget=2)
-    fast = run(5, 5, retry, seed=1, method="auto")
-    assert fast.final_state == run(5, 5, retry, seed=1, method="reference").final_state
-    with pytest.raises(ConfigurationError):
-        run(5, -1, THRESHOLD_1, seed=1)
-    with pytest.raises(ConfigurationError):
-        run(5, 5, 12345, seed=1)
-
-
 def test_run_accepts_grammar_strings():
     trace = run(100, 50, "threshold:auto", seed=4)
     assert trace.strategy.ell == 3  # resolved from the bin count
     trace = run(10, 5, "two-choices", seed=4)
     assert trace.strategy.kind == "two_choices_greedy"
+    with pytest.raises(ConfigurationError):
+        run(5, 5, 12345, seed=1)
 
 
 @st.composite
@@ -872,14 +862,14 @@ def run_configs(draw):
 @given(run_configs())
 def test_run_properties(config):
     n, t, spec, seed = config
-    trace = run(n, t, spec, seed=seed, method="reference")
+    trace = run_reference(n, t, spec, *_seed_streams(seed), seed=seed)
     state = trace.final_state
     assert_invariants(state)
     assert replay(trace) == state
     loads, rejections = run_summary(n, t, spec, seed=seed)
     assert np.array_equal(loads, state.load)
     assert rejections == state.rejections
-    fast = run(n, t, spec, seed=seed, method="auto")
+    fast = run(n, t, spec, seed=seed)
     assert np.array_equal(fast.final_bins, trace.final_bins)
     assert fast.final_state == state
     consumed = trace.pool_indices[trace.pool_indices >= 0]
@@ -1020,6 +1010,13 @@ def test_counting_kinds_recount_past_255(strategy, n, t):
     assert rejections == state.rejections
 
 
+class ChunkedFixedStream(FixedStream):
+    """Preset draws in the one chunk the counting kernel reads them in."""
+
+    def bounded_chunks(self, n, count):
+        yield self.bounded_block(n, count)
+
+
 @pytest.mark.parametrize(
     "strategy, primaries, pool",
     [
@@ -1040,12 +1037,11 @@ def test_counting_kernel_recounts_a_wrapped_table(strategy, primaries, pool):
     passes = []
 
     def streams():
-        passes.append((FixedStream(primaries), FixedStream(pool)))
+        passes.append((ChunkedFixedStream(primaries), ChunkedFixedStream(pool)))
         return passes[-1]
 
     loads, rejections = next(counting._count_runs(n, t, spec, [streams]))
-    reference = run_with_streams(
-        n, t, spec, FixedStream(primaries), FixedStream(pool), method="reference")
+    reference = run_reference(n, t, spec, FixedStream(primaries), FixedStream(pool))
     assert loads.dtype == np.min_scalar_type(t)
     assert loads.tolist() == reference.final_state.load.tolist()
     assert rejections == reference.final_state.rejections
@@ -1061,7 +1057,7 @@ def test_counting_kernel_frees_the_uint8_table_before_the_wide_one():
     bins = [0] * t
 
     def streams():
-        return FixedStream(bins), FixedStream([])
+        return ChunkedFixedStream(bins), ChunkedFixedStream([])
 
     counted = []
 
@@ -1237,21 +1233,69 @@ def test_run_refuses_a_trace_beyond_the_memory_budget(monkeypatch):
     def no_run(*args, **kwargs):
         raise AssertionError("run drew a trace it should have refused")
 
-    for path in ("_columns", "_run_reference"):
+    for path in ("_columns", "step"):
         monkeypatch.setattr(engine, path, no_run)
-    for method in ("auto", "reference"):
-        with pytest.raises(ResourceLimitError, match="a trace of 1000000000 balls"):
-            run(10**9, 10**9, ONE_CHOICE, seed=0, method=method)
+    with pytest.raises(ResourceLimitError, match="a trace of 1000000000 balls"):
+        run(10**9, 10**9, ONE_CHOICE, seed=0)
+    with pytest.raises(ResourceLimitError, match="a trace of 1000000000 balls"):
+        run_reference(10**9, 10**9, ONE_CHOICE, *_seed_streams(0), seed=0)
     assert trace_peak_bytes(10**9, 10**9, ONE_CHOICE) > errors.MEMORY_BUDGET_BYTES
 
 
-@pytest.mark.parametrize("method", ["auto", "reference"])
-def test_run_with_streams_refuses_a_trace_beyond_the_memory_budget(monkeypatch, method):
+@pytest.mark.parametrize("runner", [run_with_streams, run_reference], ids=["kernel", "reference"])
+def test_run_with_streams_refuses_a_trace_beyond_the_memory_budget(monkeypatch, runner):
     monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", 2**20)
     primary, secondary = RngStream(1), RngStream(2)
     with pytest.raises(ResourceLimitError, match="a trace of 1000000 balls"):
-        run_with_streams(10**6, 10**6, "one-choice", primary, secondary, method=method)
+        runner(10**6, 10**6, "one-choice", primary, secondary)
     assert (primary.counter, secondary.counter) == (0, 0)
+
+
+def test_run_with_streams_always_runs_the_kernel(monkeypatch):
+    calls = []
+    columns = engine._columns
+
+    def spy(n, t, *args):
+        calls.append((n, t))
+        return columns(n, t, *args)
+
+    def no_step(*args):
+        raise AssertionError("run_with_streams stepped a ball")
+
+    monkeypatch.setattr(engine, "_columns", spy)
+    monkeypatch.setattr(engine, "step", no_step)
+    trace = run_with_streams(10**5, 10**5, "threshold:auto", RngStream(1), RngStream(2))
+    assert calls == [(10**5, 10**5)]
+    assert trace.final_state.t == 10**5
+
+
+# sha256 of run_reference(n, 40, strategy, *fixed, seed=8).to_json() and the
+# draws each fixed stream gave, where the fixed streams hold the first 40 and
+# 80 draws below n of seed 8's streams; recorded from the stepping path
+# before it was its own runner.
+FIXED_REFERENCE = {
+    ("threshold:1,k=2", 3):
+        ("67dc755d51988eb7b9d52b349a4b148c6f4d5c46e57f62f04915e9c52eb9fb0a", [40, 74]),
+    ("threshold:2", 4):
+        ("d150de41957d703ca534904e585579d25078ceae9ad734b2ca3afa85bb545bd1", [40, 32]),
+    ("two-choices", 5):
+        ("02494e8f18e8d278a05c0702643fc65a7b5a95410b2a73f84aef25d85424903a", [40, 40]),
+    ("always-reject", 3):
+        ("46b516c4df9521c931d9d199300aefed58fa43e44ee774552929384f99925964", [40, 40]),
+    ("one-choice", 3):
+        ("20a78c66b0c58d694b9f7cc80464c7b18db02517e9acc4da9637550f5c96904e", [40, 0]),
+}
+
+
+@pytest.mark.parametrize("strategy, n", sorted(FIXED_REFERENCE))
+@pytest.mark.parametrize("runner", [run_with_streams, run_reference], ids=["kernel", "reference"])
+def test_fixed_stream_runs_are_pinned(strategy, n, runner):
+    primaries = RngStream(mix_seeds(8, 0)).bounded_block(n, 40).tolist()
+    pool = RngStream(mix_seeds(8, 1)).bounded_block(n, 80).tolist()
+    streams = FixedStream(primaries), FixedStream(pool)
+    trace = runner(n, 40, strategy, *streams, seed=8)
+    digest = hashlib.sha256(trace.to_json().encode()).hexdigest()
+    assert (digest, [stream.draws for stream in streams]) == FIXED_REFERENCE[strategy, n]
 
 
 @pytest.mark.parametrize(

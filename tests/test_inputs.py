@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 
 from thinlab import bounds
-from thinlab.engine import run, run_summary, run_summary_batch, run_with_streams, trace_from_json
+from thinlab.engine import (
+    run,
+    run_reference,
+    run_summary,
+    run_summary_batch,
+    run_with_streams,
+    trace_from_json,
+)
 from thinlab.errors import ConfigurationError, DomainError
 from thinlab.experiments import ExperimentConfig, run_trials
 from thinlab.oracle import (
@@ -28,10 +35,11 @@ from thinlab.rng import RngStream
 from thinlab.strategies import StrategySpec
 
 
-def _streams_run(n, t, seed):
-    trace = run_with_streams(n, t, "threshold:1,k=2", RngStream(1), RngStream(2), seed=seed,
-                             method="auto")
-    return trace.to_json()
+def _streams_run(runner):
+    def call(n, t, seed):
+        return runner(n, t, "threshold:1,k=2", RngStream(1), RngStream(2), seed=seed).to_json()
+
+    return call
 
 
 def _campaign(n, trials, base_seed, t):
@@ -48,10 +56,13 @@ ENTRIES = {
         dict(n=8, t=30, seed=5), dict(n=1, t=0, seed=None),
         ConfigurationError, lambda trace: trace.to_json(),
     ),
-    "run_with_streams": (
-        _streams_run, dict(n=8, t=30, seed=5), dict(n=1, t=0, seed=None),
-        ConfigurationError, lambda text: text,
-    ),
+    **{
+        runner.__name__: (
+            _streams_run(runner), dict(n=8, t=30, seed=5), dict(n=1, t=0, seed=None),
+            ConfigurationError, lambda text: text,
+        )
+        for runner in (run_with_streams, run_reference)
+    },
     "run_summary": (
         lambda n, t, seed: run_summary(n, t, "two-choices", seed),
         dict(n=8, t=30, seed=5), dict(n=1, t=0, seed=None),
@@ -123,7 +134,7 @@ SEEDED = [(entry, name) for entry, name in CASES if "seed" in name]
 @pytest.mark.parametrize("seed", [1.5, "a", None])
 def test_seeds_follow_the_integer_rule(entry, name, seed):
     call, valid, _least, _error, _view = ENTRIES[entry]
-    if seed is None and entry == "run_with_streams":
+    if seed is None and entry in ("run_with_streams", "run_reference"):
         call(**{**valid, name: seed})  # its seed only labels the trace
         return
     with pytest.raises(ConfigurationError):

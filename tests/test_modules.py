@@ -20,9 +20,9 @@ import thinlab.cli  # imports every module the CLI uses
 MODULES = sorted(path for root in thinlab.__path__ for path in Path(root).glob("*.py"))
 
 # compile() peaks under tracemalloc on CPython 3.11: cli 1109 KiB,
-# experiments 981, engine 898, oracle 832, checks 744, trace 692, rng 619,
-# bounds 547, counting 490, cli_params 399, two_choices 348, threshold
-# 340, strategies 331, errors 156 and __init__ 108 KiB.  A module's peak
+# experiments 981, engine 889, oracle 831, checks 748, trace 688, rng 607,
+# bounds 555, counting 490, cli_params 398, two_choices 348, threshold
+# 340, strategies 329, errors 156 and __init__ 109 KiB.  A module's peak
 # steps up by about 120 KiB where it passes 2048 tokens: engine went from
 # 2038 to 2199 tokens, and from 735 to 898 KiB, when the run bound moved
 # into it.  Before engine.py and cli.py were split they peaked at 1987 and
