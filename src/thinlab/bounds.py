@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -148,6 +149,7 @@ def stage_params(n: int, rho, epsilon) -> StageParams:
     zeta = rho / (8 e ell).  rho and epsilon follow the exact-rational rule
     of ``parse_rho`` and the CLI (0.1 is 1/10, "1/2" is one half), and the
     ceilings are exact, so float rounding can never shift a boundary case.
+    A rho whose zeta would pass the float range raises DomainError.
     """
     n = _as_int(n, "bin count", 3, DomainError)
     rho = _exact(rho, "load ratio", lambda x: x > 0, "must be positive")
@@ -155,7 +157,12 @@ def stage_params(n: int, rho, epsilon) -> StageParams:
     ell = lower_ell(n)
     s = math.ceil((2 - epsilon) * ell)
     w = math.ceil(rho * n / (2 * ell))
-    zeta = float(rho) / (8.0 * math.e * ell)
+    try:
+        zeta = float(rho) / (8.0 * math.e * ell)
+    except OverflowError:
+        raise DomainError(
+            f"load ratio must be at most {sys.float_info.max!r}, the largest float"
+        ) from None
     return StageParams(ell, s, w, zeta)
 
 

@@ -10,7 +10,8 @@ Bins are 1-based in every public record and serialization, 0-based in the
 tally arrays.
 
 :func:`step` allocates one ball at a time and is the reference oracle;
-:func:`run_reference` steps a whole run, only to check the kernel against.
+:func:`run_reference` steps a whole run, only to check the kernel against,
+under its own memory bound, :func:`_reference_peak_bytes`.
 :func:`run` and :func:`run_with_streams` always run one vectorized kernel,
 :func:`_columns`, which yields bit-identical traces and stream positions.
 It picks its path by the thinning level (``StrategySpec.level``): a rule
@@ -218,11 +219,28 @@ def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     return max(columns, _assembly_peak_bytes(n, t))
 
 
-def _check_streams_run(n, t, strategy, seed):
-    """A streams run's checked arguments, refused beyond the memory budget."""
+def _reference_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
+    """Upper bound on the memory one :func:`run_reference` call holds at once,
+    the same for every ``spec``, since stepping holds no kernel.
+
+    Its four t-word columns and the stepped state's four n-word tallies sit
+    beside the larger of two phases: ``trace._assembly_peak_bytes``, less
+    the three columns it counts as its own; then the check, which holds the
+    trace's state (four n-word tallies) and ``Trace.pool_indices`` (a
+    running sum, a mask and the result: 17 bytes a ball), plus 16 KiB of
+    Python objects.  The tests check it against ``tracemalloc``.
+    """
+    assembly = _assembly_peak_bytes(n, t) - 8 * 3 * t
+    check = 8 * 4 * n + 17 * t + 16 * 1024
+    return 8 * (4 * t + 4 * n) + max(assembly, check)
+
+
+def _check_streams_run(n, t, strategy, seed, peak_bytes):
+    """A streams run's checked arguments, refused beyond the memory budget
+    by the runner's bound, ``peak_bytes`` of (n, t, spec)."""
     n, t, spec = _check_run(n, t, strategy)
     seed = None if seed is None else _as_int(seed, "seed")
-    _check_budget(trace_peak_bytes(n, t, spec), f"a trace of {t} balls in {n} bins")
+    _check_budget(peak_bytes(n, t, spec), f"a trace of {t} balls in {n} bins")
     return n, t, spec, seed
 
 
@@ -235,7 +253,7 @@ def run_with_streams(n, t, strategy, primary_stream, secondary_stream,
     :func:`trace_peak_bytes` exceeds ``MEMORY_BUDGET_BYTES`` raises
     ``ResourceLimitError`` before anything is allocated or drawn.
     """
-    n, t, spec, seed = _check_streams_run(n, t, strategy, seed)
+    n, t, spec, seed = _check_streams_run(n, t, strategy, seed, trace_peak_bytes)
     columns = _columns(n, t, spec, primary_stream, secondary_stream)
     return _assemble_trace(n, t, spec, seed, *columns)
 
@@ -244,8 +262,9 @@ def run_reference(n, t, strategy, primary_stream, secondary_stream,
                   seed: int | None = None) -> Trace:
     """:func:`run_with_streams` by :func:`step`, one ball at a time, for
     checking: the same checks, trace and stream positions, and a check that
-    the assembled trace holds the state and pool indices stepping reached."""
-    n, t, spec, seed = _check_streams_run(n, t, strategy, seed)
+    the assembled trace holds the state and pool indices stepping reached.
+    Its memory guard is :func:`_reference_peak_bytes`."""
+    n, t, spec, seed = _check_streams_run(n, t, strategy, seed, _reference_peak_bytes)
     state = new_process(n, spec)
     primary_bins, final_bins, reject_counts, pool_indices = np.zeros((4, t), dtype=np.int64)
     for i in range(t):

@@ -281,8 +281,8 @@ def _chunk_buffer_bytes(n: int, count: int) -> int:
 class FixedStream:
     """A stream that replays a preset sequence of bounded draws.
 
-    Used by the exact-enumeration oracle and by tests to inject specific
-    draw outcomes into the engine.
+    Used by the exact oracle's pass over bin states and by tests to inject
+    specific draw outcomes into the engine.
     """
 
     __slots__ = ("values", "draws")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,9 @@ def test_stage_params_read_reals_by_the_exact_rational_rule(capsys):
     assert bounds.lower_ell(10**26) == 5
     assert [bounds.stage_params(10**26, 1, eps).s for eps in (0.6, 1.2, 1.4)] == [7, 4, 3]
     assert bounds.stage_params(1000, "1/2", 0.5) == bounds.stage_params(1000, Fraction(1, 2), 0.5)
+    # The largest float is the largest load ratio whose zeta is a float.
+    largest = bounds.stage_params(1000, sys.float_info.max, 0.5)
+    assert largest.zeta == sys.float_info.max / (8.0 * math.e * largest.ell)
 
 
 @pytest.mark.parametrize("rho, epsilon, message", [
@@ -203,6 +207,8 @@ def test_stage_params_read_reals_by_the_exact_rational_rule(capsys):
     (1, 0.0, "epsilon must lie in (0, 2), got 0.0"),
     (1, float("-inf"), "epsilon must lie in (0, 2), got -inf"),
     (1, "2", "epsilon must lie in (0, 2), got 2"),
+    (10**400, 0.5, "load ratio must be at most 1.7976931348623157e+308, the largest float"),
+    ("1e400", 0.5, "load ratio must be at most 1.7976931348623157e+308, the largest float"),
 ])
 def test_stage_params_refusals(rho, epsilon, message):
     with pytest.raises(DomainError) as direct:

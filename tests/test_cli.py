@@ -2,6 +2,7 @@
 
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -228,6 +229,32 @@ def test_oracle_check_instance(capsys):
     payload = json.loads(out)
     assert payload["failed"] == 0
     assert all(row["passed"] for row in payload["checks"])
+
+
+def test_oracle_runs_two_choices_at_eight_bins(capsys):
+    code, out, _ = run_cli(
+        capsys, ["oracle", "-n", "8", "-t", "8", "--strategy", "two-choices", "--no-meta"])
+    assert code == 0
+    assert sum(Fraction(row["exact"]) for row in json.loads(out)["pmf"]) == 1
+
+
+def test_oracle_refuses_a_request_beyond_the_step_limit(capsys):
+    code, out, err = run_cli(capsys, ["oracle", "-n", "1000000", "-t", "1"])
+    assert code == 1
+    assert out == ""
+    assert err == "thinlab: error: 1 balls in 1000000 bins need over 5000000 bin steps\n"
+
+
+def test_load_ratios_beyond_float_range_are_refused(capsys):
+    message = "load ratio must be at most 1.7976931348623157e+308, the largest float"
+    for argv in (
+        ["bounds", "--name", "stage_params", "-n", "1000", "--rho", "1e400", "--epsilon", "0.5"],
+        ["diagnose", "-n", "1000", "--rho", "1e400"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"thinlab: error: {message}\n"
 
 
 def test_diagnose_outputs(capsys):

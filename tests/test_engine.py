@@ -1195,6 +1195,23 @@ def test_trace_peak_within_estimate(strategy, n, t):
         assert estimate <= 1.15 * peak
 
 
+# The reference steps every kind alike.  At (200000, 20000) the assembly
+# beside the stepped state binds, at (10, 20000) the pool-index check; each
+# steps for about a second under tracemalloc.
+@pytest.mark.parametrize("n, t", [(200_000, 20_000), (10, 20_000)])
+@pytest.mark.parametrize("strategy", ["threshold:auto", "two-choices"])
+def test_reference_peak_within_estimate(monkeypatch, strategy, n, t):
+    spec = parse_strategy(strategy, n=n)
+    run_reference(n, 10, spec, *_seed_streams(1))  # any lazy set-up happens outside the trace
+    peak = traced_peak(lambda: run_reference(n, t, spec, *_seed_streams(1)))
+    estimate = engine._reference_peak_bytes(n, t, spec)
+    assert peak <= estimate <= 1.1 * peak
+    # It is the bound run_reference is guarded by.
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", estimate - 1)
+    with pytest.raises(ResourceLimitError, match=f"needs about {estimate} bytes"):
+        run_reference(n, t, spec, *_seed_streams(1))
+
+
 # Ball-heavy payloads and a bin-heavy one, whose lists of loads bind.
 @pytest.mark.parametrize(
     "strategy, n, t",

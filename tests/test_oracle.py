@@ -1,4 +1,4 @@
-"""Tests for the exact oracles: enumeration, DP, and Poisson routines."""
+"""Tests for the exact oracles: the state pass, DP, and Poisson routines."""
 
 import math
 import time
@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import reference_bounds as ref
+from reference_enumeration import enumerated_maxload_distribution
 from thinlab import oracle
 from thinlab.errors import ConfigurationError, StateSpaceLimitError
 from thinlab.oracle import (
@@ -27,6 +28,16 @@ ALWAYS_REJECT = StrategySpec("always_reject")
 THRESHOLD_1 = StrategySpec("threshold", ell=1)
 
 SMALL_INSTANCES = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+KINDS = ["one-choice", "always-reject", "threshold:1", "threshold:2", "threshold:1,k=2",
+         "threshold:1,k=3", "threshold:2,k=2", "two-choices"]
+# (3, 3, threshold:1,k=3) is left out: its 3^12 joint draws enumerate for 9 s.
+CROSS_CHECKED = [
+    (n, t, strategy)
+    for n, t in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]
+    for strategy in KINDS
+    if (n, t, strategy) != (3, 3, "threshold:1,k=3")
+]
 
 
 def test_pmf_validation():
@@ -98,6 +109,43 @@ def test_enumeration_accepts_grammar_strings():
     assert pmf.probs == (Fraction(3, 4), Fraction(1, 4))
 
 
+@pytest.mark.parametrize("n,t,strategy", CROSS_CHECKED)
+def test_state_pass_matches_enumeration(n, t, strategy):
+    expected = enumerated_maxload_distribution(n, t, strategy)
+    assert exact_maxload_distribution(n, t, strategy) == expected
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_state_pass_matches_the_one_choice_dp(n):
+    dp = exact_one_choice_maxload(n, n)
+    assert exact_maxload_distribution(n, n, ONE_CHOICE) == dp
+    assert exact_maxload_distribution(n, n, ALWAYS_REJECT) == dp
+
+
+@pytest.mark.parametrize("strategy", KINDS + ["threshold:2,k=3"])
+def test_state_pass_at_eight_bins(strategy):
+    pmf = exact_maxload_distribution(8, 8, strategy)
+    assert sum(pmf.probs) == 1
+    assert pmf.support[0] >= 1 and pmf.support[-1] <= 8
+
+
+def test_step_limit_counts_n_bins_a_step(monkeypatch):
+    steps = []
+    stepped = oracle.step
+    monkeypatch.setattr(oracle, "step", lambda *args: steps.append(1) or stepped(*args))
+    expected = exact_maxload_distribution(4, 6, "threshold:1,k=2")
+    needed = 4 * len(steps)
+    monkeypatch.setattr(oracle, "STEP_LIMIT", needed)
+    assert exact_maxload_distribution(4, 6, "threshold:1,k=2") == expected
+    monkeypatch.setattr(oracle, "STEP_LIMIT", needed - 1)
+    with pytest.raises(StateSpaceLimitError, match="ball 6 passes"):
+        exact_maxload_distribution(4, 6, "threshold:1,k=2")
+    # One state per ball, stepped once per primary, is the least a pass takes.
+    monkeypatch.setattr(oracle, "STEP_LIMIT", 6 * 4 * 4 - 1)
+    with pytest.raises(StateSpaceLimitError, match="6 balls in 4 bins"):
+        exact_maxload_distribution(4, 6, "threshold:1,k=2")
+
+
 def test_one_choice_dp_examples():
     pmf = exact_one_choice_maxload(2, 3)
     assert pmf.support == (2, 3)
@@ -116,9 +164,10 @@ def test_one_choice_dp_larger_instance():
     assert 6.0 < float(pmf.mean()) < 9.0
 
 
-def test_size_guards():
+def test_size_guards(monkeypatch):
+    monkeypatch.setattr(oracle, "new_process", None)  # refused before any step
     with pytest.raises(StateSpaceLimitError):
-        exact_maxload_distribution(4, 8, ONE_CHOICE)
+        exact_maxload_distribution(10**6, 1, ONE_CHOICE)
     with pytest.raises(StateSpaceLimitError):
         exact_one_choice_maxload(2000, 1000)
     with pytest.raises(StateSpaceLimitError):
