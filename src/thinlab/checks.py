@@ -247,7 +247,7 @@ def oracle_suite(n: int | None = None, t: int | None = None) -> list[CheckResult
             rows,
             f"accept-equals-dp[{tag}]",
             accept == dp,
-            "enumerated one-choice pmf matches the counting recurrence",
+            "one-choice state-pass pmf matches the power recurrence",
         )
         _check(
             rows,

@@ -2,7 +2,7 @@
 
 Three independent exact computations live here: a forward pass over the
 bin states that ``engine.step``, the reference oracle, reaches (any
-strategy, small instances), a dynamic program for the one-choice max-load
+strategy, small instances), a power recurrence for the one-choice max-load
 law (larger instances), and Poisson tail sums.  Only the Poisson routines
 and the check that compares them with exact laws use floating point.
 """
@@ -10,10 +10,10 @@ and the check that compares them with exact laws use floating point.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .engine import _check_run, new_process, step
 from .errors import ConfigurationError, StateSpaceLimitError, _as_int
@@ -22,7 +22,14 @@ from .rng import FixedStream
 # Bins restored and stepped, n a step: 1.3-2.5 us each at n <= 10 and 0.4 us
 # at n = 1000 (CPython 3.11, 2 vCPUs), so a pass stops within about 12 s.
 STEP_LIMIT = 5 * 10**6
-DP_CELL_LIMIT = 10**6
+# Term-bits of an exact one-choice side: its big-integer terms, plus t for
+# reducing a count over n^t, times the t * bit_length(n) bits that bound them.
+# Seconds per 10^9 (CPython 3.11, 2 vCPUs), at the limit unless marked *:
+# pmf (60, 60)* 0.79, (2, 338) 0.63, (10, 259) 0.36, (200, 217) 0.32; max_ge_a
+# (400, 400, a = 40)* 0.17, (3, 2210, 736) 0.50, (10, 1754, 584) 0.35-0.40,
+# (10^4, 11952, 3) 0.08; empties_ge_k (2, 54769, 0) under 0.01, (200, 19056, 0)
+# 3.1, (300, 11722, 1) 3.3, (1000, 1000, 1)* 2.6-3.8: a request stops within 25 s.
+TERM_BIT_LIMIT = 6 * 10**9
 
 STATISTICS = ("max_ge_a", "empties_ge_k")
 
@@ -135,49 +142,51 @@ def exact_maxload_distribution(n: int, t: int, strategy) -> Pmf:
 
 
 def _capped_placements(n: int, t: int, cap: int) -> int:
-    """Labeled placements of t balls into n bins with every bin <= cap."""
-    ways = [1] + [0] * t  # ways[m]: m balls into bins processed so far
-    for _ in range(n):
-        new_ways = [0] * (t + 1)
-        for placed in range(t + 1):
-            if ways[placed] == 0:
-                continue
-            limit = min(cap, t - placed)
-            for extra in range(limit + 1):
-                new_ways[placed + extra] += ways[placed] * math.comb(
-                    t - placed, extra
-                )
-        ways = new_ways
-    return ways[t]
+    """Labeled placements of t balls into n bins with every bin <= cap.
+
+    The count C_t is t! [x^t] (sum_{j <= cap} x^j / j!)^n, so J.C.P.
+    Miller's power recurrence (Knuth, TAOCP vol. 2, 4.7) gives C_0 = 1 and
+    m C_m = sum_{k=1}^{min(m, cap)} ((n + 1) k - m) C(m, k) C_{m-k}: about
+    t * cap terms whatever n is, over the last cap counts.
+    """
+    recent = deque([1], maxlen=cap)  # C_{m-1}, C_{m-2}, ..., C_{m-cap}
+    count = 1
+    for m in range(1, t + 1):
+        count, binom = 0, 1
+        for k, earlier in enumerate(recent, 1):
+            binom = binom * (m - k + 1) // k
+            count += ((n + 1) * k - m) * binom * earlier
+        count //= m  # exact
+        recent.appendleft(count)
+    return count
+
+
+def _placement_terms(t: int, low: int, high: int) -> int:
+    """Terms of :func:`_capped_placements` at caps low..high-1 <= t: cap t - C(cap, 2) each."""
+    return t * (math.comb(high, 2) - math.comb(low, 2)) - (math.comb(high, 3) - math.comb(low, 3))
+
+
+def _check_work(n: int, t: int, terms: int) -> None:
+    """Refuse an exact one-choice side of more than ``TERM_BIT_LIMIT`` term-bits."""
+    work = (terms + t) * t * n.bit_length()
+    if work > TERM_BIT_LIMIT:
+        raise StateSpaceLimitError(
+            f"{t} balls in {n} bins need {work} term-bits, over {TERM_BIT_LIMIT}")
 
 
 def exact_one_choice_maxload(n: int, t: int) -> Pmf:
-    """Exact max-load pmf under pure uniform allocation, via capped DP.
+    """Exact max-load pmf under pure uniform allocation, by the power recurrence.
 
     P(max <= a) counts placements where every bin holds at most a balls;
     the pmf follows by differencing consecutive caps.  Independent of the
-    enumeration routine, and feasible far beyond enumeration scale.
+    state pass, and feasible far beyond its scale.
     """
     n, t = _as_int(n, "bin count", 1), _as_int(t, "ball count", 0)
-    if n * t > DP_CELL_LIMIT:
-        raise StateSpaceLimitError(
-            f"one-choice DP needs n*t = {n * t} cells per level, "
-            f"beyond the limit of {DP_CELL_LIMIT}"
-        )
-    if t == 0:
-        return Pmf((0,), (Fraction(1),))
-    total = n**t
     lowest = -(-t // n)  # smallest possible max load
-    cdf_prev = 0
-    support = []
-    probs = []
-    for cap in range(lowest, t + 1):
-        cdf = _capped_placements(n, t, cap) if cap < t else total
-        if cdf > cdf_prev:
-            support.append(cap)
-            probs.append(Fraction(cdf - cdf_prev, total))
-        cdf_prev = cdf
-    return Pmf(tuple(support), tuple(probs))
+    _check_work(n, t, _placement_terms(t, lowest, t))
+    # within[i]: placements with every bin below lowest + i, strictly increasing in i
+    within = [0] + [_capped_placements(n, t, cap) for cap in range(lowest, t)] + [n**t]
+    return pmf_from_counts({lowest + i: within[i + 1] - within[i] for i in range(t + 1 - lowest)})
 
 
 def poisson_tail(lam: float, a: int) -> float:
@@ -193,7 +202,8 @@ def poisson_tail(lam: float, a: int) -> float:
     log_lam = math.log(lam)
     terms = []
     log_term = -lam
-    for j in range(a + 1):
+    # Chebyshev: P(Y > lam + 11 sqrt(lam)) < 1/121, so the CDF passes 0.99 by then.
+    for j in range(int(min(a, lam + 11 * math.sqrt(lam))) + 1):
         if j > 0:
             log_term += log_lam - math.log(j)
         terms.append(math.exp(log_term))
@@ -237,14 +247,17 @@ def _multinomial_max_ge(n: int, t: int, a: int) -> Fraction:
         return Fraction(1)
     if a > t:
         return Fraction(0)
+    _check_work(n, t, _placement_terms(t, a - 1, a))
     return 1 - Fraction(_capped_placements(n, t, a - 1), n**t)
 
 
 def _multinomial_empties_ge(n: int, t: int, k: int) -> Fraction:
     """Exact P(at least k >= 0 bins stay empty) with t uniform balls in n bins."""
     # t balls fill at most t bins, so terms with n - j > t are zero.
+    low = max(k, n - t)
+    _check_work(n, t, math.comb(max(n - low + 2, 0), 2))  # n - j + 1 powers at each j
     favorable = sum(
-        math.comb(n, j) * _surjections(t, n - j) for j in range(max(k, n - t), n + 1)
+        math.comb(n, j) * _surjections(t, n - j) for j in range(low, n + 1)
     )
     return Fraction(favorable, n**t)
 
@@ -261,16 +274,21 @@ def _poisson_empties_ge(n: int, lam: float, k: int) -> float:
     """P(at least k >= 0 of n iid Poisson(lam) bins are empty)."""
     # Binomial(n, e^-lam) weights relative to the mode, by the term ratio,
     # over their sum: no comb(n, j) to overflow a float, and no cancellation.
+    # Each walk from the mode stops at the first weight to underflow to 0.0,
+    # past which all are 0.0: about 40 sd out, and sqrt(n p (1 - p)) <= sqrt(t).
     p_empty = math.exp(-lam)
     odds = p_empty / -math.expm1(-lam)
     mode = min(n, int((n + 1) * p_empty))
-    weights = [0.0] * (n + 1)
-    weights[mode] = 1.0
+    weights = {mode: 1.0}
     for j in range(mode, n):
         weights[j + 1] = weights[j] * (n - j) / (j + 1) * odds
+        if weights[j + 1] == 0.0:
+            break
     for j in range(mode, 0, -1):
         weights[j - 1] = weights[j] * j / ((n - j + 1) * odds)
-    return math.fsum(weights[k:]) / math.fsum(weights)
+        if weights[j - 1] == 0.0:
+            break
+    return math.fsum(w for j, w in weights.items() if j >= k) / math.fsum(weights.values())
 
 
 class PoissonizationCheck(NamedTuple):
@@ -296,11 +314,9 @@ def poissonization_check(n: int, t: int, statistic: str, level: int) -> Poissoni
         )
     n, t = _as_int(n, "bin count", 1), _as_int(t, "ball count", 1)
     level = _as_int(level, "the level", 0)
-    if n * t > DP_CELL_LIMIT:
-        raise StateSpaceLimitError(
-            f"exact side needs n*t = {n * t} DP cells, beyond {DP_CELL_LIMIT}"
-        )
     lam = t / n
+    if lam < 1e-300:  # so that n, 1 / lam and the odds of an empty bin stay floats
+        raise ConfigurationError(f"the Poisson rate t/n = {lam!r} is below 1e-300")
     if statistic == "max_ge_a":
         lhs = float(_multinomial_max_ge(n, t, level))
         rhs = 2.0 * _poisson_max_ge(n, lam, level)

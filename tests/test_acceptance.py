@@ -77,7 +77,7 @@ def test_c01_exact_oracles_agree():
     assert record(
         1,
         passed,
-        f"enumerated accept/reject pmfs equal the counting pmf on 4 instances "
+        f"state-pass accept/reject pmfs equal the power-recurrence pmf on 4 instances "
         f"({elapsed:.2f}s < 10s)",
     )
 

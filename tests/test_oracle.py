@@ -1,13 +1,15 @@
-"""Tests for the exact oracles: the state pass, DP, and Poisson routines."""
+"""Tests for the exact oracles: the state pass, power recurrence, and Poisson routines."""
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import reference_bounds as ref
 from reference_enumeration import enumerated_maxload_distribution
+from reference_placements import binned_capped_placements, binned_one_choice_maxload
 from thinlab import oracle
 from thinlab.errors import ConfigurationError, StateSpaceLimitError
 from thinlab.oracle import (
@@ -164,14 +166,54 @@ def test_one_choice_dp_larger_instance():
     assert 6.0 < float(pmf.mean()) < 9.0
 
 
+def test_power_recurrence_matches_the_bin_recurrence():
+    for n in range(1, 9):
+        for t in range(13):
+            for cap in range(t + 2):
+                assert oracle._capped_placements(n, t, cap) == binned_capped_placements(n, t, cap)
+
+
+@pytest.mark.parametrize("n,t", [(20, 20), (30, 45), (7, 60), (60, 60), (10, 40), (1, 5), (3, 1)])
+def test_one_choice_pmf_matches_the_bin_recurrence(n, t):
+    assert exact_one_choice_maxload(n, t) == binned_one_choice_maxload(n, t)
+
+
+@pytest.mark.parametrize("n,t,call,inner,terms", [
+    # caps 2..5 of 6 balls in 4 bins, min(m, cap) terms at each m <= 6
+    (4, 6, lambda: exact_one_choice_maxload(4, 6), "_capped_placements",
+     sum(min(m, cap) for cap in range(2, 6) for m in range(1, 7))),
+    # P(max >= 3) counts placements under cap 2
+    (4, 6, lambda: poissonization_check(4, 6, "max_ge_a", 3), "_capped_placements",
+     sum(min(m, 2) for m in range(1, 7))),
+    # 3 balls leave 2..5 of 5 bins empty: n - j + 1 powers for each j
+    (5, 3, lambda: poissonization_check(5, 3, "empties_ge_k", 1), "_surjections",
+     sum(5 - j + 1 for j in range(2, 6))),
+], ids=["one-choice-pmf", "max_ge_a", "empties_ge_k"])
+def test_term_bit_limit_counts_the_work(monkeypatch, n, t, call, inner, terms):
+    work = (terms + t) * t * n.bit_length()
+    expected = call()
+    monkeypatch.setattr(oracle, "TERM_BIT_LIMIT", work)
+    assert call() == expected
+    monkeypatch.setattr(oracle, "TERM_BIT_LIMIT", work - 1)
+    monkeypatch.setattr(oracle, inner, None)  # refused before the first term
+    with pytest.raises(StateSpaceLimitError, match=f"need {work} term-bits"):
+        call()
+
+
 def test_size_guards(monkeypatch):
     monkeypatch.setattr(oracle, "new_process", None)  # refused before any step
+    monkeypatch.setattr(oracle, "_capped_placements", None)
+    monkeypatch.setattr(oracle, "_surjections", None)
     with pytest.raises(StateSpaceLimitError):
         exact_maxload_distribution(10**6, 1, ONE_CHOICE)
+    for n, t in ((2000, 1000), (10, 3000), (10, 10**5)):
+        with pytest.raises(StateSpaceLimitError):
+            exact_one_choice_maxload(n, t)
     with pytest.raises(StateSpaceLimitError):
-        exact_one_choice_maxload(2000, 1000)
+        poissonization_check(10, 10**5, "max_ge_a", 3)
+    # Few terms, but n^t has 3 * 10^6 bits to reduce a count over.
     with pytest.raises(StateSpaceLimitError):
-        poissonization_check(2000, 1000, "max_ge_a", 3)
+        poissonization_check(3, 2 * 10**6, "empties_ge_k", 1)
 
 
 def test_poisson_tail_examples():
@@ -190,6 +232,13 @@ def test_poisson_tail_examples():
 def test_poisson_tail_against_high_precision(lam, a):
     reference = float(ref.ref_poisson_tail(lam, a + 1))  # P(Y > a) = P(Y >= a+1)
     assert abs(poisson_tail(lam, a) - reference) < 1e-14
+
+
+def test_poisson_tail_far_level_is_quick():
+    start = time.perf_counter()
+    assert poisson_tail(1.0, 10**8) == 0.0
+    assert poissonization_check(3, 3, "max_ge_a", 10**6).rhs == 0.0
+    assert time.perf_counter() - start < 0.05
 
 
 def test_poisson_tail_validation():
@@ -250,6 +299,51 @@ def test_exact_empties_side_is_quick_for_few_balls():
     result = poissonization_check(1000, 1, "empties_ge_k", 1)
     assert time.perf_counter() - start < 0.5
     assert result.lhs == 1.0 and result.holds
+
+
+@pytest.mark.parametrize("level,rhs", [(0, 2.0), (10**9 - 1, 4 / math.e), (10**9, 2 / math.e)])
+def test_poisson_empties_side_holds_no_weight_per_bin(level, rhs):
+    # The exact side is a few terms; the Poisson side walks only the weights
+    # that do not underflow, not a list of n + 1.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        result = poissonization_check(10**9, 1, "empties_ge_k", level)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 0.5 and peak < 10**6
+    assert result.holds and result.rhs == pytest.approx(rhs, rel=1e-6)
+
+
+def _listed_poisson_empties_ge(n, lam, k):
+    """The Poisson empties side over a list of all n + 1 weights."""
+    p_empty = math.exp(-lam)
+    odds = p_empty / -math.expm1(-lam)
+    mode = min(n, int((n + 1) * p_empty))
+    weights = [0.0] * (n + 1)
+    weights[mode] = 1.0
+    for j in range(mode, n):
+        weights[j + 1] = weights[j] * (n - j) / (j + 1) * odds
+    for j in range(mode, 0, -1):
+        weights[j - 1] = weights[j] * j / ((n - j + 1) * odds)
+    return math.fsum(weights[k:]) / math.fsum(weights)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 700, 5000])
+@pytest.mark.parametrize("lam", [1e-6, 0.01, 0.5, 1.0, 3.0, 20.0, 300.0])
+def test_poisson_empties_walk_equals_the_full_list(n, lam):
+    # Weights past the first underflow are 0.0 and fsum is exact, so the
+    # walk from the mode gives the same float at every level.
+    for k in sorted({0, 1, n // 3, n // 2, n - 1, n, n + 1, int(n * math.exp(-lam))}):
+        assert oracle._poisson_empties_ge(n, lam, k) == _listed_poisson_empties_ge(n, lam, k)
+
+
+def test_poissonization_check_refuses_a_rate_below_float_range():
+    assert poissonization_check(10**299, 1, "empties_ge_k", 1).holds
+    for statistic in STATISTICS:
+        with pytest.raises(ConfigurationError, match="below 1e-300"):
+            poissonization_check(10**400, 1, statistic, 1)
 
 
 @pytest.mark.parametrize("a", [18, 20, 22])
