@@ -169,7 +169,8 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
     primary_bins, final_bins = np.empty(t, dtype=np.int64), np.empty(t, dtype=np.int64)
     reject_counts = np.zeros(t, dtype=np.int64)
     begin = 0
-    for p, balls, landed, rejects, _ in _placements(n, t, spec, primary_stream, secondary_stream):
+    chunks = _placements(n, t, spec, primary_stream, secondary_stream, columns=True)
+    for p, balls, landed, rejects, _ in chunks:
         chunk = slice(begin, begin + p.size)
         primary_bins[chunk] = final_bins[chunk] = p
         final_bins[chunk][balls] = landed
@@ -179,18 +180,22 @@ def _columns(n, t, spec, primary_stream, secondary_stream):
     return primary_bins, final_bins, reject_counts
 
 
-def _placements(n, t, spec, primary_stream, secondary_stream):
+def _placements(n, t, spec, primary_stream, secondary_stream, columns):
     """The one choice of placement kernel, for a run's chunks of 2**14 balls.
 
     Both kernels yield ``(p, balls, landed, rejects, loads)`` per chunk:
     its primary bins, the ascending chunk offsets of the balls that left
     their primary, their landing bins and int64 reject counts, and the load
     table, whose first n entries are the run's loads once the last chunk is
-    yielded.  So neither holds a t-length array.
+    yielded.  So neither holds a t-length array.  Without ``columns``, for a
+    summary, which reads only the loads and the rejections, ``rejects`` is
+    the chunk's reject total, an int, and the two-choices kernel yields
+    ``balls`` and ``landed`` as None: it counts its moved balls, each one
+    reject, and builds no column of them.
     """
     if spec.is_thinning:
-        return _threshold_chunks(n, t, spec, primary_stream, secondary_stream)
-    return _two_choices_kernel(n, t, primary_stream, secondary_stream)
+        return _threshold_chunks(n, t, spec, primary_stream, secondary_stream, columns)
+    return _two_choices_kernel(n, t, primary_stream, secondary_stream, columns)
 
 
 def _placement_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
@@ -343,10 +348,11 @@ def _summary_groups(n, t, spec, seeds):
     runs, in order, shaped like those of ``counting._count_groups``.
 
     The counting kinds take that kernel's groups.  The others take one run
-    per group from the placement kernel, keeping its load table and the
-    sum of its reject counts; the table is released before the next run
-    draws.  No kernel holds a t-length array, nor more than one chunk at a
-    time.
+    per group from the placement kernel, without columns, keeping its load
+    table and the sum of its chunks' reject totals (for two-choices, the
+    count of moved balls; it builds no column of them).  The table is
+    released before the next run draws.  No kernel holds a t-length array,
+    nor more than one chunk at a time.
     """
     if _counts_draws(spec):
         yield from _count_groups(n, t, spec, seeds)
@@ -354,8 +360,9 @@ def _summary_groups(n, t, spec, seeds):
     for seed in seeds:
         rejections = 0
         # Each kernel yields at least once, so loads is always bound.
-        for p, balls, landed, rejects, loads in _placements(n, t, spec, *_seed_streams(seed)):
-            rejections += int(rejects.sum())
+        chunks = _placements(n, t, spec, *_seed_streams(seed), columns=False)
+        for p, balls, landed, rejects, loads in chunks:
+            rejections += rejects
             del p, balls, landed, rejects
         yield loads[None, :n], [rejections]
         del loads  # released before the next run draws
@@ -369,9 +376,11 @@ def summary_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     with the most rejections a run can have and the widest load table it
     can need (for two-choices, w.h.p.; see
     ``two_choices._two_choices_peak_bytes``); the bound is the largest
-    phase, since a phase frees its temporaries before the next begins.  The
-    tests check it against ``tracemalloc`` for every kind and path, and for
-    batches in both regimes of the counting kernel.
+    phase, since a phase frees its temporaries before the next begins.  A
+    two-choices summary holds no word per moved ball, only their count,
+    so its yielded chunk is its bins and took mask, within the bound's
+    placed phase.  The tests check it against ``tracemalloc`` for every
+    kind and path, and for batches in both regimes of the counting kernel.
     """
     if _counts_draws(spec):
         return _count_peak_bytes(n, t, spec)

@@ -266,8 +266,11 @@ def _poisson_max_ge(n: int, lam: float, a: int) -> float:
     """P(max of n iid Poisson(lam) >= a)."""
     if a <= 0:
         return 1.0
+    tail = poisson_tail(lam, a - 1)
+    if tail >= 1.0:  # a level far below lam: log1p(-1.0) is out of its domain
+        return 1.0
     # 1 - (1 - tail)^n without rounding 1 - tail to 1 for a tiny tail.
-    return -math.expm1(n * math.log1p(-poisson_tail(lam, a - 1)))
+    return -math.expm1(n * math.log1p(-tail))
 
 
 def _poisson_empties_ge(n: int, lam: float, k: int) -> float:

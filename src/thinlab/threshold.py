@@ -25,14 +25,14 @@ from .strategies import StrategySpec
 _THRESHOLD_CHUNK = 1 << 14
 
 
-def _threshold_chunks(n, t, spec, primary_stream, secondary_stream):
+def _threshold_chunks(n, t, spec, primary_stream, secondary_stream, columns):
     """Threshold placement, one chunk of ``_THRESHOLD_CHUNK`` balls at a time.
 
-    A generator of the chunks ``engine._placements`` describes, with the
-    load table ``count`` (``np.min_scalar_type(t)``); once, empty, when t
-    is 0.  A chunk is dropped before the next is drawn.  Streams are read
-    as block draws read them, so draws and stream positions match
-    ``engine.step``.
+    A generator of the chunks ``engine._placements`` describes for
+    ``columns``, with the load table ``count`` (``np.min_scalar_type(t)``);
+    once, empty, when t is 0.  A chunk is dropped before the next is
+    drawn.  Streams are read as block draws read them, so draws and stream
+    positions match ``engine.step``.
 
     A primary is rejected iff its bin already had ell, the rule's level,
     which ``count`` settles for all balls but those whose bin reaches ell
@@ -67,7 +67,7 @@ def _threshold_chunks(n, t, spec, primary_stream, secondary_stream):
             balls, p.size, count, cut, ell, spec.retry_budget, secondary_stream)
         cut[p[ell_th]] = 0
         np.add.at(landings, landed, one)
-        yield p, balls, landed, rejects, count
+        yield p, balls, landed, rejects if columns else int(rejects.sum()), count
         del p, balls, ell_th, landed, rejects
     np.minimum(count, ell, out=count)
     count += landings

@@ -7,7 +7,10 @@ to the less loaded of the two (the primary on ties).
 ``_TWO_CHOICES_CHUNK`` balls, sorting keys of bin above block offset
 (uint32 while n <= 2**20) per block of ``_TWO_CHOICES_BLOCK`` balls, and
 yields them as ``engine._placements`` describes, as the threshold kernel
-does; :func:`_two_choices_peak_bytes` bounds what a summary holds.
+does: for a run, the balls that moved; for a summary, only their count.
+It widens its uint8 load table by a running upper bound on the loads,
+without reducing the table per block.  :func:`_two_choices_peak_bytes`
+bounds what a summary holds.
 """
 
 from __future__ import annotations
@@ -27,23 +30,26 @@ _TWO_CHOICES_BLOCK = 1 << 12
 _TWO_CHOICES_CHUNK = 4 * _TWO_CHOICES_BLOCK
 
 
-def _two_choices_kernel(n, t, primary_stream, secondary_stream):
+def _two_choices_kernel(n, t, primary_stream, secondary_stream, columns):
     """Two-choices placement, drawn and placed one chunk at a time.
 
     A generator: per chunk of ``_TWO_CHOICES_CHUNK`` balls it draws the
     primaries, then the candidates, places the balls and yields the chunk
-    as ``engine._placements`` describes it, with the load table so far (n
-    loads, then a sink bin).  It yields one empty chunk if t is 0, and
-    drops a chunk before it draws the next.  Each stream is read as one
-    block draw of t reads it, so draws and stream positions match
-    ``engine.step``.  A ball moves, with one reject, only to a strictly
-    lower load, so the moved balls are exactly where ``final_bins !=
-    primary_bins``.
+    as ``engine._placements`` describes it for ``columns``, with the load
+    table so far (n loads, then a sink bin): the moved balls, their
+    candidates and a one per moved ball, or, for a summary, only how many
+    moved.  It yields one empty chunk if t is 0, and drops a chunk before
+    it draws the next.  Each stream is read as one block draw of t reads
+    it, so draws and stream positions match ``engine.step``.  A ball
+    moves, with one reject, only to a strictly lower load, so the moved
+    balls are exactly where ``final_bins != primary_bins``.
 
     ``load`` starts as uint8, so a million bins fit in L2.  It is widened
     once, to the narrowest type that holds t, just before a load could
-    pass 255: before a ready step (at most +1 a bin) if ``top``, a bound on
-    the loads, is 255; in the tail, before a load of 256 is written.
+    pass 255: in the tail, before a load of 256 is written; before a ready
+    step (at most +1 a bin) if the max load is 255.  ``top`` is an upper
+    bound on the loads, and the table's max is read, into ``top``, only
+    once it reaches 255.
     """
     wide = np.min_scalar_type(t)
     load = np.zeros(n + 1, dtype=np.uint8)
@@ -55,9 +61,13 @@ def _two_choices_kernel(n, t, primary_stream, secondary_stream):
         p = primary_stream.bounded_block(n, m)
         s = secondary_stream.bounded_block(n, m)
         took, load, top = _place_two_choices(p, s, keys, offsets, load, top, wide)
-        balls = np.flatnonzero(took)
-        yield p, balls, s[balls], np.ones(balls.size, dtype=np.int64), load
-        del p, s, took, balls
+        if columns:
+            balls = np.flatnonzero(took)
+            yield p, balls, s[balls], np.ones(balls.size, dtype=np.int64), load
+            del balls
+        else:
+            yield p, None, None, int(np.count_nonzero(took)), load
+        del p, s, took
 
 
 def _place_two_choices(p, s, keys, offsets, load, top, wide):
@@ -70,7 +80,12 @@ def _place_two_choices(p, s, keys, offsets, load, top, wide):
     an earlier ball of the block, so a load step of one gather of both
     loads and one scatter of ``min(lp, ls) + 1`` places them with the loads
     sequential placement shows them; it sends the waiting balls to the sink
-    bin n, which no ball reads, then places them one by one.
+    bin n, which no ball reads, then places them one by one.  So the ready
+    step raises the max by at most 1, and ``top`` by exactly 1; the tail
+    keeps it at least every load it writes.  The sink holds a waiting
+    ball's ``min(lp, ls) + 1``, at most the load the tail then gives it, so
+    ``load.max()`` is the max of the n loads.  While the table is uint8,
+    ``top`` stays at most 255, so the tail sees its first load of 256.
     """
     n, block = load.size - 1, offsets.size
     took = np.empty(p.size, dtype=bool)
@@ -78,16 +93,18 @@ def _place_two_choices(p, s, keys, offsets, load, top, wide):
         part = slice(start, start + block)
         bp, bs, bt = p[part], s[part], took[part]
         waiting = _waiting_balls(bp, bs, keys, offsets)
-        if top == 255 and load.dtype != wide:
-            load = load.astype(wide)
-        lp, ls = load[bp], load[bs]
+        if top >= 255 and load.dtype != wide:
+            top = int(load.max())
+            if top == 255:
+                load = load.astype(wide)
+        lp, ls = load.take(bp), load.take(bs)
         np.less(ls, lp, out=bt)
         target = np.where(bt, bs, bp)
         target[waiting] = n
         np.minimum(lp, ls, out=lp)
         lp += 1
         load[target] = lp
-        top = max(top, int(lp.max()))
+        top += 1
         view = memoryview(load)
         flags = []
         for a, b in zip(bp[waiting].tolist(), bs[waiting].tolist()):
@@ -120,7 +137,8 @@ def _waiting_balls(bp, bs, keys, offsets):
     whose length sets the offset width ``shift``.  Sorted, keys run through
     each bin in ball order, so a ball waits iff a key of its directly
     follows another of the same bin: their xor is below 2**shift and not 0
-    (a ball whose bins are one has equal keys, and stays ready).
+    (a ball whose bins are one has equal keys, and stays ready), so xor - 1
+    is below 2**shift - 1 as an unsigned word, where 0 wraps to the top.
     """
     b, shift = len(bp), (keys.size // 2 - 1).bit_length()
     k = keys[: 2 * b]
@@ -129,7 +147,8 @@ def _waiting_balls(bp, bs, keys, offsets):
         half |= offsets[:b]
     k.sort()
     pair = k[1:] ^ k[:-1]
-    follows = k[1:][(pair < (1 << shift)) & (pair != 0)]
+    pair -= 1
+    follows = k[1:][pair.view(f"u{k.itemsize}") < (1 << shift) - 1]
     waiting = np.zeros(b, dtype=bool)
     waiting[follows & ((1 << shift) - 1)] = True
     return np.flatnonzero(waiting)
@@ -145,10 +164,12 @@ def _two_choices_peak_bytes(n: int, t: int) -> int:
     placed (its bins and took mask, a block's temporaries, at most 14 words
     per block ball with the waiting balls' Python lists, and while the
     table widens the uint8 table beside the wide one) or yielded (its bins
-    and took mask, and three words per moved ball, which the temporaries'
-    bound covers while a chunk is at most four blocks).  A seeded run's max
-    load exceeds t/n by about log2 log n, with a doubly exponential tail,
-    so the table is counted wide where t >= 128n.
+    and took mask, which the placed phase covers; a summary's chunk is
+    only that, its moved balls counted, while a run's adds three words per
+    moved ball, which the temporaries' bound covers while a chunk is at
+    most four blocks).  A seeded run's max load exceeds t/n by about
+    log2 log n, with a doubly exponential tail, so the table is counted
+    wide where t >= 128n.
     """
     c = min(t, _TWO_CHOICES_CHUNK)
     wide = t >= 128 * n

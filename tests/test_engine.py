@@ -268,7 +268,7 @@ def assert_kernel_loads(state, spec, seed):
     """The threshold kernel's table holds the run's loads, in the dtype of
     t, once its last chunk is yielded."""
     streams = RngStream(mix_seeds(seed, 0)), RngStream(mix_seeds(seed, 1))
-    for *_, loads in threshold._threshold_chunks(state.n, state.t, spec, *streams):
+    for *_, loads in threshold._threshold_chunks(state.n, state.t, spec, *streams, True):
         pass
     assert loads.dtype == np.min_scalar_type(state.t)
     assert np.array_equal(loads, state.load)
@@ -470,7 +470,7 @@ def test_two_choices_kernel_widens_the_load_table():
     one_bin = np.zeros(70_000, dtype=np.int64)
     for n, bins in ((block, tiled), (block, tail_then_ready), (1, one_bin)):
         chunks = list(two_choices._two_choices_kernel(
-            n, len(bins), FixedStream(bins.tolist()), FixedStream(bins.tolist())))
+            n, len(bins), FixedStream(bins.tolist()), FixedStream(bins.tolist()), True))
         moved = np.concatenate([balls for _, balls, _, _, _ in chunks])
         load = chunks[-1][4]
         assert not moved.size
@@ -481,6 +481,26 @@ def test_two_choices_kernel_widens_the_load_table():
     loads, rejections = run_summary(1, 300, TWO_CHOICES, 0)
     assert loads.dtype == np.min_scalar_type(300)
     assert loads.tolist() == [300] and rejections == 0
+
+
+@pytest.mark.parametrize(
+    "n, t, dtype",
+    [
+        # Past 255 blocks the bound on the loads reaches 255, so the kernel
+        # reads the max, about 106, and keeps the uint8 table.
+        (10_000, 1_100_000, np.uint8),
+        # The bound reaches 255 with the max, which the kernel reads, so the
+        # next ready step widens the table.
+        (3000, 800_000, np.uint32),
+    ],
+)
+def test_two_choices_summary_bounds_the_running_max(n, t, dtype):
+    trace = run(n, t, TWO_CHOICES, 0)
+    loads, rejections = run_summary(n, t, TWO_CHOICES, 0)
+    assert loads.dtype == dtype
+    assert np.array_equal(loads, trace.final_state.load)
+    assert rejections == int(trace.reject_counts.sum())
+    assert type(rejections) is int  # so that JSON output can hold it
 
 
 TWO_CHOICES_CHUNK = two_choices._TWO_CHOICES_CHUNK

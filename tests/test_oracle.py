@@ -355,6 +355,13 @@ def test_poisson_max_side_keeps_a_tiny_tail(a):
     assert abs(rhs - expected) <= 1e-10 * expected
 
 
+@pytest.mark.parametrize("n, t", [(2, 100), (2, 30_000)])
+def test_poisson_max_side_at_a_tail_of_one(n, t):
+    # P(Poisson(t/n) > 1) rounds to 1.0, whose log1p(-1.0) is undefined.
+    assert poisson_tail(t / n, 1) == 1.0
+    assert poissonization_check(n, t, "max_ge_a", 2) == (1.0, 2.0, True)
+
+
 @pytest.mark.parametrize("n, lam, k", [
     (4, 0.5, 1), (100, 1.0, 37), (1000, 1.0, 400), (2000, 0.0005, 1), (2000, 1.0, 800),
 ])
