@@ -5,7 +5,10 @@ Subcommands: simulate, scale, bounds, oracle, diagnose, check.  Every
 subcommand accepts --format {csv,json}, --out PATH, --no-meta, and
 --config FILE (a JSON object of parameter defaults; explicit flags win).
 The parameter converters, the shared parameter tables and the output cell
-helpers are in :mod:`thinlab.cli_params`.
+helpers are in :mod:`thinlab.cli_params`; ``_RUN``, the run parameters of
+simulate and diagnose, is here.  A subcommand whose rows are a library
+row type (``ScaleRow``, ``StageRow``, ``CheckResult``) writes them as they
+are, under the type's fields.
 
 Exit codes: 0 success, 1 usage or parameter error, 2 check failure,
 3 I/O failure.
@@ -23,7 +26,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import __version__, bounds
 from .checks import oracle_suite, run_suite
@@ -48,6 +51,8 @@ from .engine import run
 from .errors import ConfigurationError, ThinlabError
 from .experiments import (
     ExperimentConfig,
+    ScaleRow,
+    StageRow,
     _check_tail_request,
     _stage_plan,
     rejection_stats,
@@ -56,7 +61,6 @@ from .experiments import (
     stage_diagnostics,
 )
 from .oracle import exact_maxload_distribution
-from .strategies import parse_strategy
 
 _REQUIRED = object()
 
@@ -172,7 +176,8 @@ def parse_args(argv=None) -> CliConfig:
 # Emission
 
 
-def _emit(params: dict, subcommand: str, header: list[str], rows: list[tuple], payload: dict) -> None:
+def _emit(params: dict, subcommand: str, header: Sequence[str], rows: Iterable[tuple],
+          payload: dict) -> None:
     out_format = params["format"] or _SUBCOMMANDS[subcommand].default_format
     meta = None if params["no_meta"] else _meta_text(subcommand)
     if out_format == "csv":
@@ -200,28 +205,30 @@ def _write_text(text: str, out_path: str | None) -> None:
 # Subcommand handlers
 
 
-def _run_simulate(params: dict) -> int:
-    config = ExperimentConfig(
+def _experiment(params: dict) -> ExperimentConfig:
+    """The campaign of a simulate request, or the one run of a diagnose."""
+    return ExperimentConfig(
         n=params["n"],
         strategy=params["strategy"],
-        trials=params["trials"],
+        trials=params.get("trials", 1),
         base_seed=params["seed"],
         rho=params["rho"],
         t=params["t"],
     )
+
+
+def _run_simulate(params: dict) -> int:
+    config = _experiment(params)
     level = params["level"]
     if level is not None:
         _check_tail_request(level, config.trials)  # before the campaign runs
     stats = run_trials(config, workers=params["workers"])
-    header = ["trial", "seed", "maxload", "rejections"]
-    rows = [
-        (i, stats.per_trial_seeds[i], stats.per_trial_maxload[i], stats.per_trial_rejections[i])
-        for i in range(stats.trials)
-    ]
+    rows = zip(range(stats.trials), stats.per_trial_seeds, stats.per_trial_maxload,
+               stats.per_trial_rejections)
     payload = stats.as_dict()
     if level is not None:
         payload["tail"] = stats.tail(level)._asdict()
-    _emit(params, "simulate", header, rows, payload)
+    _emit(params, "simulate", ["trial", "seed", "maxload", "rejections"], rows, payload)
     return 0
 
 
@@ -234,15 +241,13 @@ def _run_scale(params: dict) -> int:
         base_seed=params["seed"],
         workers=params["workers"],
     )
-    header = ["n", "target", "median_maxload", "ratio", "trials"]
-    rows = [(r.n, r.target, r.median_maxload, r.ratio, r.trials) for r in table]
     payload = {
         "strategy": params["strategy"],
         "rho": params["rho"],
         "base_seed": params["seed"],
         "rows": [r._asdict() for r in table],
     }
-    _emit(params, "scale", header, rows, payload)
+    _emit(params, "scale", ScaleRow._fields, table, payload)
     return 0
 
 
@@ -299,22 +304,13 @@ def _run_oracle(params: dict) -> int:
 
 
 def _run_diagnose(params: dict) -> int:
-    n = params["n"]
-    rho, t = params["rho"], params["t"]
-    if t is not None:
-        rho = Fraction(t, n)
-    else:
-        t = int(rho * n)
-    spec = parse_strategy(params["strategy"], n=n)
+    config = _experiment(params)
+    n, t = config.n, config.ball_count
+    rho = config.rho or Fraction(t, n)  # rho is positive when given
     _stage_plan(n, t, rho, params["epsilon"])  # refuses a bad request before run draws
-    trace = run(n, t, spec, params["seed"])
+    trace = run(n, t, config.spec, params["seed"])
     diagnostics = stage_diagnostics(trace, rho, params["epsilon"])
     rejections = rejection_stats(trace)
-    header = ["k", "rich_bins", "count_below_zeta", "load_below_target"]
-    rows = [
-        (row.k, row.rich_bins, row.count_below_zeta, row.load_below_target)
-        for row in diagnostics.per_stage
-    ]
     payload = diagnostics.as_dict()
     payload["strategy"] = trace.strategy.label
     payload["seed"] = params["seed"]
@@ -322,7 +318,7 @@ def _run_diagnose(params: dict) -> int:
         "total": rejections.total_rejections,
         "budget_ratio": rejections.budget_ratio,
     }
-    _emit(params, "diagnose", header, rows, payload)
+    _emit(params, "diagnose", StageRow._fields, diagnostics.per_stage, payload)
     return 0
 
 
@@ -331,17 +327,9 @@ def _run_check(params: dict) -> int:
 
 
 def _emit_checks(params: dict, subcommand: str, results) -> int:
-    header = ["check", "passed", "detail"]
-    rows = [(r.name, r.passed, r.detail) for r in results]
     failed = sum(1 for r in results if not r.passed)
-    payload = {
-        "checks": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-        ],
-        "total": len(results),
-        "failed": failed,
-    }
-    _emit(params, subcommand, header, rows, payload)
+    payload = {"checks": [r._asdict() for r in results], "total": len(results), "failed": failed}
+    _emit(params, subcommand, ["check", "passed", "detail"], results, payload)
     return 2 if failed else 0
 
 
@@ -354,13 +342,18 @@ class _Subcommand(NamedTuple):
     params: tuple  # each (name, converter, default); every subcommand adds _COMMON
 
 
+# The run parameters that simulate and diagnose share; -t and --rho are
+# resolved by _resolve_rho_t.
+_RUN = (
+    ("n", _conv_int, _REQUIRED),
+    ("rho", _conv_rho, None),
+    ("t", _conv_natural, None),
+    ("strategy", _conv_str, "threshold:auto"),
+)
+
 _SUBCOMMANDS: dict[str, _Subcommand] = {
     "simulate": _Subcommand(
-        _run_simulate, "csv", "run one Monte Carlo campaign and emit per-trial results", (
-            ("n", _conv_int, _REQUIRED),
-            ("rho", _conv_rho, None),
-            ("t", _conv_natural, None),
-            ("strategy", _conv_str, "threshold:auto"),
+        _run_simulate, "csv", "run one Monte Carlo campaign and emit per-trial results", _RUN + (
             ("trials", _conv_int, 100),
             ("seed", _conv_seed, 0),
             ("workers", _conv_int, None),
@@ -387,11 +380,8 @@ _SUBCOMMANDS: dict[str, _Subcommand] = {
             ("check", _conv_bool, False),
         )),
     "diagnose": _Subcommand(
-        _run_diagnose, "json", "stage decomposition and rejection diagnostics of one trace", (
-            ("n", _conv_int, _REQUIRED),
-            ("rho", _conv_rho, None),
-            ("t", _conv_natural, None),
-            ("strategy", _conv_str, "threshold:auto"),
+        _run_diagnose, "json", "stage decomposition and rejection diagnostics of one trace",
+        _RUN + (
             ("seed", _conv_seed, 0),
             ("epsilon", _conv_real, 0.5),
         )),

@@ -417,7 +417,7 @@ def level_set_count(
 
 
 def _subset_indices(n: int, subset: Iterable[int]) -> np.ndarray:
-    indices = np.asarray(sorted(set(int(b) for b in subset)), dtype=np.int64)
+    indices = np.asarray(sorted({_as_int(b, "bin subset entry") for b in subset}), dtype=np.int64)
     if indices.size == 0:
         raise ConfigurationError("bin subset must be non-empty")
     if indices.min() < 1 or indices.max() > n:

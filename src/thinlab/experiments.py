@@ -401,15 +401,7 @@ class StageDiagnostics:
             "s": self.s,
             "w": self.w,
             "zeta": self.zeta,
-            "stages": [
-                {
-                    "k": row.k,
-                    "rich_bins": row.rich_bins,
-                    "count_below_zeta": row.count_below_zeta,
-                    "load_below_target": row.load_below_target,
-                }
-                for row in self.per_stage
-            ],
+            "stages": [row._asdict() for row in self.per_stage],
         }
 
 

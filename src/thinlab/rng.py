@@ -48,7 +48,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _as_int
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -282,7 +282,8 @@ class FixedStream:
     """A stream that replays a preset sequence of bounded draws.
 
     Used by the exact oracle's pass over bin states and by tests to inject
-    specific draw outcomes into the engine.
+    specific draw outcomes into the engine.  A value is drawn by the integer
+    rule, so no kernel reads a truncated one.
     """
 
     __slots__ = ("values", "draws")
@@ -297,6 +298,8 @@ class FixedStream:
                 f"fixed stream exhausted after {len(self.values)} draws"
             )
         value = self.values[self.draws]
+        if type(value) is not int:  # a numpy integer passes, as its int
+            value = _as_int(value, "fixed stream value")
         if not 0 <= value < n:
             raise ConfigurationError(
                 f"fixed stream value {value} outside [0, {n})"

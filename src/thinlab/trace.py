@@ -9,7 +9,9 @@ order, so the pool index a ball consumes is derived from the reject counts
 :meth:`Trace.to_json` and :attr:`Trace.records` all work from the three
 columns, :func:`_assemble_trace` derives the final state from them, and
 :func:`_check_rejections` is the one check that a strategy can yield them.
-:func:`trace_from_json` rebuilds and checks a serialized trace.  This
+:func:`_decisions` is the one rule for the decisions a record lists.
+:func:`trace_from_json` rebuilds and checks a serialized trace, each
+record in the one pass that fills the columns.  This
 module runs no kernel: :func:`_assembly_peak_bytes` bounds what building a
 trace holds, for :func:`trace_from_json`'s guard and for
 ``engine.trace_peak_bytes``, which adds the kernel that ``engine.run``
@@ -39,6 +41,14 @@ _TALLY_FIELDS = ("load", "primary_suggested", "primary_accepted", "secondary_use
 # arrays per ball beyond the assembly's four (sec_idx, then the pool
 # indices it is checked against; a record takes at least 75 characters).
 _JSON_BYTES_PER_CHAR = 6
+
+
+def _decisions(reject_count: int, retry_budget: int) -> tuple[str, ...]:
+    """A ball's decisions: its rejects, then an accept unless the rejects
+    used up the retry budget (1 for two-choices) and forced it.  ``records``
+    and ``to_json`` write them, and :func:`trace_from_json` checks them."""
+    accept = ("accept",) if reject_count < retry_budget else ()
+    return ("reject",) * reject_count + accept
 
 
 @dataclass(eq=False)
@@ -131,10 +141,7 @@ class Trace:
         return np.where(counts > 0, last, -1)
 
     def _decisions_for(self, reject_count: int) -> tuple[str, ...]:
-        """A ball's decisions: its rejects, then an accept unless the
-        rejects used up the retry budget (1 for two-choices) and forced it."""
-        accept = ("accept",) if reject_count < self.strategy.retry_budget else ()
-        return ("reject",) * reject_count + accept
+        return _decisions(reject_count, self.strategy.retry_budget)
 
     def _ball_columns(self):
         """Per ball, as Python values: the 1-based primary bin, the reject
@@ -179,13 +186,15 @@ class Trace:
 def trace_from_json(text: str) -> Trace:
     """Rebuild a trace from its JSON form, re-deriving the final state.
 
-    Every record's ``ball`` must be its 1-based position, its ``decision``
-    the one its reject count allows, its ``final`` its ``primary`` unless it
-    was rejected, and its ``sec_idx`` the pool index its reject counts give
-    (see :func:`_check_rejections` and :attr:`Trace.pool_indices`); the
-    embedded loads are checked against the replayed records.  So a
-    corrupted or impossible payload is rejected with ``ConfigurationError``
-    rather than silently trusted.
+    Every record's ``ball``, ``primary`` and ``final`` must be ints (not
+    bools) that int64 holds, its ``ball`` its 1-based position, its
+    ``decision`` the list ``to_json`` writes for its reject count, its
+    ``final`` its ``primary`` unless it was rejected, and its ``sec_idx``
+    null or the pool index its reject counts give (see
+    :func:`_check_rejections` and :attr:`Trace.pool_indices`); the embedded
+    loads are checked against the replayed records.  So a corrupted or
+    impossible payload is rejected with ``ConfigurationError`` rather than
+    silently trusted.
 
     A payload whose parse, at ``_JSON_BYTES_PER_CHAR`` bytes per character,
     would exceed ``errors.MEMORY_BUDGET_BYTES`` raises ``ResourceLimitError``
@@ -198,57 +207,47 @@ def trace_from_json(text: str) -> Trace:
     _check_budget(parse_bytes, what)
     try:
         payload = json.loads(text)
-        n = payload["n"]
-        t = payload["t"]
+        n = _as_int(payload["n"], "bin count", 1)
+        t = _as_int(payload["t"], "trace payload ball count", 0)
         strategy = parse_strategy(payload["strategy"], n=n)
         seed = None if payload["seed"] is None else _as_int(payload["seed"], "trace payload seed")
         raw_records = payload["records"]
         loads = payload["loads"]
+        if len(raw_records) != t or len(loads) != n:
+            raise ConfigurationError("trace payload lengths disagree with n, t")
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"malformed trace payload: {exc}") from None
-    n = _as_int(n, "bin count", 1)
-    t = _as_int(t, "trace payload ball count", 0)
-    if len(raw_records) != t or len(loads) != n:
-        raise ConfigurationError("trace payload lengths disagree with n, t")
     _check_budget(parse_bytes + _assembly_peak_bytes(n, t), what)
     primary_bins = np.zeros(t, dtype=np.int64)
     final_bins = np.zeros(t, dtype=np.int64)
     reject_counts = np.zeros(t, dtype=np.int64)
     sec_idx = np.full(t, -1, dtype=np.int64)
-    first_ball = {}  # each distinct decision list, and the first ball with it
+    allowed = {}  # each reject count met, and the decision list to_json writes for it
     try:
         for i, row in enumerate(raw_records):
-            ball = row["ball"]
-            if type(ball) is not int or ball != i + 1:  # bools are not balls
-                raise ValueError(f"record {i + 1} has ball {ball!r}")
-            decision = tuple(row["decision"])
-            first_ball.setdefault(decision, i)
-            primary_bins[i] = row["primary"] - 1
-            final_bins[i] = row["final"] - 1
-            reject_counts[i] = decision.count("reject")
-            pool_index = row["sec_idx"]
+            ball, primary, final = row["ball"], row["primary"], row["final"]
+            decision, pool_index = row["decision"], row["sec_idx"]
+            count = decision.count("reject")
+            if count not in allowed:
+                allowed[count] = list(_decisions(count, strategy.retry_budget))
+            # Bools are not integers here; a number beyond int64 overflows its column.
+            if (not type(ball) is type(primary) is type(final) is int or ball != i + 1
+                    or decision != allowed[count]
+                    or pool_index is not None and (type(pool_index) is not int or pool_index < 0)):
+                raise ValueError(f"no run of {strategy.label} writes {row}")
+            primary_bins[i] = primary - 1
+            final_bins[i] = final - 1
+            reject_counts[i] = count
             if pool_index is not None:
-                if type(pool_index) is not int or pool_index < 0:
-                    raise ValueError(f"record {i + 1} has sec_idx {pool_index!r}")
                 sec_idx[i] = pool_index
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed trace record: {exc}") from None
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed trace record {i + 1}: {exc}") from None
     if primary_bins.size and not (
         0 <= primary_bins.min() and primary_bins.max() < n
         and 0 <= final_bins.min() and final_bins.max() < n
     ):
         raise ConfigurationError(f"trace payload bin numbers must lie in 1..{n}")
     trace = _assemble_trace(n, t, strategy, seed, primary_bins, final_bins, reject_counts)
-    wrong = [
-        i for decision, i in first_ball.items()
-        if decision != trace._decisions_for(int(reject_counts[i]))
-    ]
-    if wrong:
-        i = min(wrong)
-        raise ConfigurationError(
-            f"ball {i + 1} has decision {list(raw_records[i]['decision'])}, "
-            f"which no run of {strategy.label} records"
-        )
     _check_rejections(trace)
     expected = trace.pool_indices
     wrong = np.flatnonzero(sec_idx != expected)

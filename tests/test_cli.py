@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -487,3 +488,53 @@ def test_handlers_call_the_names_the_benchmark_swaps(capsys, monkeypatch):
     assert calls == ["run", "stage_diagnostics"]
     for name in ("run", "run_summary", "trace_from_json", "replay"):
         assert callable(getattr(engine, name)), name
+
+
+# sha256 of the --no-meta stdout of every subcommand in both formats: the
+# handlers may change how they build a table, not a byte of what it prints.
+CLI_DIGESTS = [
+    ("simulate -n 1000 --trials 5 --seed 3", "csv",
+     "82b7fd8aa1dc68df37dd04f261b03f8783ad5a6d9ed830187a0e8833340bed15"),
+    ("simulate -n 1000 --trials 5 --seed 3", "json",
+     "60e4ef4c378e6a3a2e037b0a669ab9f45150b87f667ef6452b8bef8cab35a904"),
+    ("simulate -n 200 -t 500 --strategy two-choices --trials 120 --level 3", "csv",
+     "77be9503d1e524438776091457045e2acda0d2dcacd0c26504c59762298c68cd"),
+    ("simulate -n 200 -t 500 --strategy two-choices --trials 120 --level 3", "json",
+     "072b4be211dd790b814d177d392bf911f1d00d0d26f581ee69846f3dc62fbe3f"),
+    ("scale --grid 100,1000 --trials 4 --seed 2", "csv",
+     "e10c4e3fe889e9b6f1f246ffb132c5b917995587e4df06ef80654ce6106b0aca"),
+    ("scale --grid 100,1000 --trials 4 --seed 2", "json",
+     "e15325ed4daba95162255e538f40bdcaf94dccb4a29bc5e572c9240d11668fb9"),
+    ("bounds --name prop41 -n 1000000 --eta 4", "csv",
+     "2e0e2452536c4f109561e5fc1f90d9e07c6d3a0305c9d6387a0f5c0cca0cd251"),
+    ("bounds --name prop41 -n 1000000 --eta 4", "json",
+     "ddaa6dd023550ebf0a85cf487b5e3ceefc0bf599ffeec12792ab58d602150c77"),
+    ("bounds --name lemma22 --theta 0.5 -a 2 --set-size 50,100", "csv",
+     "23dd4c4d1d69a75565e3c2e1557ab30c9209455b468fe915ce9566960f71fbf4"),
+    ("bounds --name lemma22 --theta 0.5 -a 2 --set-size 50,100", "json",
+     "7c5708efa8fd956918f0cb10a654546bd62e80e0c3b94937050d91ecb8bbad4b"),
+    ("oracle -n 3 -t 3 --strategy threshold:1", "csv",
+     "28818b0f489b7b0f737733fa2b8e3954274cfee946aa2fa6b1af75563cda47f3"),
+    ("oracle -n 3 -t 3 --strategy threshold:1", "json",
+     "0d1875007860680547ab6d56b990f81f93567283fb1ce119c60312354b5236a4"),
+    ("oracle --check -n 2 -t 2", "csv",
+     "59747518d86018626cf9bc04f55baeceaabe8a3dd2dcb681bd6e15936477fd07"),
+    ("oracle --check -n 2 -t 2", "json",
+     "9db360fdcbc6ad2c2575463a7bcbb7c8f2034ccc580771c0f1275c28912aa442"),
+    ("diagnose -n 1000 -t 1500 --epsilon 1/2 --seed 7", "csv",
+     "2efe5e7b91d6521d16ec4b9f96c3424797291b79bdfd7c73795b5c7664cab3c9"),
+    ("diagnose -n 1000 -t 1500 --epsilon 1/2 --seed 7", "json",
+     "cc8fd681155bbf59e3f2dfc449261d8ae383b59eeee6f80a40125ee8a06293e5"),
+    ("check --suite bounds", "csv",
+     "17e6325d7b2db94f92a0746dd76319fd6bbc4431af041b0c8b870a48a946d28a"),
+    ("check --suite bounds", "json",
+     "b023816d6fd0d455d5899f8b2e0d959c73687dc31171bb95922b596570cf47fc"),
+]
+
+
+@pytest.mark.parametrize("argv, out_format, digest", CLI_DIGESTS,
+                         ids=[f"{argv} {out_format}" for argv, out_format, _ in CLI_DIGESTS])
+def test_cli_output_bytes_are_pinned(capsys, argv, out_format, digest):
+    code, out, err = run_cli(capsys, argv.split() + ["--format", out_format, "--no-meta"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -17,6 +17,8 @@ import pytest
 
 from thinlab import bounds
 from thinlab.engine import (
+    level_set_count,
+    max_load,
     run,
     run_reference,
     run_summary,
@@ -31,7 +33,7 @@ from thinlab.oracle import (
     exact_one_choice_maxload,
     poissonization_check,
 )
-from thinlab.rng import RngStream
+from thinlab.rng import FixedStream, RngStream
 from thinlab.strategies import StrategySpec
 
 
@@ -256,3 +258,41 @@ def test_trace_payloads_keep_any_integer_seed(seed):
     trace = trace_from_json(_payload_with_seed(seed))
     assert trace.seed == seed
     assert trace.final_state == run(5, 8, "threshold:1", 1).final_state
+
+
+@pytest.mark.parametrize("field", ["primary", "final", "sec_idx"])
+@pytest.mark.parametrize("value", [1.5, True, 2**63, -(2**63) - 2, 10**30])
+def test_trace_payload_bins_follow_the_integer_rule(field, value):
+    # A bin or pool index that is not an int, or that no int64 column holds,
+    # is a malformed record, not bin 1 or an OverflowError.
+    payload = json.loads(run(5, 8, "threshold:1", 3).to_json())
+    payload["records"][1][field] = value
+    with pytest.raises(ConfigurationError):
+        trace_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("entry", [max_load, lambda state, subset: level_set_count(
+    state, "load", 1, subset)])
+def test_bin_subsets_follow_the_integer_rule(entry):
+    state = run(4, 6, "one-choice", 1).final_state
+    for subset in ([2.9], [True], ["2"], [1, 2.0]):
+        with pytest.raises(ConfigurationError):
+            entry(state, subset)
+    assert entry(state, [np.int64(2), np.uint16(3)]) == entry(state, [2, 3])
+
+
+@pytest.mark.parametrize("values", [[1.5, 0, 1], [True, 0, 1], [1, "0", 1], [1, 0, None]])
+@pytest.mark.parametrize("runner", [run_with_streams, run_reference])
+def test_fixed_stream_values_follow_the_integer_rule(values, runner):
+    # Refused as they are drawn, so the kernel and its reference cannot
+    # disagree on a truncated value.
+    with pytest.raises(ConfigurationError):
+        runner(3, 3, "threshold:1", FixedStream(values), FixedStream([2, 2, 2]))
+
+
+def test_fixed_streams_of_numpy_integers_run_like_python_ints():
+    primaries = [np.int64(1), np.uint16(0), 1]
+    for runner in (run_with_streams, run_reference):
+        trace = runner(3, 3, "threshold:1", FixedStream(primaries), FixedStream([2, 2, 2]))
+        expected = runner(3, 3, "threshold:1", FixedStream([1, 0, 1]), FixedStream([2, 2, 2]))
+        assert trace.to_json() == expected.to_json()
