@@ -19,8 +19,9 @@ from .engine import _check_run, new_process, step
 from .errors import ConfigurationError, StateSpaceLimitError, _as_int
 from .rng import FixedStream
 
-# Bins restored and stepped, n a step: 1.3-2.5 us each at n <= 10 and 0.4 us
-# at n = 1000 (CPython 3.11, 2 vCPUs), so a pass stops within about 12 s.
+# Bins restored and stepped, n a step: 3.6 us each at n = 2, 1.0-1.4 us at n = 8-12 and
+# 0.45 us at n = 100-1000 (CPython 3.11, 2 vCPUs), so a pass stops within about 18 s.
+# The widest pass admitted, (5 * 10^6, 1), took 5.1 s and 566 MB, within MEMORY_BUDGET_BYTES.
 STEP_LIMIT = 5 * 10**6
 # Term-bits of an exact one-choice side: its big-integer terms, plus t for
 # reducing a count over n^t, times the t * bit_length(n) bits that bound them.
@@ -102,38 +103,40 @@ def exact_maxload_distribution(n: int, t: int, strategy) -> Pmf:
     """Exact max-load pmf by a forward pass over the bin states :func:`step`
     reaches.  A state is the sorted tuple of per-bin pairs (primary
     suggestions capped at the thinning level, load), counted by the draw
-    sequences that reach it.  Each ball steps each state, restored into a
-    new process, per primary and per value of each pool draw read beyond
-    those fixed, up to the retry budget k.  Unread pool draws cancel out, so
-    a step that read j stands for n^(k-j) of the n^(1+k) equally likely
-    tuples: the law of the shared pool.  Refused if one state per ball would
-    pass ``STEP_LIMIT``, and otherwise at the step that passes it.
+    sequences that reach it.  Each ball steps each state, restored into the
+    pass's one process, per prefix of draws: a primary, then each pool draw
+    read beyond those fixed, up to the retry budget k.  A draw is a bin drawn
+    before or one bin for its class of equal pairs among the rest, which are
+    exchangeable; a prefix weighs count * n^(1+k) times class size/n a draw,
+    so unread pool draws cancel out: the law of the shared pool.  Refused if
+    one step per ball would pass ``STEP_LIMIT``, else at the step past it.
     """
     n, t, spec = _check_run(n, t, strategy)
     k, cap = spec.retry_budget, spec.level(t) or 0
-    if t * n * n > STEP_LIMIT:
+    if t * n > STEP_LIMIT:
         raise StateSpaceLimitError(f"{t} balls in {n} bins need over {STEP_LIMIT} bin steps")
-    states = Counter({((0, 0),) * n: 1})
-    steps = 0
+    state, states, steps = new_process(n, spec), Counter({((0, 0),) * n: 1}), 0
     for ball in range(t):
         successors = Counter()
         for key, count in states.items():
-            pending = [(primary,) for primary in range(n)]  # a primary, then pool draws
+            pending = [((), count * n ** (k + 1))]  # draws fixed so far, and their weight
             while pending:
-                drawn = pending.pop()
-                steps += n
+                (drawn, weight), first = pending.pop(), {}  # first: the bin that stands for a class
+                sizes = Counter(drawn + (b if b in drawn else first.setdefault(pair, b),)
+                                for b, pair in enumerate(key))  # candidates, by class size
+                steps += n * len(sizes)
                 if steps > STEP_LIMIT:
                     raise StateSpaceLimitError(f"ball {ball + 1} passes {STEP_LIMIT} bin steps")
-                state = new_process(n, spec)
-                state.primary_suggested[:], state.load[:] = zip(*key)
-                pool = FixedStream(drawn[1:] + (0,) * (k + 1 - len(drawn)))
-                step(state, FixedStream(drawn[:1]), pool)
-                if pool.draws >= len(drawn):  # it read a pool draw not yet fixed
-                    pending += [drawn + (value,) for value in range(n)]
-                    continue
-                capped = [min(suggested, cap) for suggested in state.primary_suggested.tolist()]
-                successor = tuple(sorted(zip(capped, state.load.tolist())))
-                successors[successor] += count * n ** (k + 1 - len(drawn))
+                for fixed, size in sizes.items():
+                    state.primary_suggested[:], state.load[:] = zip(*key)
+                    pool = FixedStream(fixed[1:] + (0,) * (k + 1 - len(fixed)))
+                    step(state, FixedStream(fixed[:1]), pool)
+                    if pool.draws >= len(fixed):  # it read a pool draw not yet fixed
+                        pending.append((fixed, weight * size // n))
+                        continue
+                    capped = [min(suggested, cap) for suggested in state.primary_suggested.tolist()]
+                    successor = tuple(sorted(zip(capped, state.load.tolist())))
+                    successors[successor] += weight * size // n
         states = successors
     counts = Counter()
     for key, count in states.items():

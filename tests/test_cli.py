@@ -240,10 +240,10 @@ def test_oracle_runs_two_choices_at_eight_bins(capsys):
 
 
 def test_oracle_refuses_a_request_beyond_the_step_limit(capsys):
-    code, out, err = run_cli(capsys, ["oracle", "-n", "1000000", "-t", "1"])
+    code, out, err = run_cli(capsys, ["oracle", "-n", "10000000", "-t", "1"])
     assert code == 1
     assert out == ""
-    assert err == "thinlab: error: 1 balls in 1000000 bins need over 5000000 bin steps\n"
+    assert err == "thinlab: error: 1 balls in 10000000 bins need over 5000000 bin steps\n"
 
 
 def test_load_ratios_beyond_float_range_are_refused(capsys):

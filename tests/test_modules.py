@@ -20,7 +20,7 @@ import thinlab.cli  # imports every module the CLI uses
 MODULES = sorted(path for root in thinlab.__path__ for path in Path(root).glob("*.py"))
 
 # compile() peaks under tracemalloc on CPython 3.11: cli 1052 KiB,
-# experiments 980, oracle 923, engine 919, checks 748, trace 686, rng 609,
+# experiments 980, oracle 938, engine 919, checks 748, trace 686, rng 609,
 # bounds 564, counting 490, cli_params 398, two_choices 362, threshold
 # 341, strategies 329, errors 156 and __init__ 109 KiB.  A module's peak
 # steps up by about 120 KiB where it passes 2048 tokens: engine went from

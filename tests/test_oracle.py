@@ -1,5 +1,6 @@
 """Tests for the exact oracles: the state pass, power recurrence, and Poisson routines."""
 
+import hashlib
 import math
 import time
 import tracemalloc
@@ -159,11 +160,36 @@ def test_state_pass_at_eight_bins(strategy):
     assert exact_maxload_distribution(8, 8, strategy) == expected
 
 
+# The exact max-load law at n = t = 10, as the sha256 of "m:P(max load = m)"
+# over its support, joined by spaces.  These were recorded from the pass that
+# stepped every primary and every pool value, before it stepped one bin a class.
+EXACT_AT_TEN = {
+    "one-choice": "4d0db1bb8b30b81589071419e580040995469ae0d20752fc310ad5f46fb2c0f1",
+    "always-reject": "4d0db1bb8b30b81589071419e580040995469ae0d20752fc310ad5f46fb2c0f1",
+    "threshold:1": "85a045103f3b51fd13a9a5107812669429359541ff67c55a8c1a1cd9b32c6921",
+    "threshold:2": "e356fb98b5414c3a8161054f32e2f88bf1b9fad44adb88c8a743b1bb4ac1f018",
+    "threshold:auto": "1d98ced88509c570290801deeb7c71a4544bc25aabecdda55f89cb277445e95e",
+    "threshold:1,k=2": "c7d00a6618b382ef2bd31c917564ea31e937b8b616ef38857ae6adefd30c0774",
+    "threshold:2,k=2": "6d7d985b3773e948533317290083b7b29398fbb7993e6147476febd554354558",
+    "threshold:2,k=3": "7cd305044f522568322a69a857f89d695db170738e808988852e44bf7a5fd98a",
+    "threshold:1,k=3": "740cdddea27801a6ba207e3dc246d2387611d1020bce4931be824a0dc36fa7c4",
+    "two-choices": "7185dde16378833b9257916d3d0e150810b1396053868c7795cd1c79e94c736a",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(EXACT_AT_TEN))
+def test_state_pass_at_ten_bins(strategy):
+    pmf = exact_maxload_distribution(10, 10, strategy)
+    text = " ".join(f"{m}:{p}" for m, p in zip(pmf.support, pmf.probs))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXACT_AT_TEN[strategy]
+
+
 # The counting kinds, whose summaries share one kernel, and the others.
 COUNTING = ["one-choice", "always-reject", "threshold:1", "threshold:2", "threshold:auto"]
 LAW_GATE = [(8, 8, kind) for kind in COUNTING + ["threshold:1,k=2", "threshold:2,k=3",
                                                   "threshold:1,k=3", "two-choices"]]
 LAW_GATE += [(4, 8, kind) for kind in COUNTING + ["two-choices"]]
+LAW_GATE += [(12, 12, "threshold:1,k=3")]
 
 
 @pytest.mark.parametrize("n,t,strategy", LAW_GATE)
@@ -172,7 +198,8 @@ def test_summary_law_matches_the_state_pass(n, t, strategy):
     # this checks the law of the max load itself.  By the Bretagnolle-
     # Huber-Carol inequality an empirical pmf of N runs over K support
     # points has P(TV >= eps) <= 2^K exp(-2 N eps^2): about 2.9e-5 for
-    # K = 8, N = 2*10^4 and eps = 0.02: the chance that a correct kernel
+    # K = 8, N = 2*10^4 and eps = 0.02, and 2^12 e^-16 = 4.6e-4 for the
+    # K = 12 points of n = t = 12: the chance that a correct kernel
     # fails on a set of seeds drawn at random.  A kernel whose level is off by one
     # fails it for every threshold kind here, and one whose retry budget is
     # off by one for all but threshold:2,k=3 read as k=4, whose exact law
@@ -194,10 +221,26 @@ def test_step_limit_counts_n_bins_a_step(monkeypatch):
     monkeypatch.setattr(oracle, "STEP_LIMIT", needed - 1)
     with pytest.raises(StateSpaceLimitError, match="ball 6 passes"):
         exact_maxload_distribution(4, 6, "threshold:1,k=2")
-    # One state per ball, stepped once per primary, is the least a pass takes.
-    monkeypatch.setattr(oracle, "STEP_LIMIT", 6 * 4 * 4 - 1)
+    # One state per ball, stepped once, is the least a pass takes.
+    monkeypatch.setattr(oracle, "STEP_LIMIT", 6 * 4 - 1)
     with pytest.raises(StateSpaceLimitError, match="6 balls in 4 bins"):
         exact_maxload_distribution(4, 6, "threshold:1,k=2")
+
+
+@pytest.mark.parametrize("n,t,strategy", [
+    (8, 8, "threshold:1,k=3"), (12, 12, "threshold:2,k=2"), (100, 10, "threshold:1")])
+def test_state_pass_keeps_the_step_rate_in_one_process(monkeypatch, n, t, strategy):
+    # STEP_LIMIT's comment gives 1.0-1.4 us a bin step at n = 8-12 and 0.45 us
+    # at n = 100; 15 us is about ten times the slower, so a pass ten times
+    # slower at n = 8-12 fails.  Every step restores the pass's one process.
+    steps, processes = [], []
+    stepped, built = oracle.step, oracle.new_process
+    monkeypatch.setattr(oracle, "step", lambda *args: steps.append(1) or stepped(*args))
+    monkeypatch.setattr(oracle, "new_process", lambda *args: processes.append(1) or built(*args))
+    start = time.perf_counter()
+    exact_maxload_distribution(n, t, strategy)
+    assert time.perf_counter() - start <= 15e-6 * n * len(steps)
+    assert len(processes) == 1
 
 
 def test_one_choice_dp_examples():
@@ -257,7 +300,7 @@ def test_size_guards(monkeypatch):
     monkeypatch.setattr(oracle, "_capped_placements", None)
     monkeypatch.setattr(oracle, "_surjections", None)
     with pytest.raises(StateSpaceLimitError):
-        exact_maxload_distribution(10**6, 1, ONE_CHOICE)
+        exact_maxload_distribution(10**7, 1, ONE_CHOICE)
     for n, t in ((2000, 1000), (10, 3000), (10, 10**5)):
         with pytest.raises(StateSpaceLimitError):
             exact_one_choice_maxload(n, t)
