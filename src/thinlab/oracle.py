@@ -19,10 +19,15 @@ from .engine import _check_run, new_process, step
 from .errors import ConfigurationError, StateSpaceLimitError, _as_int
 from .rng import FixedStream
 
-# Bins restored and stepped, n a step: 3.6 us each at n = 2, 1.0-1.4 us at n = 8-12 and
-# 0.45 us at n = 100-1000 (CPython 3.11, 2 vCPUs), so a pass stops within about 18 s.
-# The widest pass admitted, (5 * 10^6, 1), took 5.1 s and 566 MB, within MEMORY_BUDGET_BYTES.
-STEP_LIMIT = 5 * 10**6
+# Bin steps of a state pass.  A step restores and sorts n bins, and its fixed
+# cost (the FixedStreams, step and its record, the prefix) is that of
+# _STEP_BINS more: it took 5.4-7.3 us + 0.44-0.51 us a bin, so a bin step
+# takes 0.38-0.67 us at every n from 2 to 1000 (CPython 3.11, 2 vCPUs), and a
+# pass stops within about 3.5 s.  It admits (16, 16, threshold:1), 4.99 * 10^6
+# bin steps, and the widest pass, (5 * 10^6, 1), which took 5.1-6.1 s and
+# 566 MB, within MEMORY_BUDGET_BYTES.
+STEP_LIMIT = 51 * 10**5
+_STEP_BINS = 16
 # Term-bits of an exact one-choice side: its big-integer terms, plus t for
 # reducing a count over n^t, times the t * bit_length(n) bits that bound them.
 # Seconds per 10^9 (CPython 3.11, 2 vCPUs), at the limit unless marked *:
@@ -113,7 +118,7 @@ def exact_maxload_distribution(n: int, t: int, strategy) -> Pmf:
     """
     n, t, spec = _check_run(n, t, strategy)
     k, cap = spec.retry_budget, spec.level(t) or 0
-    if t * n > STEP_LIMIT:
+    if t * (n + _STEP_BINS) > STEP_LIMIT:
         raise StateSpaceLimitError(f"{t} balls in {n} bins need over {STEP_LIMIT} bin steps")
     state, states, steps = new_process(n, spec), Counter({((0, 0),) * n: 1}), 0
     for ball in range(t):
@@ -124,7 +129,7 @@ def exact_maxload_distribution(n: int, t: int, strategy) -> Pmf:
                 (drawn, weight), first = pending.pop(), {}  # first: the bin that stands for a class
                 sizes = Counter(drawn + (b if b in drawn else first.setdefault(pair, b),)
                                 for b, pair in enumerate(key))  # candidates, by class size
-                steps += n * len(sizes)
+                steps += (n + _STEP_BINS) * len(sizes)
                 if steps > STEP_LIMIT:
                     raise StateSpaceLimitError(f"ball {ball + 1} passes {STEP_LIMIT} bin steps")
                 for fixed, size in sizes.items():

@@ -10,6 +10,7 @@ never be passed where a thinning rule is expected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .bounds import threshold_L
@@ -29,6 +30,12 @@ _KIND_LABELS = {
     TWO_CHOICES_GREEDY: "two-choices",
 }
 _LABEL_KINDS = {label: kind for kind, label in _KIND_LABELS.items()}
+# The whole grammar, which StrategySpec.label inverts.  Numbers are at most 640
+# digits, the least limit sys.set_int_max_str_digits allows, so int() reads them.
+_GRAMMAR = re.compile(
+    r"threshold:(auto|[0-9]{1,640})(?:,k=([0-9]{1,640}))?|" + "|".join(_LABEL_KINDS),
+    re.ASCII | re.IGNORECASE,
+)
 
 
 @dataclass(frozen=True)
@@ -126,51 +133,30 @@ def default_threshold_spec(n: int) -> StrategySpec:
 def parse_strategy(text: str | StrategySpec, n: int | None = None) -> StrategySpec:
     """Parse a strategy string into a spec; a spec is returned as it is.
 
-    Grammar: "threshold:<ell>", "threshold:auto", "threshold:<ell>,k=<k>",
-    "one-choice", "always-reject", "two-choices".  The "auto" level is
+    The grammar is ``_GRAMMAR``: "threshold:<ell>" or "threshold:auto",
+    each with at most one ",k=<k>", where ell and k are ASCII digits, or
+    one of "one-choice", "always-reject" and "two-choices".  It is matched
+    in full, in any ASCII case, after surrounding whitespace is stripped;
+    any other text raises ``ConfigurationError``.  The "auto" level is
     resolved through :func:`default_threshold_spec` and therefore needs the
-    bin count ``n``.
+    bin count ``n``.  ``StrategySpec`` checks the ranges of ell and k.
     """
     if isinstance(text, StrategySpec):
         return text
-    if not isinstance(text, str):
-        raise ConfigurationError(f"strategy must be a StrategySpec or string, got {text!r}")
-    cleaned = text.strip().lower()
-    if cleaned in _LABEL_KINDS:
-        return StrategySpec(_LABEL_KINDS[cleaned])
-    if not cleaned.startswith("threshold:"):
+    match = _GRAMMAR.fullmatch(text.strip()) if isinstance(text, str) else None
+    if match is None:
         raise ConfigurationError(
-            f"unparsable strategy {text!r}; expected one of "
-            "threshold:<ell>, threshold:auto, threshold:<ell>,k=<k>, "
+            f"unparsable strategy {text!r}; expected a StrategySpec or one of "
+            "threshold:<ell>[,k=<k>], threshold:auto[,k=<k>], "
             "one-choice, always-reject, two-choices"
         )
-    body = cleaned[len("threshold:") :]
-    parts = body.split(",")
-    level_text = parts[0].strip()
-    retry_budget = 1
-    for extra in parts[1:]:
-        key, _, value = extra.partition("=")
-        if key.strip() != "k":
-            raise ConfigurationError(
-                f"unknown threshold option {extra.strip()!r} in {text!r}"
-            )
-        try:
-            retry_budget = int(value.strip())
-        except ValueError:
-            raise ConfigurationError(
-                f"retry budget must be an integer, got {value.strip()!r}"
-            ) from None
-    if level_text == "auto":
+    level, budget = match.groups()
+    if level is None:
+        return StrategySpec(_LABEL_KINDS[match[0].lower()])
+    if level.lower() == "auto":
         if n is None:
             raise ConfigurationError(
                 "threshold:auto needs the bin count to resolve the level"
             )
-        ell = default_threshold_spec(n).ell
-    else:
-        try:
-            ell = int(level_text)
-        except ValueError:
-            raise ConfigurationError(
-                f"threshold level must be an integer or 'auto', got {level_text!r}"
-            ) from None
-    return StrategySpec(THRESHOLD, ell=ell, retry_budget=retry_budget)
+        level = default_threshold_spec(n).ell
+    return StrategySpec(THRESHOLD, ell=int(level), retry_budget=int(budget or 1))

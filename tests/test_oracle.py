@@ -8,6 +8,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_bounds as ref
 from reference_enumeration import enumerated_maxload_distribution
@@ -192,6 +194,13 @@ LAW_GATE += [(4, 8, kind) for kind in COUNTING + ["two-choices"]]
 LAW_GATE += [(12, 12, "threshold:1,k=3")]
 
 
+def _assert_summary_law(n, t, strategy):
+    trials, eps = 20_000, 0.02
+    counts = Counter(maxload for maxload, _ in run_summary_batch(n, t, strategy, range(trials)))
+    exact = exact_maxload_distribution(n, t, strategy)
+    assert tv_distance(pmf_from_counts(counts), exact) <= eps
+
+
 @pytest.mark.parametrize("n,t,strategy", LAW_GATE)
 def test_summary_law_matches_the_state_pass(n, t, strategy):
     # Bit-identity with step shows that the kernels follow the reference;
@@ -204,42 +213,52 @@ def test_summary_law_matches_the_state_pass(n, t, strategy):
     # fails it for every threshold kind here, and one whose retry budget is
     # off by one for all but threshold:2,k=3 read as k=4, whose exact law
     # is 0.005 from it in TV.
-    trials, eps = 20_000, 0.02
-    counts = Counter(maxload for maxload, _ in run_summary_batch(n, t, strategy, range(trials)))
-    exact = exact_maxload_distribution(n, t, strategy)
-    assert tv_distance(pmf_from_counts(counts), exact) <= eps
+    _assert_summary_law(n, t, strategy)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(n=st.integers(1, 6), t=st.integers(1, 8), strategy=st.one_of(
+    st.just("one-choice"), st.integers(1, 3).map("threshold:{}".format)))
+def test_counting_laws_match_the_state_pass(n, t, strategy):
+    # The counting kinds at small sizes, at LAW_GATE's N and eps.  The max load
+    # takes K <= t <= 8 values, so by the Bretagnolle-Huber-Carol inequality a
+    # correct kernel fails an example with probability at most
+    # 2^K exp(-2 N eps^2) <= 2^8 e^-16, about 2.9e-5.
+    _assert_summary_law(n, t, strategy)
 
 
 def test_step_limit_counts_n_bins_a_step(monkeypatch):
+    # Each step counts its n bins and the _STEP_BINS that stand for its fixed cost.
+    unit = 4 + oracle._STEP_BINS
     steps = []
     stepped = oracle.step
     monkeypatch.setattr(oracle, "step", lambda *args: steps.append(1) or stepped(*args))
     expected = exact_maxload_distribution(4, 6, "threshold:1,k=2")
-    needed = 4 * len(steps)
+    needed = unit * len(steps)
     monkeypatch.setattr(oracle, "STEP_LIMIT", needed)
     assert exact_maxload_distribution(4, 6, "threshold:1,k=2") == expected
     monkeypatch.setattr(oracle, "STEP_LIMIT", needed - 1)
     with pytest.raises(StateSpaceLimitError, match="ball 6 passes"):
         exact_maxload_distribution(4, 6, "threshold:1,k=2")
     # One state per ball, stepped once, is the least a pass takes.
-    monkeypatch.setattr(oracle, "STEP_LIMIT", 6 * 4 - 1)
+    monkeypatch.setattr(oracle, "STEP_LIMIT", 6 * unit - 1)
     with pytest.raises(StateSpaceLimitError, match="6 balls in 4 bins"):
         exact_maxload_distribution(4, 6, "threshold:1,k=2")
 
 
-@pytest.mark.parametrize("n,t,strategy", [
+@pytest.mark.parametrize("n,t,strategy", [(3, 12, "threshold:1,k=3"),
     (8, 8, "threshold:1,k=3"), (12, 12, "threshold:2,k=2"), (100, 10, "threshold:1")])
 def test_state_pass_keeps_the_step_rate_in_one_process(monkeypatch, n, t, strategy):
-    # STEP_LIMIT's comment gives 1.0-1.4 us a bin step at n = 8-12 and 0.45 us
-    # at n = 100; 15 us is about ten times the slower, so a pass ten times
-    # slower at n = 8-12 fails.  Every step restores the pass's one process.
+    # STEP_LIMIT's comment gives 0.38-0.67 us a bin step, n + _STEP_BINS of
+    # them a step, at every n; 6 us is about ten times the slower, so a pass
+    # ten times slower fails.  Every step restores the pass's one process.
     steps, processes = [], []
     stepped, built = oracle.step, oracle.new_process
     monkeypatch.setattr(oracle, "step", lambda *args: steps.append(1) or stepped(*args))
     monkeypatch.setattr(oracle, "new_process", lambda *args: processes.append(1) or built(*args))
     start = time.perf_counter()
     exact_maxload_distribution(n, t, strategy)
-    assert time.perf_counter() - start <= 15e-6 * n * len(steps)
+    assert time.perf_counter() - start <= 6e-6 * (n + oracle._STEP_BINS) * len(steps)
     assert len(processes) == 1
 
 
@@ -293,6 +312,24 @@ def test_term_bit_limit_counts_the_work(monkeypatch, n, t, call, inner, terms):
     monkeypatch.setattr(oracle, inner, None)  # refused before the first term
     with pytest.raises(StateSpaceLimitError, match=f"need {work} term-bits"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exact_one_choice_maxload(100, 100),
+    lambda: poissonization_check(10, 700, "max_ge_a", 200),
+    lambda: poissonization_check(300, 300, "empties_ge_k", 1),
+], ids=["one-choice-pmf", "max_ge_a", "empties_ge_k"])
+def test_term_bit_limit_keeps_its_rate(monkeypatch, call):
+    # TERM_BIT_LIMIT's comment gives at most 3.8 s per 10^9 term-bits.  These
+    # sides took 0.08-0.21 s, at 0.22-1.7 s per 10^9, so a side ten times
+    # slower than the slowest rate fails.
+    works = []
+    checked = oracle._check_work
+    monkeypatch.setattr(oracle, "_check_work", lambda n, t, terms: works.append(
+        (terms + t) * t * n.bit_length()) or checked(n, t, terms))
+    start = time.perf_counter()
+    call()
+    assert time.perf_counter() - start <= 10 * 3.8e-9 * sum(works)
 
 
 def test_size_guards(monkeypatch):

@@ -112,11 +112,35 @@ def test_grammar_auto_resolution():
         "threshold:4,k=zero",
         "three-choices",
         "accept",
+        "threshold:2,k=2,k=3",
+        "threshold:4,k=2,j=1",
+        "threshold:+3",
+        "threshold:-1",
+        "threshold:1_0",
+        "threshold:\u0663",
+        "threshold:2,k=+2",
+        "threshold:4,\u212a=2",
+        "threshold: 4",
+        pytest.param("threshold:" + "9" * 641, id="641-digit-level"),
     ],
 )
 def test_grammar_rejects_garbage(text):
     with pytest.raises(ConfigurationError):
         parse_strategy(text, n=100)
+
+
+def test_grammar_inverts_every_threshold_label():
+    for ell in range(1, 21):
+        for k in range(1, 6):
+            spec = StrategySpec("threshold", ell=ell, retry_budget=k)
+            assert parse_strategy(spec.label) == spec
+
+
+@pytest.mark.parametrize("n,ell", [(3, 5), (100, 3), (10**6, 4)])
+def test_grammar_resolves_auto_at_each_size(n, ell):
+    assert parse_strategy("threshold:auto", n=n) == StrategySpec("threshold", ell=ell)
+    assert parse_strategy("threshold:auto,k=3", n=n) == StrategySpec(
+        "threshold", ell=ell, retry_budget=3)
 
 
 def test_grammar_tolerates_spacing_and_case():
