@@ -9,9 +9,11 @@ the strategy again, and after k rejections the next pool draw is forced.
 Bins are 1-based in every public record and serialization, 0-based in the
 tally arrays.
 
-:func:`step` allocates one ball at a time and is the reference oracle;
-:func:`run_reference` steps a whole run, only to check the kernel against,
-under its own memory bound, :func:`_reference_peak_bytes`.
+:func:`step` allocates one ball at a time and is the reference oracle, in
+one flow for every kind: it finds the ball's landing bin, then moves its
+tallies and builds its record once.  :func:`run_reference` steps a whole
+run, only to check the kernel against, under its own memory bound,
+:func:`_reference_peak_bytes`.
 :func:`run` and :func:`run_with_streams` always run one vectorized kernel,
 :func:`_columns`, which yields bit-identical traces and stream positions.
 It picks its path by the thinning level (``StrategySpec.level``): a rule
@@ -96,53 +98,36 @@ def step(state: ProcessState, primary_stream, secondary_stream) -> AllocationRec
     the primary stream at one draw per ball so far; the secondary stream at
     one draw per rejection so far (thinning kinds) or one draw per ball
     (two-choices, which observes a secondary candidate for every ball).
+
+    One flow for every kind: draw the primary, find the landing bin, then
+    move the tallies and build the record once.  Two-choices draws its
+    candidate and moves only to a strictly lower load, which counts as one
+    reject.  A thinning rule is asked about the primary before it is
+    counted, then about each pool draw, read only when needed, until one is
+    accepted or the k-th is forced.
     """
-    spec = state.strategy
-    n = state.n
+    spec, n = state.strategy, state.n
     primary = primary_stream.next_bounded(n)
-    ball_index = state.t + 1
-
-    if spec.kind == TWO_CHOICES_GREEDY:
-        candidate = secondary_stream.next_bounded(n)
-        pool_index = state.t  # two-choices consumes one pool draw per ball
-        chosen = two_choices_decide(state, primary, candidate)
-        state.primary_suggested[primary] += 1
-        state.load[chosen] += 1
-        state.t += 1
-        if chosen == primary:
-            state.primary_accepted[primary] += 1
-            return AllocationRecord(ball_index, primary + 1, ("accept",), primary + 1, None)
-        state.secondary_used[chosen] += 1
-        state.rejections += 1
-        return AllocationRecord(
-            ball_index, primary + 1, ("reject",), chosen + 1, pool_index
-        )
-
-    accept = decide(spec, state, primary)
+    two_choices = spec.kind == TWO_CHOICES_GREEDY
+    accept = two_choices or decide(spec, state, primary)
     state.primary_suggested[primary] += 1
-    if accept:
-        state.primary_accepted[primary] += 1
-        state.load[primary] += 1
-        state.t += 1
-        return AllocationRecord(ball_index, primary + 1, ("accept",), primary + 1, None)
-
-    rejects = 1
-    state.rejections += 1
-    while True:
-        pool_index = state.rejections - 1  # this rejection consumes this index
-        fresh = secondary_stream.next_bounded(n)
-        if rejects == spec.retry_budget:
-            decisions = ("reject",) * rejects  # budget exhausted: forced landing
-            break
-        if decide(spec, state, fresh):
-            decisions = ("reject",) * rejects + ("accept",)
-            break
-        rejects += 1
-        state.rejections += 1
-    state.secondary_used[fresh] += 1
-    state.load[fresh] += 1
+    if two_choices:
+        landing = two_choices_decide(state, primary, secondary_stream.next_bounded(n))
+        rejects, pool_index = int(landing != primary), state.t
+    else:
+        landing, rejects = primary, 0
+        while not accept:
+            rejects += 1
+            landing = secondary_stream.next_bounded(n)
+            accept = rejects == spec.retry_budget or decide(spec, state, landing)
+        pool_index = state.rejections + rejects - 1  # the last pool draw it read
+    state.load[landing] += 1
+    (state.secondary_used if rejects else state.primary_accepted)[landing] += 1
+    state.rejections += rejects
     state.t += 1
-    return AllocationRecord(ball_index, primary + 1, decisions, fresh + 1, pool_index)
+    decisions = ("reject",) * rejects + ("accept",) * (rejects < spec.retry_budget)
+    return AllocationRecord(state.t, primary + 1, decisions, landing + 1,
+                            pool_index if rejects else None)
 
 
 def _drawn_as_blocks(t, spec) -> bool:

@@ -1,10 +1,11 @@
 """Exact small-instance ground truth for the allocation process.
 
-Three independent exact computations live here: a forward pass over the
+Two independent exact computations live here: a forward pass over the
 bin states that ``engine.step``, the reference oracle, reaches (any
-strategy, small instances), a power recurrence for the one-choice max-load
-law (larger instances), and Poisson tail sums.  Only the Poisson routines
-and the check that compares them with exact laws use floating point.
+strategy, small instances), and a power recurrence for the one-choice
+max-load law (larger instances).  :func:`poissonization_check` compares
+exact laws with the Poisson routines of :mod:`thinlab.poisson`, the only
+floating-point code of the oracles.
 """
 
 from __future__ import annotations
@@ -17,15 +18,20 @@ from typing import NamedTuple
 
 from .engine import _check_run, new_process, step
 from .errors import ConfigurationError, StateSpaceLimitError, _as_int
+# poisson_tail and poisson_excess_mean are imported to re-export them.
+from .poisson import _poisson_empties_ge, _poisson_max_ge, poisson_excess_mean, poisson_tail
 from .rng import FixedStream
 
 # Bin steps of a state pass.  A step restores and sorts n bins, and its fixed
 # cost (the FixedStreams, step and its record, the prefix) is that of
-# _STEP_BINS more: it took 5.4-7.3 us + 0.44-0.51 us a bin, so a bin step
-# takes 0.38-0.67 us at every n from 2 to 1000 (CPython 3.11, 2 vCPUs), and a
-# pass stops within about 3.5 s.  It admits (16, 16, threshold:1), 4.99 * 10^6
-# bin steps, and the widest pass, (5 * 10^6, 1), which took 5.1-6.1 s and
-# 566 MB, within MEMORY_BUDGET_BYTES.
+# _STEP_BINS more.  Past n = 1023 a bin costs more, as the sort's comparisons
+# grow with log n, so _step_units charges a step n + _STEP_BINS bin steps
+# times bit_length(n) / 10 where that is above 1.  A bin step then took
+# 0.39-0.64 us at every n from 3 to 2.3 * 10^6 (CPython 3.11, 2 vCPUs), where
+# n + 16 a step took 0.93-1.10 us at n = 10^6, and a pass stops within about
+# 3.5 s.  It admits (16, 16, threshold:1), 4.99 * 10^6 bin steps, and the
+# widest pass, (2318166, 1), which took 2.3-2.4 s and 296 MB, within
+# MEMORY_BUDGET_BYTES; (5 * 10^6, 1) is refused.
 STEP_LIMIT = 51 * 10**5
 _STEP_BINS = 16
 # Term-bits of an exact one-choice side: its big-integer terms, plus t for
@@ -104,6 +110,11 @@ def tv_distance(first: Pmf, second: Pmf) -> float:
     return float(gap / 2)
 
 
+def _step_units(n: int) -> int:
+    """Bin steps charged for one step of a state pass over n bins."""
+    return (n + _STEP_BINS) * max(10, n.bit_length()) // 10
+
+
 def exact_maxload_distribution(n: int, t: int, strategy) -> Pmf:
     """Exact max-load pmf by a forward pass over the bin states :func:`step`
     reaches.  A state is the sorted tuple of per-bin pairs (primary
@@ -113,12 +124,13 @@ def exact_maxload_distribution(n: int, t: int, strategy) -> Pmf:
     read beyond those fixed, up to the retry budget k.  A draw is a bin drawn
     before or one bin for its class of equal pairs among the rest, which are
     exchangeable; a prefix weighs count * n^(1+k) times class size/n a draw,
-    so unread pool draws cancel out: the law of the shared pool.  Refused if
-    one step per ball would pass ``STEP_LIMIT``, else at the step past it.
+    so unread pool draws cancel out: the law of the shared pool.  A step is
+    charged :func:`_step_units` bin steps; refused if one step per ball would
+    pass ``STEP_LIMIT``, else at the step past it.
     """
     n, t, spec = _check_run(n, t, strategy)
-    k, cap = spec.retry_budget, spec.level(t) or 0
-    if t * (n + _STEP_BINS) > STEP_LIMIT:
+    k, cap, unit = spec.retry_budget, spec.level(t) or 0, _step_units(n)
+    if t * unit > STEP_LIMIT:
         raise StateSpaceLimitError(f"{t} balls in {n} bins need over {STEP_LIMIT} bin steps")
     state, states, steps = new_process(n, spec), Counter({((0, 0),) * n: 1}), 0
     for ball in range(t):
@@ -129,7 +141,7 @@ def exact_maxload_distribution(n: int, t: int, strategy) -> Pmf:
                 (drawn, weight), first = pending.pop(), {}  # first: the bin that stands for a class
                 sizes = Counter(drawn + (b if b in drawn else first.setdefault(pair, b),)
                                 for b, pair in enumerate(key))  # candidates, by class size
-                steps += (n + _STEP_BINS) * len(sizes)
+                steps += unit * len(sizes)
                 if steps > STEP_LIMIT:
                     raise StateSpaceLimitError(f"ball {ball + 1} passes {STEP_LIMIT} bin steps")
                 for fixed, size in sizes.items():
@@ -197,53 +209,6 @@ def exact_one_choice_maxload(n: int, t: int) -> Pmf:
     return pmf_from_counts({lowest + i: within[i + 1] - within[i] for i in range(t + 1 - lowest)})
 
 
-def poisson_tail(lam: float, a: int) -> float:
-    """P(Poisson(lam) > a), absolute error below 1e-14.
-
-    The lower CDF is summed term by term with exact compensation; when the
-    CDF is close to 1 the complement would cancel badly, so the upper tail
-    is then summed directly from its leading term.
-    """
-    if not lam > 0:
-        raise ConfigurationError(f"the Poisson rate must be positive, got {lam!r}")
-    a = _as_int(a, "the tail level", 0)
-    log_lam = math.log(lam)
-    terms = []
-    log_term = -lam
-    # Chebyshev: P(Y > lam + 11 sqrt(lam)) < 1/121, so the CDF passes 0.99 by then.
-    for j in range(int(min(a, lam + 11 * math.sqrt(lam))) + 1):
-        if j > 0:
-            log_term += log_lam - math.log(j)
-        terms.append(math.exp(log_term))
-    cdf = math.fsum(terms)
-    if cdf <= 0.99:
-        return 1.0 - cdf
-    # Direct tail: start at j = a + 1 and walk the term recurrence.
-    j = a + 1
-    log_term = j * log_lam - lam - math.lgamma(j + 1)
-    term = math.exp(log_term)
-    tail_terms = []
-    while term > 0.0:
-        tail_terms.append(term)
-        if term < 1e-22 * (tail_terms[0] + 1e-300) and j > lam:
-            break
-        j += 1
-        term *= lam / j
-    return math.fsum(tail_terms)
-
-
-def poisson_excess_mean(lam: float, level: int) -> float:
-    """E[(Poisson(lam) - level)+], from tail probabilities.
-
-    Uses the identity E[(Y - m)+] = lam * P(Y >= m) - m * P(Y >= m + 1),
-    so the result inherits the tail routine's accuracy.
-    """
-    level = _as_int(level, "the level", 0)
-    if level == 0:
-        return float(lam)
-    return lam * poisson_tail(lam, level - 1) - level * poisson_tail(lam, level)
-
-
 def _surjections(t: int, m: int) -> int:
     """Labeled placements of t balls onto m bins leaving none empty."""
     return sum((-1) ** i * math.comb(m, i) * (m - i) ** t for i in range(m + 1))
@@ -268,38 +233,6 @@ def _multinomial_empties_ge(n: int, t: int, k: int) -> Fraction:
         math.comb(n, j) * _surjections(t, n - j) for j in range(low, n + 1)
     )
     return Fraction(favorable, n**t)
-
-
-def _poisson_max_ge(n: int, lam: float, a: int) -> float:
-    """P(max of n iid Poisson(lam) >= a)."""
-    if a <= 0:
-        return 1.0
-    tail = poisson_tail(lam, a - 1)
-    if tail >= 1.0:  # a level far below lam: log1p(-1.0) is out of its domain
-        return 1.0
-    # 1 - (1 - tail)^n without rounding 1 - tail to 1 for a tiny tail.
-    return -math.expm1(n * math.log1p(-tail))
-
-
-def _poisson_empties_ge(n: int, lam: float, k: int) -> float:
-    """P(at least k >= 0 of n iid Poisson(lam) bins are empty)."""
-    # Binomial(n, e^-lam) weights relative to the mode, by the term ratio,
-    # over their sum: no comb(n, j) to overflow a float, and no cancellation.
-    # Each walk from the mode stops at the first weight to underflow to 0.0,
-    # past which all are 0.0: about 40 sd out, and sqrt(n p (1 - p)) <= sqrt(t).
-    p_empty = math.exp(-lam)
-    odds = p_empty / -math.expm1(-lam)
-    mode = min(n, int((n + 1) * p_empty))
-    weights = {mode: 1.0}
-    for j in range(mode, n):
-        weights[j + 1] = weights[j] * (n - j) / (j + 1) * odds
-        if weights[j + 1] == 0.0:
-            break
-    for j in range(mode, 0, -1):
-        weights[j - 1] = weights[j] * j / ((n - j + 1) * odds)
-        if weights[j - 1] == 0.0:
-            break
-    return math.fsum(w for j, w in weights.items() if j >= k) / math.fsum(weights.values())
 
 
 class PoissonizationCheck(NamedTuple):

@@ -76,8 +76,13 @@ def ref_poisson_tail(lam, level):
     lam = mp.mpf(lam)
     if level <= 0:
         return mp.mpf(1)
-    # 1 - CDF(level - 1) via the regularized upper incomplete gamma.
-    return mp.gammainc(level, 0, lam, regularized=True)
+    # 1 - CDF(level - 1) is the regularized lower incomplete gamma.  Its
+    # series does not converge near a large lam (10^6), where the two forms,
+    # which agree to 1e-42 at lam = 10^5, give it as 1 minus the upper one.
+    try:
+        return mp.gammainc(level, 0, lam, regularized=True)
+    except mp.libmp.NoConvergence:
+        return 1 - mp.gammainc(level, lam, mp.inf, regularized=True)
 
 
 def rel_err(value, reference):

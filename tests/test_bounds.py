@@ -9,9 +9,10 @@ import pytest
 
 import reference_bounds as ref
 from thinlab import bounds, cli
-from thinlab.engine import run
+from thinlab.engine import run, run_summary_batch
 from thinlab.errors import DomainError
-from thinlab.experiments import stage_diagnostics
+from thinlab.experiments import stage_diagnostics, wilson_interval
+from thinlab.rng import mix_seeds
 
 
 def test_threshold_levels_at_known_sizes():
@@ -88,6 +89,19 @@ def test_prop41_value_and_exponent():
         bounds.prop41_bound(15, 1.0)
     with pytest.raises(DomainError):
         bounds.prop41_bound(10**6, 0.0)
+
+
+def test_prop51_holds_where_its_literal_form_does():
+    # At n = 3 * 10^5, lower_ell is 3, so at epsilon = 0.5 the event is a max
+    # load below 4.5.  threshold:3, the best fixed level near this n, kept its
+    # max load at most 4 in none of 1000 runs (nor did levels 2 and 4), so the
+    # Wilson 95% upper bound, 0.0038, is under the bound, 0.029.  At n = 10^5
+    # the literal form fails (README "Bound evaluators").
+    n, epsilon = 3 * 10**5, 0.5
+    assert bounds.lower_ell(n) == 3
+    seeds = [mix_seeds(99, i) for i in range(1000)]
+    kept = sum(maxload <= 4 for maxload, _ in run_summary_batch(n, n, "threshold:3", seeds))
+    assert wilson_interval(kept, len(seeds))[1] < bounds.prop51_bound(n, epsilon)
 
 
 def test_prop51_values():

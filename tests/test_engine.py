@@ -140,6 +140,71 @@ def test_two_choices_walkthrough():
     assert_invariants(state)
 
 
+def test_step_forces_the_landing_at_the_retry_budget():
+    # Every pool draw is on a bin that already holds its primary, so
+    # threshold:1 rejects each one and the third lands by force.
+    state = new_process(3, "threshold:1,k=3")
+    primaries, pool = FixedStream([0, 1, 0, 1]), FixedStream([1, 0, 1, 0, 1, 0])
+    records = [step(state, primaries, pool) for _ in range(4)]
+    forced = ("reject",) * 3
+    assert records == [AllocationRecord(1, 1, ("accept",), 1, None),
+                       AllocationRecord(2, 2, ("accept",), 2, None),
+                       AllocationRecord(3, 1, forced, 2, 2),
+                       AllocationRecord(4, 2, forced, 1, 5)]
+    assert state.rejections == 6 and pool.draws == 6
+    assert state.primary_suggested.tolist() == [2, 2, 0]
+    assert state.secondary_used.tolist() == [1, 1, 0]
+    assert_invariants(state)
+
+
+def test_two_choices_ties_go_to_the_primary():
+    # The candidate is the primary itself (balls 2 and 4), or another bin
+    # of equal load (ball 3): each ball stays at its primary and still
+    # consumes its pool draw.
+    state = new_process(2, TWO_CHOICES)
+    primaries, pool = FixedStream([0, 0, 1, 1]), FixedStream([1, 0, 0, 1])
+    records = [step(state, primaries, pool) for _ in range(4)]
+    assert records == [AllocationRecord(i, b, ("accept",), b, None)
+                       for i, b in enumerate([1, 1, 2, 2], 1)]
+    assert state.rejections == 0 and pool.draws == 4
+    assert state.load.tolist() == [2, 2]
+    assert_invariants(state)
+
+
+# sha256 of stepping a fresh process with the seeded streams of each
+# (n, t, seed) in STEPPED, in turn: each record's repr, then the final
+# tallies and rejections, then both streams' counter and draws.  Recorded
+# from the reference as it was before its return paths were merged into one.
+STEPPED = [(1, 12, 0), (2, 20, 1), (9, 40, 2)]
+STEP_DIGESTS = {
+    "always-reject": "67f9a29faa4e22e08540114addc4bfdb58617114acfef844cb3709720a78072b",
+    "one-choice": "202c6e41e81bebd8d48d48eea7b515e2b48acfd823944bb12a2fe9be3a7f21b4",
+    "threshold:1": "ae3f7fc2b5b9b03d177d3754927c41e6b7453c386229ae617d07da418e77d838",
+    "threshold:1,k=2": "1dff3ff9d370a70cedfc51f16651bceb4aab5d0295c730c6a1401edc72b960f0",
+    "threshold:1,k=3": "215e97509db88d0521c3b78d27be2209565ebe20577a1530e64465b744da4ed0",
+    "threshold:2": "30326fb711d5d94ba1106a9ae7c782326b9bc3f099149bb35cb0017c1f313ac0",
+    "threshold:2,k=2": "85fb66c5f2ffefdd87e93e6adb5710bcad13223b4aff391ee80b68dd716eb3c1",
+    "threshold:2,k=3": "9490f480ddda5bf3cd9d58c85e2ce1b36c63bdbdfd683aab09be43975cde6177",
+    "threshold:auto": "b8ad0271688425cd83d6d1ef464367f5c342f316f46286aa9ebaa29a849c7877",
+    "two-choices": "8760384ee9d4090fb4799be988054bcbf6a3d1fbf112e9ae1767c6f441db8cc2",
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(STEP_DIGESTS))
+def test_step_matches_its_recorded_digests(strategy):
+    digest = hashlib.sha256()
+    for n, t, seed in STEPPED:
+        if strategy == "threshold:auto" and n < 3:
+            continue  # the size-adapted level needs n >= 3
+        state, streams = new_process(n, strategy), _seed_streams(seed)
+        for _ in range(t):
+            digest.update(repr(step(state, *streams)).encode())
+        tallies = [getattr(state, name).tolist() for name in engine._TALLY_FIELDS]
+        counters = [(stream.counter, stream.draws) for stream in streams]
+        digest.update(repr((tallies, state.rejections, counters)).encode())
+    assert digest.hexdigest() == STEP_DIGESTS[strategy]
+
+
 def test_run_is_deterministic():
     first = run(10, 10, ONE_CHOICE, seed=12345)
     second = run(10, 10, ONE_CHOICE, seed=12345)

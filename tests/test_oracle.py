@@ -228,7 +228,10 @@ def test_counting_laws_match_the_state_pass(n, t, strategy):
 
 
 def test_step_limit_counts_n_bins_a_step(monkeypatch):
-    # Each step counts its n bins and the _STEP_BINS that stand for its fixed cost.
+    # Each step counts its n bins and the _STEP_BINS that stand for its fixed
+    # cost; only a step over 1024 bins or more is charged above that.
+    assert [oracle._step_units(n) for n in range(1, 1025)] == [
+        n + oracle._STEP_BINS for n in range(1, 1024)] + [(1024 + oracle._STEP_BINS) * 11 // 10]
     unit = 4 + oracle._STEP_BINS
     steps = []
     stepped = oracle.step
@@ -247,9 +250,10 @@ def test_step_limit_counts_n_bins_a_step(monkeypatch):
 
 
 @pytest.mark.parametrize("n,t,strategy", [(3, 12, "threshold:1,k=3"),
-    (8, 8, "threshold:1,k=3"), (12, 12, "threshold:2,k=2"), (100, 10, "threshold:1")])
+    (8, 8, "threshold:1,k=3"), (12, 12, "threshold:2,k=2"), (100, 10, "threshold:1"),
+    (10**4, 3, "threshold:1"), (10**5, 2, "threshold:1")])
 def test_state_pass_keeps_the_step_rate_in_one_process(monkeypatch, n, t, strategy):
-    # STEP_LIMIT's comment gives 0.38-0.67 us a bin step, n + _STEP_BINS of
+    # STEP_LIMIT's comment gives 0.39-0.64 us a bin step, _step_units(n) of
     # them a step, at every n; 6 us is about ten times the slower, so a pass
     # ten times slower fails.  Every step restores the pass's one process.
     steps, processes = [], []
@@ -258,7 +262,7 @@ def test_state_pass_keeps_the_step_rate_in_one_process(monkeypatch, n, t, strate
     monkeypatch.setattr(oracle, "new_process", lambda *args: processes.append(1) or built(*args))
     start = time.perf_counter()
     exact_maxload_distribution(n, t, strategy)
-    assert time.perf_counter() - start <= 6e-6 * (n + oracle._STEP_BINS) * len(steps)
+    assert time.perf_counter() - start <= 6e-6 * oracle._step_units(n) * len(steps)
     assert len(processes) == 1
 
 
@@ -336,8 +340,9 @@ def test_size_guards(monkeypatch):
     monkeypatch.setattr(oracle, "new_process", None)  # refused before any step
     monkeypatch.setattr(oracle, "_capped_placements", None)
     monkeypatch.setattr(oracle, "_surjections", None)
-    with pytest.raises(StateSpaceLimitError):
-        exact_maxload_distribution(10**7, 1, ONE_CHOICE)
+    for n in (10**7, 5 * 10**6):  # a step over 5 * 10^6 bins is charged 2.3 times n
+        with pytest.raises(StateSpaceLimitError):
+            exact_maxload_distribution(n, 1, ONE_CHOICE)
     for n, t in ((2000, 1000), (10, 3000), (10, 10**5)):
         with pytest.raises(StateSpaceLimitError):
             exact_one_choice_maxload(n, t)
@@ -359,7 +364,8 @@ def test_poisson_tail_examples():
     [
         (1.0, 0), (1.0, 3), (1.0, 10), (0.5, 1), (0.001, 0), (0.001, 3),
         (2.0, 25), (3.5, 2), (10.0, 0), (10.0, 40), (25.0, 80),
-    ],
+    ] + [(lam, round(lam + d * lam**0.5)) for lam in (100, 300, 10**3, 10**4, 10**5, 10**6)
+         for d in (-2, 0, 2)],
 )
 def test_poisson_tail_against_high_precision(lam, a):
     reference = float(ref.ref_poisson_tail(lam, a + 1))  # P(Y > a) = P(Y >= a+1)
@@ -371,11 +377,17 @@ def test_poisson_tail_far_level_is_quick():
     assert poisson_tail(1.0, 10**8) == 0.0
     assert poissonization_check(3, 3, "max_ge_a", 10**6).rhs == 0.0
     assert time.perf_counter() - start < 0.05
+    # A large rate sums only the terms near its mode: O(sqrt(lam)) of them.
+    start = time.perf_counter()
+    assert poisson_tail(1e8, 10**8) == pytest.approx(0.5, abs=1e-4)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_poisson_tail_validation():
     with pytest.raises(ConfigurationError):
         poisson_tail(0.0, 1)
+    with pytest.raises(ConfigurationError):
+        poisson_tail(math.inf, 1)
     with pytest.raises(ConfigurationError):
         poisson_tail(1.0, -1)
     with pytest.raises(ConfigurationError):
