@@ -12,6 +12,7 @@ for seeing where a bound is vacuous) and reported clamped to [0, 1] in
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -28,6 +29,24 @@ _EXACT_FACTORIAL_MAX = 20
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise DomainError(message)
+
+
+def _within_floats(evaluator: Callable) -> Callable:
+    """``evaluator``, raising DomainError where its float arithmetic would
+    pass the largest float, as it does for an integer input past it (n or
+    a subset size of 10**400), rather than OverflowError."""
+
+    @functools.wraps(evaluator)
+    def checked(*args, **kwargs):
+        try:
+            return evaluator(*args, **kwargs)
+        except OverflowError:
+            raise DomainError(
+                f"{evaluator.__name__} passes the largest float, {sys.float_info.max!r}, "
+                "at these inputs"
+            ) from None
+
+    return checked
 
 
 def _log_log_ratio(n: int) -> float:
@@ -58,6 +77,7 @@ def target_maxload(n: int) -> float:
     return math.sqrt(4.0 * _log_log_ratio(n))
 
 
+@_within_floats
 def lemma22_bound(theta: float, a: int, s_size: float) -> float:
     """Tail bound 2 exp(-theta^a |S| / (e a!)).
 
@@ -79,6 +99,7 @@ def lemma22_bound(theta: float, a: int, s_size: float) -> float:
     return 2.0 * math.exp(-magnitude)
 
 
+@_within_floats
 def lemma23_bound(theta: float, s_size: float) -> float:
     """Tail bound 2 exp(-theta^2 |S| / (2 e^2)).
 
@@ -97,6 +118,7 @@ class Prop41Result(NamedTuple):
     exponent: float
 
 
+@_within_floats
 def prop41_bound(n: int, eta: float) -> Prop41Result:
     """Upper bound 2 n^(-eta/4 + 2 lnlnln n / lnln n) + 2 exp(-sqrt(n)).
 
@@ -112,6 +134,7 @@ def prop41_bound(n: int, eta: float) -> Prop41Result:
     return Prop41Result(value, exponent)
 
 
+@_within_floats
 def prop51_bound(n: int, epsilon: float) -> float:
     """Lower-bound failure probability exp(-n^(epsilon/5)).
 
@@ -166,6 +189,7 @@ def stage_params(n: int, rho, epsilon) -> StageParams:
     return StageParams(ell, s, w, zeta)
 
 
+@_within_floats
 def rejection_budget(n: int) -> float:
     """The rejection-count scale 2 n / L(n)!.
 

@@ -12,6 +12,7 @@ stay there.
 
 from __future__ import annotations
 
+import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -54,6 +55,10 @@ def _conv_real(value, flag: str) -> float | Fraction:
         if isinstance(value, bool):
             raise TypeError
         return float(value)
+    except OverflowError:  # an integer past the largest float
+        raise ConfigurationError(
+            f"{flag} must be at most {sys.float_info.max!r}, the largest float"
+        ) from None
     except (TypeError, ValueError):
         try:
             exact = _as_fraction(value, flag)

@@ -78,10 +78,22 @@ from .trace import (
 from .two_choices import _two_choices_kernel, _two_choices_peak_bytes
 
 
+def _ball_count(t) -> int:
+    """A run's ball count, checked: below 2**64, since from there no load
+    table can hold it (``np.min_scalar_type`` gives object)."""
+    t = _as_int(t, "ball count", 0)
+    if t >> 64:
+        raise ConfigurationError(
+            f"ball count must be below 2**64, the most a load table holds; got one of "
+            f"{t.bit_length()} bits"
+        )
+    return t
+
+
 def _check_run(n, t, strategy) -> tuple[int, int, StrategySpec]:
     """The bin count, ball count and spec of a run, checked."""
     n = _as_int(n, "bin count", 1)
-    return n, _as_int(t, "ball count", 0), parse_strategy(strategy, n=n)
+    return n, _ball_count(t), parse_strategy(strategy, n=n)
 
 
 def new_process(n: int, strategy) -> ProcessState:
@@ -402,9 +414,9 @@ def level_set_count(
 
 
 def _subset_indices(n: int, subset: Iterable[int]) -> np.ndarray:
-    indices = np.asarray(sorted({_as_int(b, "bin subset entry") for b in subset}), dtype=np.int64)
-    if indices.size == 0:
+    bins = sorted({_as_int(b, "bin subset entry") for b in subset})
+    if not bins:
         raise ConfigurationError("bin subset must be non-empty")
-    if indices.min() < 1 or indices.max() > n:
+    if bins[0] < 1 or bins[-1] > n:  # checked on the ints, before any int64 holds them
         raise ConfigurationError(f"bin subset must lie within 1..{n}")
-    return indices - 1
+    return np.asarray(bins, dtype=np.int64) - 1

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bounds import StageParams, rejection_budget, stage_params, target_maxload
 from .counting import _counts_draws
-from .engine import run_summary, run_summary_batch, summary_peak_bytes
+from .engine import _ball_count, run_summary, run_summary_batch, summary_peak_bytes
 from .errors import ConfigurationError, WorkerError, _as_fraction, _as_int, _check_budget
 from .rng import mix_seed_range, mix_seeds
 from .strategies import StrategySpec, parse_strategy
@@ -180,7 +180,9 @@ def _chunk_size(trials: int, workers: int) -> int:
 def _check_memory(n: int, t: int, spec: StrategySpec, trials: int, workers: int) -> None:
     # Each chunk of trials holds at most summary_peak_bytes at once, and at
     # most one chunk per worker runs at a time; a single chunk runs in this
-    # process.
+    # process.  That bound holds only for a ball count that a load table
+    # holds, so the count is checked first, as a run checks it.
+    _ball_count(t)
     running = min(workers, -(-trials // _chunk_size(trials, workers)))
     needed = summary_peak_bytes(n, t, spec) * running + _TRIAL_RESULT_BYTES * trials
     _check_budget(needed, f"a campaign of {trials} trials on {workers} workers")

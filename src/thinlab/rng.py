@@ -6,32 +6,43 @@ of the state, so the raw word stream for seed ``s`` is
 
     raw[j] = fmix64((s + (j + 1) * GAMMA) mod 2**64),   j = 0, 1, 2, ...
 
-Because the state is an arithmetic progression, a block of raw words can be
-produced with vectorized uint64 arithmetic that is bit-identical to the
-sequential path; traces are therefore portable across platforms and worker
-counts.  ``RngStream.bounded_block`` makes its words in fixed chunks of
-``_CHUNK`` (2**16): each chunk adds ``seed + counter * GAMMA`` to a table of
-``(j + 1) * GAMMA`` built once at import, applies the finalizer in place in
-two reused 512 KiB buffers that stay in cache, and reduces straight into the
-result.  ``RngStream.bounded_chunks`` runs the same loop but reduces each
-chunk in place and yields it, so a caller that only counts its draws never
-holds a block.  :func:`bounded_grid` draws the first words of many streams
-at once, as one (streams x words) grid built from the same table, and
-flags each stream whose words include a rejected one.  A chunk with a
-rejected word is compacted, in order, into
-the second buffer through a bool mask allocated beside the buffers, so the
-loop allocates nothing per chunk.  The reduction is exact floor division,
-``w - (w // n) * n``: since ``(w // n) * n <= w < 2**64`` nothing wraps, so
-it equals ``w % n`` word for word, and numpy divides a uint64 array by a
-scalar with a multiply-high and shift rather than a hardware divide per
-word.  A chunk never holds more words than draws still needed, so every
-word of it is consumed, exactly as the sequential path would consume it,
-and the stream position after a block does not depend on the chunk size.
+Each rule of the stream contract is written once:
 
-Bounded draws on ``[0, n)`` use rejection sampling against the largest
-multiple of ``n`` below 2**64, so there is no modulo bias.  A rejected raw
-word is consumed and the next word is tried; for ``n <= 10**8`` a rejection
-is a ~5e-12 per-draw event.
+- :func:`_limit`, the one bound check.  A sequential draw
+  (``RngStream.next_bounded``) takes a bound n in 1..2**64, a vectorized
+  one (``bounded_block``, ``bounded_chunks`` and :func:`bounded_grid`,
+  through :func:`_rejection_limit`) n in 1..2**63, so that every draw fits
+  an int64.  A draw rejects the raw words at or above the largest multiple
+  of n not above 2**64, so there is no modulo bias; a rejected word is
+  consumed and the next one tried.  For n <= 10**8 a rejection is a
+  ~5e-12 per-draw event, and none happens when n divides 2**64.
+- :func:`_mix`, the one vector mixer, fmix64(base + k * GAMMA) in wrapping
+  uint64 arithmetic, bit-identical to the sequential path: the words of
+  :func:`bounded_grid` and the seed arrays.  The chunk loop forms the same
+  sums in its two reused buffers and finalizes them there, with
+  :func:`_fmix_in_place`, which ``_mix`` applies too.
+- :func:`_reduce`, the one exact reduction, ``w - (w // n) * n``.  Since
+  ``(w // n) * n <= w < 2**64`` nothing wraps, so it equals ``w % n`` word
+  for word, and numpy divides a uint64 array by a scalar with a
+  multiply-high and shift rather than a hardware divide per word.
+- Every entry reads its integers by the integer rule of
+  :mod:`thinlab.errors`: a numpy integer gives exactly what the same
+  Python int gives, and a float or a bool is a ``ConfigurationError``.
+
+``RngStream.bounded_block`` makes its words in fixed chunks of ``_CHUNK``
+(2**16): each chunk mixes ``seed + counter * GAMMA`` with a table of
+``(j + 1) * GAMMA`` built once at import, in two reused 512 KiB buffers
+that stay in cache, and reduces straight into the result.
+``RngStream.bounded_chunks`` runs the same loop but reduces each chunk in
+place and yields it, so a caller that only counts its draws never holds a
+block.  A chunk with a rejected word is compacted, in order, into the
+second buffer through a bool mask allocated beside the buffers, so the
+loop allocates nothing per chunk.  A chunk never holds more words than
+draws still needed, so every word of it is consumed, exactly as the
+sequential path would consume it, and the stream position after a block
+does not depend on the chunk size.  :func:`bounded_grid` draws the first
+words of many streams at once, as one (streams x words) grid built from
+the same table, and flags each stream whose words include a rejected one.
 
 Seed derivation (per-trial seeds, per-run stream seeds) uses the same
 finalizer: ``mix_seeds(seed, i) = fmix64((seed + (i + 1) * GAMMA) mod 2**64)``,
@@ -43,7 +54,6 @@ primaries from ``mix_seeds(seed, 0)`` and its secondary pool from
 
 from __future__ import annotations
 
-import operator
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -75,6 +85,8 @@ _STEPS = np.arange(1, _CHUNK + 1, dtype=np.uint64) * _U_GAMMA
 
 def fmix64(x: int) -> int:
     """SplitMix64 output finalizer on a 64-bit state word."""
+    if type(x) is not int:  # a numpy integer passes, as its int
+        x = _as_int(x, "state word")
     z = x & MASK64
     z = ((z ^ (z >> 30)) * MIX_MUL_1) & MASK64
     z = ((z ^ (z >> 27)) * MIX_MUL_2) & MASK64
@@ -89,7 +101,7 @@ def mix_seeds(seed: int, index: int) -> int:
     integer ``seed``, numpy's too.  Distinct indices always yield distinct
     child seeds because the finalizer is a bijection on 64-bit words.
     """
-    return fmix64(operator.index(seed) + (index + 1) * GAMMA)
+    return fmix64(_as_int(seed, "seed") + (_as_int(index, "seed index") + 1) * GAMMA)
 
 
 def _seed_streams(seed: int) -> tuple[RngStream, RngStream]:
@@ -109,7 +121,7 @@ class RngStream:
     __slots__ = ("seed", "counter", "draws")
 
     def __init__(self, seed: int):
-        self.seed = seed & MASK64
+        self.seed = _as_int(seed, "seed") & MASK64
         self.counter = 0
         self.draws = 0
 
@@ -119,11 +131,11 @@ class RngStream:
         return fmix64(self.seed + self.counter * GAMMA)
 
     def next_bounded(self, n: int) -> int:
-        """Uniform draw on [0, n) via rejection sampling (no modulo bias)."""
-        if n <= 0:
-            raise ConfigurationError(f"draw bound must be positive, got {n}")
-        remainder = (1 << 64) % n
-        limit = (1 << 64) - remainder  # accept raw words below this
+        """Uniform draw on [0, n), for 1 <= n <= 2**64, by rejection
+        sampling (no modulo bias)."""
+        if type(n) is not int:  # a numpy integer passes, as its int
+            n = _as_int(n, "draw bound")
+        limit = _limit(n, 1 << 64)
         while True:
             word = self.next_u64()
             if word < limit:
@@ -139,6 +151,7 @@ class RngStream:
         array, so the bound must not exceed 2**63; use ``next_bounded`` for
         larger bounds.
         """
+        n, count = _as_int(n, "draw bound"), _as_int(count, "draw count")
         limit = _rejection_limit(n, count)
         out = np.empty(count, dtype=np.int64)
         for _ in self._chunks(n, count, limit, out.view(np.uint64)):
@@ -156,6 +169,7 @@ class RngStream:
         once.  The arguments are checked when this is called, before any
         word is consumed.
         """
+        n, count = _as_int(n, "draw bound"), _as_int(count, "draw count")
         return self._chunks(n, count, _rejection_limit(n, count), None)
 
     def _chunks(self, n, count, limit, out):
@@ -183,13 +197,33 @@ class RngStream:
                 m = int(np.count_nonzero(mask))
                 np.compress(mask, w, out=s[:m])
                 w, s = s[:m], w[:m]
-            np.floor_divide(w, bound, out=s)
-            s *= bound
-            dest = s if out is None else out[filled : filled + m]
-            np.subtract(w, s, out=dest)
+            dest = _reduce(w, bound, s, s if out is None else out[filled : filled + m])
             filled += m
             self.draws += m
             yield dest.view(np.int64)  # draws are below 2**63, so the view is exact
+
+
+def _limit(n: int, most: int) -> int:
+    """The one bound check: the rejection limit of draws below the int
+    ``n``, refused unless 1 <= n <= ``most``.
+
+    Raw words at or above the limit, the largest multiple of ``n`` not
+    above 2**64, are rejected; it is 2**64 when ``n`` divides 2**64, so
+    that no word ever is.
+    """
+    if not 1 <= n <= most:
+        raise ConfigurationError(f"draw bound must lie in 1..2**{most.bit_length() - 1}, got {n}")
+    return (1 << 64) - (1 << 64) % n
+
+
+def _rejection_limit(n: int, count: int) -> np.uint64 | None:
+    """Check a vectorized request of ``count`` draws below ``n``, both
+    ints, and return its rejection limit as a uint64, or None when no word
+    is rejected.  Its draws are int64, so ``n`` is at most 2**63."""
+    if count < 0:
+        raise ConfigurationError(f"draw count must be non-negative, got {count}")
+    limit = _limit(n, 1 << 63)
+    return np.uint64(limit) if limit <= MASK64 else None
 
 
 def _fmix_in_place(w: np.ndarray, scratch: np.ndarray) -> None:
@@ -205,23 +239,40 @@ def _fmix_in_place(w: np.ndarray, scratch: np.ndarray) -> None:
     w ^= scratch
 
 
+def _mix(base, steps) -> np.ndarray:
+    """The one vector mixer: :func:`fmix64` of ``base + steps``, wrapping
+    like C uint64, as a new uint64 array.
+
+    ``base`` and ``steps`` are uint64 arrays or scalars that broadcast
+    together, ``steps`` holding k * GAMMA for the k-th word of a stream.
+    The sum is a new array: given an output array, numpy buffers each
+    broadcast operand, 64 KiB apiece, which no memory bound counts.
+    """
+    words = np.add(base, steps)
+    _fmix_in_place(words, np.empty_like(words))
+    return words
+
+
+def _reduce(w: np.ndarray, bound: np.uint64, quotients: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The one exact reduction: ``w % bound`` as ``w - (w // bound) * bound``,
+    into ``out``, which it returns, with ``quotients`` (of ``w``'s shape,
+    and it may be ``out``) for the products."""
+    np.floor_divide(w, bound, out=quotients)
+    quotients *= bound
+    return np.subtract(w, quotients, out=out)
+
+
 def mix_seed_array(seeds: Sequence[int], index: int) -> np.ndarray:
     """``mix_seeds(seed, index)`` for every seed, as a uint64 array."""
-    state = np.fromiter(
-        (operator.index(seed) & MASK64 for seed in seeds), dtype=np.uint64, count=len(seeds))
-    state += np.uint64(((index + 1) * GAMMA) & MASK64)
-    _fmix_in_place(state, np.empty_like(state))
-    return state
+    base = np.fromiter((_as_int(s, "seed") & MASK64 for s in seeds), np.uint64, len(seeds))
+    return _mix(base, np.uint64(((_as_int(index, "seed index") + 1) * GAMMA) & MASK64))
 
 
 def mix_seed_range(seed: int, count: int) -> np.ndarray:
     """``mix_seeds(seed, i)`` for every i in ``range(count)``, as a uint64
     array: the first ``count`` raw words of ``RngStream(seed)``."""
-    state = np.arange(1, count + 1, dtype=np.uint64)
-    state *= _U_GAMMA
-    state += np.uint64(operator.index(seed) & MASK64)
-    _fmix_in_place(state, np.empty_like(state))
-    return state
+    steps = np.arange(1, _as_int(count, "seed count", 0) + 1, dtype=np.uint64) * _U_GAMMA
+    return _mix(np.uint64(_as_int(seed, "seed") & MASK64), steps)
 
 
 def bounded_grid(stream_seeds: np.ndarray, n: int, count: int):
@@ -236,38 +287,15 @@ def bounded_grid(stream_seeds: np.ndarray, n: int, count: int):
     i is ``fmix64(stream_seeds[i] + (j + 1) * GAMMA)``, exactly the word the
     sequential path reads, so no stream is changed.
     """
+    n, count = _as_int(n, "draw bound"), _as_int(count, "draw count")
     limit = _rejection_limit(n, count)
     if count > _CHUNK:
         raise ConfigurationError(f"a grid row holds at most {_CHUNK} draws, got {count}")
-    words = stream_seeds[:, None] + _STEPS[:count]
-    scratch = np.empty_like(words)
-    _fmix_in_place(words, scratch)
+    words = _mix(stream_seeds[:, None], _STEPS[:count])
     exact = np.ones(len(words), dtype=bool)
     if limit is not None and words.size and words.max() >= limit:
         exact = words.max(axis=1) < limit
-    bound = np.uint64(n)
-    np.floor_divide(words, bound, out=scratch)
-    scratch *= bound
-    words -= scratch
-    return words.view(np.int64), exact
-
-
-def _rejection_limit(n: int, count: int) -> np.uint64 | None:
-    """Check a draw request and return its rejection limit.
-
-    Raw words at or above the limit are rejected; it is None when ``n``
-    divides 2**64, so that no word ever is.
-    """
-    if n <= 0:
-        raise ConfigurationError(f"draw bound must be positive, got {n}")
-    if n > 1 << 63:
-        raise ConfigurationError(
-            f"vectorized draws support bounds up to 2**63, got {n}"
-        )
-    if count < 0:
-        raise ConfigurationError(f"draw count must be non-negative, got {count}")
-    remainder = (1 << 64) % n
-    return np.uint64((1 << 64) - remainder) if remainder else None
+    return _reduce(words, np.uint64(n), np.empty_like(words), words).view(np.int64), exact
 
 
 def _chunk_buffer_bytes(n: int, count: int) -> int:

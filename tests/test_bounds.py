@@ -77,6 +77,22 @@ def test_lemma_domain_checks():
         bounds.lemma23_bound(0.5, -1)
 
 
+def test_evaluators_refuse_inputs_past_the_float_range():
+    # An integer past the largest float overflows float arithmetic; each
+    # evaluator refuses it as outside its domain.
+    big = 10**400
+    for evaluator, args in ((bounds.prop41_bound, (big, 4)), (bounds.prop51_bound, (big, 0.5)),
+                            (bounds.rejection_budget, (big,)),
+                            (bounds.lemma22_bound, (0.5, 3, big)),
+                            (bounds.lemma23_bound, (0.5, big))):
+        with pytest.raises(DomainError, match=f"{evaluator.__name__} passes the largest float"):
+            evaluator(*args)
+    # The ones that take only logarithms of n keep their values there.
+    assert (bounds.threshold_L(big), bounds.lower_ell(big)) == (17, 16)
+    assert bounds.target_maxload(big) == pytest.approx(32.856, rel=1e-4)
+    assert bounds.stage_params(big, 1, "1/2")[:3] == (16, 24, -(-big // 32))
+
+
 def test_prop41_value_and_exponent():
     result = bounds.prop41_bound(10**6, 4)
     assert result.value == pytest.approx(float(ref.ref_prop41(10**6, 4)), rel=1e-12)

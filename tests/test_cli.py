@@ -259,6 +259,30 @@ def test_load_ratios_beyond_float_range_are_refused(capsys):
         assert err == f"thinlab: error: {message}\n"
 
 
+def test_values_past_the_float_range_are_errors_not_tracebacks(tmp_path, capsys):
+    largest = "1.7976931348623157e+308"
+    code, out, err = run_cli(
+        capsys, ["bounds", "--name", "prop41", "-n", "1" + "0" * 400, "--eta", "4"])
+    assert (code, out) == (1, "")
+    message = f"prop41_bound passes the largest float, {largest}, at these inputs"
+    assert err == f"thinlab: error: {message}\n"
+    # A config-file integer past the largest float is refused as it is read.
+    config_path = tmp_path / "bounds.json"
+    config_path.write_text(json.dumps({"name": "prop41", "n": 100, "eta": 10**400}))
+    code, out, err = run_cli(capsys, ["bounds", "--config", str(config_path)])
+    assert (code, out) == (1, "")
+    assert err == f"thinlab: error: --eta must be at most {largest}, the largest float\n"
+
+
+def test_ball_counts_no_load_table_holds_are_refused(capsys):
+    for count in (["-t", "100000000000000000000"], ["--rho", "1e30"]):
+        code, out, err = run_cli(
+            capsys, ["simulate", "-n", "3", *count, "--strategy", "two-choices", "--trials", "1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("thinlab: error: ball count must be below 2**64")
+        assert err.count("\n") == 1  # one line, no traceback
+
+
 def test_diagnose_outputs(capsys):
     # The exact bytes, key order included: the stage plan and rows, then
     # the strategy, seed and rejections that the handler appends.

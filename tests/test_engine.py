@@ -892,6 +892,27 @@ def test_max_load_subset_and_errors():
         max_load(state, subset={0, 1})
     with pytest.raises(ConfigurationError):
         max_load(state, subset={4})
+    # A bin past int64 is checked as an int, before an int64 array holds it.
+    with pytest.raises(ConfigurationError, match="within 1..3"):
+        max_load(state, subset=[2**63])
+    with pytest.raises(ConfigurationError, match="within 1..3"):
+        level_set_count(state, "load", 1, subset=[2**64])
+
+
+@pytest.mark.parametrize("t", [2**64, 10**30])
+def test_ball_counts_no_load_table_holds_are_refused(t):
+    # From 2**64 balls np.min_scalar_type gives object, so no table holds them.
+    entries = (
+        lambda: run(3, t, "two-choices", 0),
+        lambda: run_summary(3, t, "threshold:1,k=2", 0),
+        lambda: run_summary_batch(3, t, "one-choice", [0, 1]),
+        lambda: run_with_streams(3, t, "one-choice", *_seed_streams(0)),
+        lambda: run_reference(3, t, "one-choice", *_seed_streams(0)),
+    )
+    for entry in entries:
+        with pytest.raises(ConfigurationError, match="ball count must be below 2\\*\\*64"):
+            entry()
+    assert engine._ball_count(2**64 - 1) == 2**64 - 1
 
 
 def test_level_set_count_examples():

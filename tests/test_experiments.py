@@ -337,6 +337,29 @@ def test_scaling_study_grid_validation(monkeypatch):
                       base_seed=1, workers=1)
 
 
+def test_scaling_study_takes_a_numpy_grid():
+    # Each point's campaign seed is mix_seeds(base_seed, n), numpy n included.
+    rows = scaling_study([100, 1000], 1, "one-choice", 4, 0)
+    assert scaling_study(np.array([100, 1000]), 1, "one-choice", 4, 0) == rows
+
+
+def test_campaigns_refuse_ball_counts_no_load_table_holds(monkeypatch):
+    # Refused before a pool starts: no chunk runs, in this process or another.
+    def no_chunk(*args, **kwargs):
+        raise AssertionError("a campaign ran a chunk it should have refused")
+
+    monkeypatch.setattr(experiments, "_run_chunk", no_chunk)
+    message = "ball count must be below 2\\*\\*64"
+    for count in ({"t": 2**64}, {"rho": 10**30}):
+        config = ExperimentConfig(n=3, strategy="two-choices", trials=4, base_seed=0, **count)
+        with pytest.raises(ConfigurationError, match=message):
+            run_trials(config, workers=2)
+    # A scaling study refuses the grid before its first campaign.
+    monkeypatch.setattr(experiments, "run_trials", no_chunk)
+    with pytest.raises(ConfigurationError, match=message):
+        scaling_study([3, 10**6], rho=2**62, strategy="one-choice", trials=1, base_seed=0)
+
+
 def test_stage_diagnostics_counts():
     trace = run(100, 100, "one-choice", seed=21)
     diag = stage_diagnostics(trace, rho=1, epsilon=1)

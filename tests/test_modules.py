@@ -20,9 +20,11 @@ import thinlab.cli  # imports every module the CLI uses
 MODULES = sorted(path for root in thinlab.__path__ for path in Path(root).glob("*.py"))
 
 # compile() peaks under tracemalloc on CPython 3.11: cli 1052 KiB,
-# experiments 980, engine 885, checks 748, trace 686, oracle 673, rng 609,
-# bounds 564, counting 490, cli_params 398, two_choices 362, threshold
-# 341, strategies 301, poisson 285, errors 156 and __init__ 109 KiB.  A
+# experiments 980, engine 895, checks 748, trace 686, oracle 673, rng 660,
+# bounds 586, counting 490, cli_params 407, two_choices 362, threshold
+# 341, strategies 301, poisson 285, errors 156 and __init__ 109 KiB.  rng
+# rose from 609 KiB when its draw rules were each written once, with the
+# integer rule at every entry and the module docstring naming each rule.  A
 # module's peak steps up by about 120 KiB where it passes 2048 tokens:
 # engine went from 2038 to 2199 tokens, and from 735 to 898 KiB, when the
 # run bound moved into it, and oracle from 2558 to 1997 tokens, and from

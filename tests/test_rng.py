@@ -187,7 +187,7 @@ def test_mix_seed_array_is_mix_seeds():
         mixed = mix_seed_array(seeds, index)
         assert mixed.dtype == np.uint64
         assert mixed.tolist() == [mix_seeds(int(seed), index) for seed in seeds]
-    with pytest.raises(TypeError):
+    with pytest.raises(ConfigurationError):
         mix_seed_array([1.5], 0)
 
 
@@ -236,11 +236,52 @@ def test_invalid_bounds_raise():
         stream.bounded_block(4, -1)
     with pytest.raises(ConfigurationError):
         stream.bounded_block(MASK64, 1)  # exceeds int64 index range
-    for n, count in ((-3, 5), (4, -1), (MASK64, 1)):
+    for n, count in ((-3, 5), (4, -1), (MASK64, 1), (2**63 + 1, 1)):
         with pytest.raises(ConfigurationError):
             stream.bounded_chunks(n, count)  # raises before a chunk is asked for
+        with pytest.raises(ConfigurationError):
+            bounded_grid(mix_seed_array([1], 0), n, count)
     assert stream.counter == 0  # no bad call consumed a word
     assert 0 <= stream.next_bounded(MASK64) < MASK64  # sequential path is fine
+
+
+def test_sequential_bounds_reach_two_to_the_64():
+    for seed, words in REFERENCE_WORDS.items():
+        stream = RngStream(seed)
+        assert [stream.next_bounded(2**64) for _ in words] == words  # no word rejected
+    stream = RngStream(1)
+    for n in (2**64 + 1, 2**65, 0):
+        with pytest.raises(ConfigurationError):
+            stream.next_bounded(n)
+    assert stream.counter == stream.draws == 0
+
+
+def test_numpy_integers_draw_what_python_ints_draw():
+    def entries(i):
+        # i(x) is x as a Python int or as a numpy integer.
+        chunks = RngStream(i(5)).bounded_chunks(i(7), i(_CHUNK + 3))
+        return [
+            RngStream(i(5)).next_u64(),
+            fmix64(i(5)),
+            mix_seeds(i(1), i(5)),
+            RngStream(i(5)).next_bounded(i(7)),
+            RngStream(i(5)).bounded_block(i(7), i(4)).tolist(),
+            np.concatenate([chunk.copy() for chunk in chunks]).tolist(),
+            mix_seed_array([i(1), i(2)], i(3)).tolist(),
+            mix_seed_range(i(5), i(4)).tolist(),
+            bounded_grid(mix_seed_array([i(1)], i(0)), i(7), i(4))[0].tolist(),
+        ]
+
+    expected = entries(int)
+    assert entries(np.int64) == expected
+    assert entries(np.uint32) == expected
+    for bad in (1.5, True, "5"):
+        for entry in (RngStream, fmix64, lambda x: mix_seeds(1, x), RngStream(0).next_bounded,
+                      lambda x: RngStream(0).bounded_block(x, 1),
+                      lambda x: RngStream(0).bounded_chunks(7, x),
+                      lambda x: mix_seed_array([1], x), lambda x: mix_seed_range(x, 1)):
+            with pytest.raises(ConfigurationError):
+                entry(bad)
 
 
 def test_fixed_stream_replays_and_validates():
