@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, _as_fraction, _as_int
+from .errors import DomainError, _as_fraction, _as_int, _shown
 
 _EXACT_FACTORIAL_MAX = 20
 
@@ -86,9 +86,9 @@ def lemma22_bound(theta: float, a: int, s_size: float) -> float:
     Factorials are exact up to 20! and use log-gamma beyond that for
     numerical stability.
     """
-    _require(0.0 <= theta <= 1.0, f"load fraction must lie in [0, 1], got {theta}")
+    _require(0.0 <= theta <= 1.0, f"load fraction must lie in [0, 1], got {_shown(theta)}")
     a = _as_int(a, "level", 1, DomainError)
-    _require(s_size >= 0, f"subset size must be non-negative, got {s_size}")
+    _require(s_size >= 0, f"subset size must be non-negative, got {_shown(s_size)}")
     if theta == 0.0 or s_size == 0:
         return 2.0
     if a <= _EXACT_FACTORIAL_MAX:
@@ -106,8 +106,8 @@ def lemma23_bound(theta: float, s_size: float) -> float:
     Bounds the probability that fewer than theta |S| / (2e) bins of a fixed
     subset of size ``s_size`` are occupied after theta*n one-choice balls.
     """
-    _require(0.0 <= theta <= 1.0, f"load fraction must lie in [0, 1], got {theta}")
-    _require(s_size >= 0, f"subset size must be non-negative, got {s_size}")
+    _require(0.0 <= theta <= 1.0, f"load fraction must lie in [0, 1], got {_shown(theta)}")
+    _require(s_size >= 0, f"subset size must be non-negative, got {_shown(s_size)}")
     return 2.0 * math.exp(-(theta**2) * s_size / (2.0 * math.e**2))
 
 
@@ -126,7 +126,7 @@ def prop41_bound(n: int, eta: float) -> Prop41Result:
     (2 + eta) L(n).  Requires n >= 16 so the triple logarithm is positive.
     """
     n = _as_int(n, "bin count", 16, DomainError)
-    _require(eta > 0, f"eta must be positive, got {eta}")
+    _require(eta > 0, f"eta must be positive, got {_shown(eta)}")
     log_n = math.log(n)
     loglog_n = math.log(log_n)
     exponent = -eta / 4.0 + 2.0 * math.log(loglog_n) / loglog_n
@@ -139,11 +139,17 @@ def prop51_bound(n: int, epsilon: float) -> float:
     """Lower-bound failure probability exp(-n^(epsilon/5)).
 
     Bounds the probability that ANY thinning strategy keeps the max load
-    below (2 - epsilon) * lower_ell(n).
+    below (2 - epsilon) * lower_ell(n).  It is 0.0 where n^(epsilon/5)
+    passes the largest float, since the bound underflows there; an n or
+    epsilon past the largest float is refused.
     """
     n = _as_int(n, "bin count", 1, DomainError)
-    _require(epsilon > 0, f"epsilon must be positive, got {epsilon}")
-    return math.exp(-(n ** (epsilon / 5.0)))
+    _require(epsilon > 0, f"epsilon must be positive, got {_shown(epsilon)}")
+    base, exponent = float(n), epsilon / 5.0
+    try:
+        return math.exp(-(base**exponent))
+    except OverflowError:  # exp(-magnitude) underflows
+        return 0.0
 
 
 class StageParams(NamedTuple):
@@ -158,7 +164,7 @@ class StageParams(NamedTuple):
 def _exact(value, what: str, valid: Callable, condition: str) -> Fraction:
     """``value`` by the exact-rational rule, or DomainError if not ``valid``.
     A real is checked first, so a NaN or an infinity is refused as outside."""
-    message = f"{what} {condition}, got {value}"
+    message = f"{what} {condition}, got {_shown(value)}"
     _require(not isinstance(value, numbers.Real) or valid(value), message)
     exact = _as_fraction(value, what, DomainError)
     _require(valid(exact), message)

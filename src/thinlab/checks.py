@@ -60,7 +60,8 @@ def engine_suite(seed: int = 2024) -> list[CheckResult]:
             int(trace.loads.sum()) == t,
             f"sum of loads {int(trace.loads.sum())} vs balls {t}",
         )
-        decomposed = state.primary_accepted + state.secondary_used
+        pooled = np.bincount(trace.final_bins[trace.reject_counts > 0], minlength=n)
+        decomposed = state.primary_accepted + pooled
         _check(
             rows,
             f"decomposition[{tag}]",

@@ -48,12 +48,13 @@ from .cli_params import (
     _meta_text,
 )
 from .engine import run
-from .errors import ConfigurationError, ThinlabError
+from .errors import ConfigurationError, ThinlabError, _check_budget, _shown
 from .experiments import (
     ExperimentConfig,
     ScaleRow,
     StageRow,
     _check_tail_request,
+    _diagnose_peak_bytes,
     _stage_plan,
     rejection_stats,
     run_trials,
@@ -107,7 +108,7 @@ def _load_config_file(path: str) -> dict:
         text = handle.read()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json's errors, and an integer past Python's digit limit
         raise ConfigurationError(f"config file {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"config file {path}: expected a JSON object")
@@ -307,7 +308,10 @@ def _run_diagnose(params: dict) -> int:
     config = _experiment(params)
     n, t = config.n, config.ball_count
     rho = config.rho or Fraction(t, n)  # rho is positive when given
-    _stage_plan(n, t, rho, params["epsilon"])  # refuses a bad request before run draws
+    # A bad request, or one beyond the memory budget, is refused before run draws.
+    _stage_plan(n, t, rho, params["epsilon"])
+    _check_budget(_diagnose_peak_bytes(n, t, config.spec),
+                  f"a trace of {_shown(t)} balls in {_shown(n)} bins and its stage pass")
     trace = run(n, t, config.spec, params["seed"])
     diagnostics = stage_diagnostics(trace, rho, params["epsilon"])
     rejections = rejection_stats(trace)

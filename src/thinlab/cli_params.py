@@ -32,8 +32,10 @@ def _conv_int(value, flag: str, minimum: int = 1) -> int:
     if isinstance(value, str):
         try:
             value = int(value)
-        except ValueError:
-            raise ConfigurationError(f"{flag} must be an integer, got {value!r}") from None
+        except ValueError:  # not an integer, or one of more digits than Python reads
+            limit = sys.get_int_max_str_digits()
+            shown = repr(value) if len(value) <= limit else f"{len(value)} characters"
+            raise ConfigurationError(f"{flag} must be an integer, got {shown}") from None
     return _as_int(value, flag, minimum)
 
 

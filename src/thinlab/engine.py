@@ -11,9 +11,9 @@ tally arrays.
 
 :func:`step` allocates one ball at a time and is the reference oracle, in
 one flow for every kind: it finds the ball's landing bin, then moves its
-tallies and builds its record once.  :func:`run_reference` steps a whole
-run, only to check the kernel against, under its own memory bound,
-:func:`_reference_peak_bytes`.
+tallies and builds its record once, its decisions by ``trace._decisions``.
+:func:`run_reference` steps a whole run, only to check the kernel against,
+under its own memory bound, :func:`_reference_peak_bytes`.
 :func:`run` and :func:`run_with_streams` always run one vectorized kernel,
 :func:`_columns`, which yields bit-identical traces and stream positions.
 It picks its path by the thinning level (``StrategySpec.level``): a rule
@@ -54,7 +54,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .counting import _count_groups, _count_peak_bytes, _counts_draws, _summaries
-from .errors import ConfigurationError, _as_int, _check_budget
+from .errors import ConfigurationError, _as_int, _check_budget, _shown
 from .rng import _chunk_buffer_bytes, _seed_streams
 from .strategies import (
     TWO_CHOICES_GREEDY,
@@ -72,6 +72,7 @@ from .trace import (
     Trace,
     _assemble_trace,
     _assembly_peak_bytes,
+    _decisions,
     replay,
     trace_from_json,
 )
@@ -134,11 +135,11 @@ def step(state: ProcessState, primary_stream, secondary_stream) -> AllocationRec
             accept = rejects == spec.retry_budget or decide(spec, state, landing)
         pool_index = state.rejections + rejects - 1  # the last pool draw it read
     state.load[landing] += 1
-    (state.secondary_used if rejects else state.primary_accepted)[landing] += 1
+    if not rejects:
+        state.primary_accepted[landing] += 1
     state.rejections += rejects
     state.t += 1
-    decisions = ("reject",) * rejects + ("accept",) * (rejects < spec.retry_budget)
-    return AllocationRecord(state.t, primary + 1, decisions, landing + 1,
+    return AllocationRecord(state.t, primary + 1, _decisions(rejects, spec), landing + 1,
                             pool_index if rejects else None)
 
 
@@ -210,31 +211,33 @@ def trace_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     can have, as the larger of two phases: :func:`_columns`, whose three
     int64 columns sit beside the placement kernel it runs (or, for a run
     drawn as blocks, the draw buffers of its blocks) and 16 KiB of Python
-    objects; then ``trace._assembly_peak_bytes``, which builds the trace
-    from them.  The tests check it against ``tracemalloc`` for every kind.
+    objects; then ``trace._assembly_peak_bytes`` at the rule's thinning
+    level, which builds the trace from them.  The tests check it against
+    ``tracemalloc`` for every kind.
     """
     if _drawn_as_blocks(t, spec):
         kernel = _chunk_buffer_bytes(n, t)
     else:
         kernel = _placement_peak_bytes(n, t, spec)
     columns = 8 * (3 * t + -(-kernel // 8)) + 16 * 1024
-    return max(columns, _assembly_peak_bytes(n, t))
+    return max(columns, _assembly_peak_bytes(n, t, spec.level(t)))
 
 
 def _reference_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
     """Upper bound on the memory one :func:`run_reference` call holds at once,
     the same for every ``spec``, since stepping holds no kernel.
 
-    Its four t-word columns and the stepped state's four n-word tallies sit
-    beside the larger of two phases: ``trace._assembly_peak_bytes``, less
-    the three columns it counts as its own; then the check, which holds the
-    trace's state (four n-word tallies) and ``Trace.pool_indices`` (a
-    running sum, a mask and the result: 17 bytes a ball), plus 16 KiB of
-    Python objects.  The tests check it against ``tracemalloc``.
+    Its four t-word columns and the stepped state's three n-word tallies
+    sit beside the larger of two phases: ``trace._assembly_peak_bytes``
+    with no level, less the three columns it counts as its own; then the
+    check, which holds the trace's state (three n-word tallies) and
+    ``Trace.pool_indices`` (a running sum, a mask and the result: 17 bytes
+    a ball), plus 16 KiB of Python objects.  The tests check it against
+    ``tracemalloc``.
     """
     assembly = _assembly_peak_bytes(n, t) - 8 * 3 * t
-    check = 8 * 4 * n + 17 * t + 16 * 1024
-    return 8 * (4 * t + 4 * n) + max(assembly, check)
+    check = 8 * 3 * n + 17 * t + 16 * 1024
+    return 8 * (4 * t + 3 * n) + max(assembly, check)
 
 
 def _check_streams_run(n, t, strategy, seed, peak_bytes):
@@ -242,7 +245,7 @@ def _check_streams_run(n, t, strategy, seed, peak_bytes):
     by the runner's bound, ``peak_bytes`` of (n, t, spec)."""
     n, t, spec = _check_run(n, t, strategy)
     seed = None if seed is None else _as_int(seed, "seed")
-    _check_budget(peak_bytes(n, t, spec), f"a trace of {t} balls in {n} bins")
+    _check_budget(peak_bytes(n, t, spec), f"a trace of {t} balls in {_shown(n)} bins")
     return n, t, spec, seed
 
 
@@ -312,7 +315,7 @@ def run_summary(n: int, t: int, strategy, seed: int) -> tuple[np.ndarray, int]:
     """
     n, t, spec = _check_run(n, t, strategy)
     seed = _as_int(seed, "seed")
-    _check_budget(summary_peak_bytes(n, t, spec), f"a summary of {t} balls in {n} bins")
+    _check_budget(summary_peak_bytes(n, t, spec), f"a summary of {t} balls in {_shown(n)} bins")
     loads, rejections = next(_summary_groups(n, t, spec, [seed]))
     return loads[0], rejections[0]
 
@@ -336,7 +339,7 @@ def run_summary_batch(n: int, t: int, strategy, seeds: Sequence[int]) -> Iterato
         ) from None
     for seed in seeds:  # not copied, so a batch holds no list of seeds
         _as_int(seed, "seed")
-    _check_budget(summary_peak_bytes(n, t, spec), f"a summary of {t} balls in {n} bins")
+    _check_budget(summary_peak_bytes(n, t, spec), f"a summary of {t} balls in {_shown(n)} bins")
     return _summaries(_summary_groups(n, t, spec, seeds))
 
 

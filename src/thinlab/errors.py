@@ -1,5 +1,6 @@
 """Exception types shared across thinlab modules, the one integer rule, the
-one exact-rational rule and the one memory-budget rule."""
+one exact-rational rule, the one memory-budget rule and the one way a
+message shows a number."""
 
 import numbers
 import operator
@@ -30,6 +31,18 @@ class WorkerError(ThinlabError, RuntimeError):
     """A worker process of a campaign died before returning its trials."""
 
 
+def _shown(value, text=str) -> str:
+    """``value`` as a message shows it, ``text(value)``, except that an int
+    too long for Python to print (past ``sys.get_int_max_str_digits()``,
+    4300 digits by default) is named by its bit length, so that the message
+    can still be raised."""
+    try:
+        return text(value)
+    except ValueError:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"
+
+
 def _as_int(value, what: str, minimum: int | None = None, error=ConfigurationError) -> int:
     """``value`` as an int, or ``error`` naming ``what``.
 
@@ -45,7 +58,7 @@ def _as_int(value, what: str, minimum: int | None = None, error=ConfigurationErr
     except TypeError:
         raise error(f"{what} must be an integer, got {value!r}") from None
     if minimum is not None and result < minimum:
-        raise error(f"{what} must be at least {minimum}, got {result}")
+        raise error(f"{what} must be at least {minimum}, got {_shown(result)}")
     return result
 
 
@@ -77,5 +90,6 @@ def _check_budget(needed: int, what: str) -> None:
     ResourceLimitError if that exceeds ``MEMORY_BUDGET_BYTES`` as it is now."""
     if needed > MEMORY_BUDGET_BYTES:
         raise ResourceLimitError(
-            f"{what} needs about {needed} bytes, beyond the budget of {MEMORY_BUDGET_BYTES}"
+            f"{what} needs about {_shown(needed)} bytes, "
+            f"beyond the budget of {MEMORY_BUDGET_BYTES}"
         )

@@ -11,7 +11,8 @@ rule of :mod:`thinlab.errors`, and the ball count is floor(rho * n) in
 integer arithmetic, so grid boundaries never shift with float rounding.
 
 A request is checked whole before anything is drawn.  The stage plan of
-a diagnosis, :func:`_stage_plan`, needs only n, t, rho and epsilon, and
+a diagnosis, :func:`_stage_plan`, needs only n, t, rho and epsilon, its
+memory bound, :func:`_diagnose_peak_bytes`, only n, t and the spec, and
 :func:`scaling_study` checks every grid point's configuration, target and
 memory guard before its first campaign.
 """
@@ -28,8 +29,14 @@ import numpy as np
 
 from .bounds import StageParams, rejection_budget, stage_params, target_maxload
 from .counting import _counts_draws
-from .engine import _ball_count, run_summary, run_summary_batch, summary_peak_bytes
-from .errors import ConfigurationError, WorkerError, _as_fraction, _as_int, _check_budget
+from .engine import (
+    _ball_count,
+    run_summary,
+    run_summary_batch,
+    summary_peak_bytes,
+    trace_peak_bytes,
+)
+from .errors import ConfigurationError, WorkerError, _as_fraction, _as_int, _check_budget, _shown
 from .rng import mix_seed_range, mix_seeds
 from .strategies import StrategySpec, parse_strategy
 from .trace import Trace
@@ -48,7 +55,7 @@ def parse_rho(value) -> Fraction:
     """
     rho = _as_fraction(value, "load factor")
     if rho <= 0:
-        raise ConfigurationError(f"load factor must be positive, got {value!r}")
+        raise ConfigurationError(f"load factor must be positive, got {_shown(value, repr)}")
     return rho
 
 
@@ -185,7 +192,7 @@ def _check_memory(n: int, t: int, spec: StrategySpec, trials: int, workers: int)
     _ball_count(t)
     running = min(workers, -(-trials // _chunk_size(trials, workers)))
     needed = summary_peak_bytes(n, t, spec) * running + _TRIAL_RESULT_BYTES * trials
-    _check_budget(needed, f"a campaign of {trials} trials on {workers} workers")
+    _check_budget(needed, f"a campaign of {_shown(trials)} trials on {workers} workers")
 
 
 def _run_chunk(args: tuple) -> list[tuple[int, int]]:
@@ -269,7 +276,9 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z95) -> tuple
     trials = _as_int(trials, "trials", 1)
     successes = _as_int(successes, "successes", 0)
     if successes > trials:
-        raise ConfigurationError(f"successes must be at most {trials}, got {successes}")
+        raise ConfigurationError(
+            f"successes must be at most {_shown(trials)}, got {_shown(successes)}"
+        )
     p_hat = successes / trials
     z2 = z * z
     center = (p_hat + z2 / (2 * trials)) / (1 + z2 / trials)
@@ -418,10 +427,24 @@ def _stage_plan(n: int, t: int, rho, epsilon: float) -> StageParams:
     needed = params.s * params.w
     if t < needed:
         raise ConfigurationError(
-            f"stage diagnostics need a trace of at least s*w = {params.s}*{params.w} "
-            f"= {needed} balls, got {t}"
+            f"stage diagnostics need a trace of at least s*w = {params.s}*{_shown(params.w)} "
+            f"= {_shown(needed)} balls, got {_shown(t)}"
         )
     return params
+
+
+def _diagnose_peak_bytes(n: int, t: int, spec: StrategySpec) -> int:
+    """Upper bound on the memory that a diagnosis, a run of t balls in n
+    bins and then :func:`stage_diagnostics` of its trace, holds at once.
+
+    The larger of ``engine.trace_peak_bytes``, for the run, and the stage
+    pass beside the trace it reads: the trace's three int64 columns and
+    three n-word tallies, and at each stage two n-word bincounts and the
+    bool mask of the first; plus 16 KiB of Python objects.  The tests check
+    it against ``tracemalloc``.
+    """
+    stages = 8 * (3 * t + 5 * n) + n + 16 * 1024
+    return max(trace_peak_bytes(n, t, spec), stages)
 
 
 def stage_diagnostics(trace: Trace, rho, epsilon: float) -> StageDiagnostics:

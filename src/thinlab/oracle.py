@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .engine import _check_run, new_process, step
-from .errors import ConfigurationError, StateSpaceLimitError, _as_int
+from .errors import ConfigurationError, StateSpaceLimitError, _as_int, _shown
 # poisson_tail and poisson_excess_mean are imported to re-export them.
 from .poisson import _poisson_empties_ge, _poisson_max_ge, poisson_excess_mean, poisson_tail
 from .rng import FixedStream
@@ -131,7 +131,9 @@ def exact_maxload_distribution(n: int, t: int, strategy) -> Pmf:
     n, t, spec = _check_run(n, t, strategy)
     k, cap, unit = spec.retry_budget, spec.level(t) or 0, _step_units(n)
     if t * unit > STEP_LIMIT:
-        raise StateSpaceLimitError(f"{t} balls in {n} bins need over {STEP_LIMIT} bin steps")
+        raise StateSpaceLimitError(
+            f"{t} balls in {_shown(n)} bins need over {STEP_LIMIT} bin steps"
+        )
     state, states, steps = new_process(n, spec), Counter({((0, 0),) * n: 1}), 0
     for ball in range(t):
         successors = Counter()
@@ -191,7 +193,7 @@ def _check_work(n: int, t: int, terms: int) -> None:
     work = (terms + t) * t * n.bit_length()
     if work > TERM_BIT_LIMIT:
         raise StateSpaceLimitError(
-            f"{t} balls in {n} bins need {work} term-bits, over {TERM_BIT_LIMIT}")
+            f"{t} balls in {_shown(n)} bins need {_shown(work)} term-bits, over {TERM_BIT_LIMIT}")
 
 
 def exact_one_choice_maxload(n: int, t: int) -> Pmf:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConfigurationError, _as_int
+from .errors import ConfigurationError, _as_int, _shown
 
 
 def _stirlerr(j: int) -> float:
@@ -66,7 +66,9 @@ def poisson_tail(lam: float, a: int) -> float:
     memory.
     """
     if not 0 < lam < math.inf:
-        raise ConfigurationError(f"the Poisson rate must be positive and finite, got {lam!r}")
+        raise ConfigurationError(
+            f"the Poisson rate must be positive and finite, got {_shown(lam, repr)}"
+        )
     a = _as_int(a, "the tail level", 0)
     if a < int(lam):
         return 1.0 - math.fsum(_poisson_terms(lam, a, down=True))

@@ -58,7 +58,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, _as_int
+from .errors import ConfigurationError, _as_int, _shown
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -212,7 +212,9 @@ def _limit(n: int, most: int) -> int:
     that no word ever is.
     """
     if not 1 <= n <= most:
-        raise ConfigurationError(f"draw bound must lie in 1..2**{most.bit_length() - 1}, got {n}")
+        raise ConfigurationError(
+            f"draw bound must lie in 1..2**{most.bit_length() - 1}, got {_shown(n)}"
+        )
     return (1 << 64) - (1 << 64) % n
 
 
@@ -221,7 +223,7 @@ def _rejection_limit(n: int, count: int) -> np.uint64 | None:
     ints, and return its rejection limit as a uint64, or None when no word
     is rejected.  Its draws are int64, so ``n`` is at most 2**63."""
     if count < 0:
-        raise ConfigurationError(f"draw count must be non-negative, got {count}")
+        raise ConfigurationError(f"draw count must be non-negative, got {_shown(count)}")
     limit = _limit(n, 1 << 63)
     return np.uint64(limit) if limit <= MASK64 else None
 
@@ -290,7 +292,7 @@ def bounded_grid(stream_seeds: np.ndarray, n: int, count: int):
     n, count = _as_int(n, "draw bound"), _as_int(count, "draw count")
     limit = _rejection_limit(n, count)
     if count > _CHUNK:
-        raise ConfigurationError(f"a grid row holds at most {_CHUNK} draws, got {count}")
+        raise ConfigurationError(f"a grid row holds at most {_CHUNK} draws, got {_shown(count)}")
     words = _mix(stream_seeds[:, None], _STEPS[:count])
     exact = np.ones(len(words), dtype=bool)
     if limit is not None and words.size and words.max() >= limit:
@@ -330,7 +332,7 @@ class FixedStream:
             value = _as_int(value, "fixed stream value")
         if not 0 <= value < n:
             raise ConfigurationError(
-                f"fixed stream value {value} outside [0, {n})"
+                f"fixed stream value {_shown(value)} outside [0, {_shown(n)})"
             )
         self.draws += 1
         return value

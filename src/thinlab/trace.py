@@ -7,8 +7,10 @@ reject counts.  Rejected balls take the secondary pool's draws in ball
 order, so the pool index a ball consumes is derived from the reject counts
 (:attr:`Trace.pool_indices`), never stored; :func:`replay`,
 :meth:`Trace.to_json` and :attr:`Trace.records` all work from the three
-columns, :func:`_assemble_trace` derives the final state from them, and
-:func:`_check_rejections` is the one check that a strategy can yield them.
+columns, :func:`_assemble_trace` derives the final state from them, one
+bincount per stored tally, and :func:`_check_rejections` is the one check
+that a strategy can yield them.  A state stores three per-bin tallies; the
+fourth, ``secondary_used``, is derived as ``load - primary_accepted``.
 :func:`_decisions` is the one rule for the decisions a record lists.
 :func:`trace_from_json` rebuilds and checks a serialized trace, each
 record in the one pass that fills the columns.  This
@@ -31,23 +33,28 @@ import numpy as np
 from .errors import ConfigurationError, _as_int, _check_budget
 from .strategies import StrategySpec, parse_strategy
 
-_TALLY_FIELDS = ("load", "primary_suggested", "primary_accepted", "secondary_used")
+# The tallies a state stores, then the one it derives from them; each is a
+# tally name that engine.level_set_count reads.
+_STORED_TALLIES = ("load", "primary_suggested", "primary_accepted")
+_TALLY_FIELDS = (*_STORED_TALLIES, "secondary_used")
 
 # Bytes that trace_from_json holds per character of a payload as to_json
 # writes it, besides what _assembly_peak_bytes counts: json.loads's objects
 # (3.1 to 4.9 bytes per character under tracemalloc, from bin-heavy to
-# ball-heavy payloads), the two lists of loads that it compares (16 bytes
-# per bin, and a bin takes at least 3 characters), and at most two int64
-# arrays per ball beyond the assembly's four (sec_idx, then the pool
-# indices it is checked against; a record takes at least 75 characters).
+# ball-heavy payloads), the list of replayed loads that it compares with the
+# payload's (8 bytes per bin, and a bin takes at least 3 characters), and at
+# most two int64 arrays per ball beyond the assembly's four (sec_idx, then
+# the pool indices it is checked against; a record takes at least 75
+# characters).
 _JSON_BYTES_PER_CHAR = 6
 
 
-def _decisions(reject_count: int, retry_budget: int) -> tuple[str, ...]:
+def _decisions(reject_count: int, spec: StrategySpec) -> tuple[str, ...]:
     """A ball's decisions: its rejects, then an accept unless the rejects
-    used up the retry budget (1 for two-choices) and forced it.  ``records``
-    and ``to_json`` write them, and :func:`trace_from_json` checks them."""
-    accept = ("accept",) if reject_count < retry_budget else ()
+    used up the spec's retry budget (1 for two-choices) and forced it.
+    ``engine.step`` records them, ``records`` and ``to_json`` write them,
+    and :func:`trace_from_json` checks them."""
+    accept = ("accept",) if reject_count < spec.retry_budget else ()
     return ("reject",) * reject_count + accept
 
 
@@ -57,8 +64,9 @@ class ProcessState:
 
     ``load`` holds final per-bin loads, ``primary_suggested`` counts every
     primary suggestion (accepted or not), ``primary_accepted`` counts the
-    accepted ones, ``secondary_used`` counts balls landed through the pool,
-    and ``rejections`` counts individual reject decisions.
+    accepted ones, and ``rejections`` counts individual reject decisions.
+    A bin's load is its accepted primaries plus the balls it took from the
+    pool, so the latter, ``secondary_used``, is derived, not stored.
     """
 
     n: int
@@ -67,13 +75,17 @@ class ProcessState:
     load: np.ndarray = field(default=None)
     primary_suggested: np.ndarray = field(default=None)
     primary_accepted: np.ndarray = field(default=None)
-    secondary_used: np.ndarray = field(default=None)
     rejections: int = 0
 
     def __post_init__(self):
-        for name in _TALLY_FIELDS:
+        for name in _STORED_TALLIES:
             if getattr(self, name) is None:
                 setattr(self, name, np.zeros(self.n, dtype=np.int64))
+
+    @property
+    def secondary_used(self) -> np.ndarray:
+        """Per bin, the balls that landed through the pool: ``load - primary_accepted``."""
+        return self.load - self.primary_accepted
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProcessState):
@@ -85,7 +97,7 @@ class ProcessState:
             and self.rejections == other.rejections
             and all(
                 np.array_equal(getattr(self, name), getattr(other, name))
-                for name in _TALLY_FIELDS
+                for name in _STORED_TALLIES
             )
         )
 
@@ -140,9 +152,6 @@ class Trace:
             last = np.arange(len(counts), dtype=np.int64)
         return np.where(counts > 0, last, -1)
 
-    def _decisions_for(self, reject_count: int) -> tuple[str, ...]:
-        return _decisions(reject_count, self.strategy.retry_budget)
-
     def _ball_columns(self):
         """Per ball, as Python values: the 1-based primary bin, the reject
         count, the 1-based final bin, and the pool index or None."""
@@ -155,7 +164,8 @@ class Trace:
 
     @property
     def records(self) -> tuple[AllocationRecord, ...]:
-        decisions = {c: self._decisions_for(c) for c in np.unique(self.reject_counts).tolist()}
+        counts = np.unique(self.reject_counts).tolist()
+        decisions = {c: _decisions(c, self.strategy) for c in counts}
         return tuple(
             AllocationRecord(ball, primary, decisions[count], final, pool_index)
             for ball, (primary, count, final, pool_index) in enumerate(self._ball_columns(), 1)
@@ -171,7 +181,7 @@ class Trace:
             {"n": self.n, "t": self.t, "strategy": self.strategy.label, "seed": self.seed}
         )
         fragments = {
-            c: f', "decision": {json.dumps(list(self._decisions_for(c)))}, "final": '
+            c: f', "decision": {json.dumps(list(_decisions(c, self.strategy)))}, "final": '
             for c in np.unique(self.reject_counts).tolist()
         }
         records = ", ".join(
@@ -215,7 +225,9 @@ def trace_from_json(text: str) -> Trace:
         loads = payload["loads"]
         if len(raw_records) != t or len(loads) != n:
             raise ConfigurationError("trace payload lengths disagree with n, t")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except ConfigurationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # json's, and ints past its digit limit
         raise ConfigurationError(f"malformed trace payload: {exc}") from None
     _check_budget(parse_bytes + _assembly_peak_bytes(n, t), what)
     primary_bins = np.zeros(t, dtype=np.int64)
@@ -229,7 +241,7 @@ def trace_from_json(text: str) -> Trace:
             decision, pool_index = row["decision"], row["sec_idx"]
             count = decision.count("reject")
             if count not in allowed:
-                allowed[count] = list(_decisions(count, strategy.retry_budget))
+                allowed[count] = list(_decisions(count, strategy))
             # Bools are not integers here; a number beyond int64 overflows its column.
             if (not type(ball) is type(primary) is type(final) is int or ball != i + 1
                     or decision != allowed[count]
@@ -257,7 +269,7 @@ def trace_from_json(text: str) -> Trace:
             f"ball {i + 1} has sec_idx {raw_records[i]['sec_idx']}, but its rejects "
             f"give {None if expected[i] < 0 else int(expected[i])}"
         )
-    if trace.final_state.load.tolist() != list(loads):
+    if trace.final_state.load.tolist() != loads:
         raise ConfigurationError("trace payload loads disagree with its records")
     return trace
 
@@ -286,38 +298,35 @@ def _check_rejections(trace: Trace) -> None:
 
 
 def _assemble_trace(n, t, spec, seed, primary_bins, final_bins, reject_counts) -> Trace:
-    """Build the Trace and its final state from columnar ball data."""
-    state = ProcessState(n=n, strategy=spec, t=int(t), rejections=int(reject_counts.sum()))
-    landed_secondary = reject_counts > 0
-    state.primary_suggested += np.bincount(primary_bins, minlength=n)
-    state.load += np.bincount(final_bins, minlength=n)
-    state.secondary_used += np.bincount(final_bins[landed_secondary], minlength=n)
-    state.primary_accepted += np.bincount(final_bins[~landed_secondary], minlength=n)
-    return Trace(
-        n=n,
-        t=int(t),
-        strategy=spec,
-        seed=seed,
-        primary_bins=primary_bins,
-        final_bins=final_bins,
-        reject_counts=reject_counts,
-        final_state=state,
-    )
+    """Build the Trace and its final state from columnar ball data, one
+    bincount per stored tally.  The accepted primaries are counted from a
+    gather of the never-rejected balls, which is freed before the other two
+    tallies are counted."""
+    accepted = np.bincount(final_bins[reject_counts == 0], minlength=n)
+    state = ProcessState(n=n, strategy=spec, t=int(t), rejections=int(reject_counts.sum()),
+                         load=np.bincount(final_bins, minlength=n),
+                         primary_suggested=np.bincount(primary_bins, minlength=n),
+                         primary_accepted=accepted)
+    return Trace(n, int(t), spec, seed, primary_bins, final_bins, reject_counts, state)
 
 
-def _assembly_peak_bytes(n: int, t: int) -> int:
+def _assembly_peak_bytes(n: int, t: int, level: int | None = None) -> int:
     """Upper bound on the memory that building a trace of ``t`` balls in
     ``n`` bins holds once its columns are filled.
 
-    In words: four t-word arrays (the three int64 columns and a gather of
-    the final bins on one side of the landed mask), the mask and its
-    complement (a bool per ball), and :func:`_assemble_trace`'s four n-word
-    tallies beside one bincount at a time; plus 16 KiB of Python objects.
-    It is the last phase of ``engine.trace_peak_bytes``, and, beside its
-    parse, the whole guard of :func:`trace_from_json`.
+    In words: the three int64 columns, beside the larger of two phases of
+    :func:`_assemble_trace`.  First the gather of the never-rejected balls,
+    beside the mask that picks them (a bool per ball) and then the bincount
+    of them.  A rule at thinning ``level`` accepts at most ``level``
+    primaries in a bin, so the gather is at most min(t, n·level) words; with
+    no level (two-choices, or a payload that :func:`trace_from_json` does
+    not trust) it is charged t.  Then the three n-word tallies.  Plus 16 KiB
+    of Python objects.  It is the last phase of ``engine.trace_peak_bytes``,
+    and, beside its parse, the whole guard of :func:`trace_from_json`.
     """
+    gathered = t if level is None else min(t, n * level)
     mask = t // 8 + 1
-    return 8 * (4 * t + 2 * mask + 5 * n) + 16 * 1024
+    return 8 * (3 * t + max(gathered + max(mask, n), 3 * n)) + 16 * 1024
 
 
 def replay(trace: Trace) -> ProcessState:

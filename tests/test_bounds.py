@@ -93,6 +93,15 @@ def test_evaluators_refuse_inputs_past_the_float_range():
     assert bounds.stage_params(big, 1, "1/2")[:3] == (16, 24, -(-big // 32))
 
 
+def test_prop51_is_zero_where_it_underflows():
+    # n^(epsilon/5) passes the largest float, so exp(-n^(epsilon/5)) is 0.0;
+    # an epsilon past the largest float is still refused.
+    assert bounds.prop51_bound(10**6, 1000) == 0.0
+    assert bounds.prop51_bound(2, 1e300) == 0.0
+    with pytest.raises(DomainError, match="prop51_bound passes the largest float"):
+        bounds.prop51_bound(10**6, 10**400)
+
+
 def test_prop41_value_and_exponent():
     result = bounds.prop41_bound(10**6, 4)
     assert result.value == pytest.approx(float(ref.ref_prop41(10**6, 4)), rel=1e-12)

@@ -3,13 +3,15 @@
 import hashlib
 import json
 import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from thinlab import bounds, cli, cli_params, engine, experiments
+from thinlab import bounds, cli, cli_params, engine, errors, experiments
 from thinlab.checks import CheckResult
 from thinlab.errors import ConfigurationError, WorkerError
+from thinlab.strategies import parse_strategy
 
 
 def run_cli(capsys, argv):
@@ -274,6 +276,20 @@ def test_values_past_the_float_range_are_errors_not_tracebacks(tmp_path, capsys)
     assert err == f"thinlab: error: --eta must be at most {largest}, the largest float\n"
 
 
+def test_integers_too_long_to_read_are_errors_not_tracebacks(tmp_path, capsys):
+    digits = "1" + "0" * 4400  # past the 4300 digits that Python reads
+    config_path = tmp_path / "simulate.json"
+    config_path.write_text('{"n": %s, "trials": 1}' % digits)
+    code, out, err = run_cli(capsys, ["simulate", "--config", str(config_path), "--rho", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"thinlab: error: config file {config_path}: invalid JSON")
+    assert err.count("\n") == 1  # one line, no traceback
+    # A flag is refused by its length, not echoed.
+    code, out, err = run_cli(capsys, ["simulate", "-n", digits, "--rho", "1", "--trials", "1"])
+    assert (code, out) == (1, "")
+    assert err == "thinlab: error: -n must be an integer, got 4401 characters\n"
+
+
 def test_ball_counts_no_load_table_holds_are_refused(capsys):
     for count in (["-t", "100000000000000000000"], ["--rho", "1e30"]):
         code, out, err = run_cli(
@@ -316,6 +332,32 @@ def test_diagnose_refuses_a_trace_beyond_the_memory_budget(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("thinlab: error: a trace of 1000000000 balls")
+
+
+# The stage pass beside the trace binds at both sizes.
+@pytest.mark.parametrize("n", [200_000, 1_000_000])
+def test_diagnose_peak_within_its_guard(capsys, monkeypatch, n):
+    argv = ["diagnose", "-n", str(n), "--rho", "1", "--epsilon", "0.5", "--seed", "1",
+            "--no-meta"]
+    config = cli.parse_args(argv)
+    cli.execute(config)  # any lazy set-up happens outside the trace
+    tracemalloc.start()
+    try:
+        cli.execute(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    spec = parse_strategy(config.params["strategy"], n=n)
+    guard = experiments._diagnose_peak_bytes(n, n, spec)
+    assert peak <= guard <= 1.1 * peak
+    # It is the bound the handler is guarded by, before the run draws.
+    monkeypatch.setattr(errors, "MEMORY_BUDGET_BYTES", guard - 1)
+    monkeypatch.setattr(cli, "run", _no_run)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"thinlab: error: a trace of {n} balls in {n} bins and its stage "
+                          f"pass needs about {guard} bytes")
 
 
 def test_diagnose_checks_its_parameters_before_it_draws(capsys, monkeypatch):

@@ -880,6 +880,22 @@ def test_replay_reproduces_final_state():
         assert replay(trace) == trace.final_state
 
 
+@pytest.mark.parametrize("strategy", ["one-choice", "always-reject", "threshold:1",
+                                      "threshold:auto", "threshold:1,k=3", "two-choices"])
+def test_secondary_used_is_derived_from_the_stored_tallies(strategy):
+    assert "secondary_used" not in {f.name for f in dataclasses.fields(engine.ProcessState)}
+    trace = run(9, 80, strategy, seed=31)
+    pooled = np.bincount(trace.final_bins[trace.reject_counts > 0], minlength=9)
+    states = (trace.final_state, replay(trace), trace_from_json(trace.to_json()).final_state,
+              run_reference(9, 80, strategy, *_seed_streams(31)).final_state)
+    for state in states:
+        assert np.array_equal(state.secondary_used, state.load - state.primary_accepted)
+        assert np.array_equal(state.secondary_used, pooled)
+        assert state.secondary_used.min() >= 0
+        with pytest.raises(AttributeError):
+            state.secondary_used = pooled
+
+
 def test_max_load_subset_and_errors():
     state = new_process(3, ONE_CHOICE)
     state.load = np.array([3, 1, 2], dtype=np.int64)
@@ -1273,10 +1289,12 @@ def test_batch_matches_full_runs_of_the_other_strategies(strategy, n, t):
     assert batch == traced_summaries(n, t, strategy, seeds)
 
 
-# At the first two sizes the tallies of _assemble_trace bind.  At n = 1000
-# the threshold kernel beside the three columns of _columns binds:
+# _assemble_trace binds at (200000, 200000) and (10**6, 10**6) with its three
+# tallies, and at (20000, 300000) with its gather of the never-rejected balls
+# where a rule accepts most balls; where a rule rejects most, the kernel beside
+# the three columns of _columns binds, as it does at n = 1000:
 # threshold:1,k=2 rejects nearly every ball, so its retry scan binds; it is
-# not run at the first two sizes, where tracemalloc makes its per-ball scan
+# not run at the larger sizes, where tracemalloc makes its per-ball scan
 # take seconds.
 @pytest.mark.parametrize(
     "strategy, n, t",
@@ -1285,7 +1303,8 @@ def test_batch_matches_full_runs_of_the_other_strategies(strategy, n, t):
         for n, t in ((20_000, 300_000), (200_000, 200_000))
         for strategy in ("one-choice", "always-reject", "threshold:auto", "threshold:1",
                          "threshold:20,k=2", "two-choices")
-    ] + [("threshold:1,k=2", 1_000, 50_000), ("threshold:1", 1_000, 30_000)],
+    ] + [("threshold:1,k=2", 1_000, 50_000), ("threshold:1", 1_000, 30_000),
+         ("threshold:auto", 10**6, 10**6)],
 )
 def test_trace_peak_within_estimate(strategy, n, t):
     spec = parse_strategy(strategy, n=n)

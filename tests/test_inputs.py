@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thinlab import bounds
+from thinlab import bounds, errors
 from thinlab.engine import (
     level_set_count,
     max_load,
@@ -26,8 +26,8 @@ from thinlab.engine import (
     run_with_streams,
     trace_from_json,
 )
-from thinlab.errors import ConfigurationError, DomainError
-from thinlab.experiments import ExperimentConfig, run_trials
+from thinlab.errors import ConfigurationError, DomainError, ThinlabError
+from thinlab.experiments import ExperimentConfig, run_trials, wilson_interval
 from thinlab.oracle import (
     exact_maxload_distribution,
     exact_one_choice_maxload,
@@ -296,3 +296,34 @@ def test_fixed_streams_of_numpy_integers_run_like_python_ints():
         trace = runner(3, 3, "threshold:1", FixedStream(primaries), FixedStream([2, 2, 2]))
         expected = runner(3, 3, "threshold:1", FixedStream([1, 0, 1]), FixedStream([2, 2, 2]))
         assert trace.to_json() == expected.to_json()
+
+
+# An int of more digits than Python prints (4300 by default), and a call of
+# each entry whose refusal names it.
+LONG = 10**5000
+OVER_LONG = {
+    "run": lambda: run(LONG, 10, "one-choice", 1),
+    "run_summary": lambda: run_summary(LONG, 10, "one-choice", 1),
+    "exact_maxload_distribution": lambda: exact_maxload_distribution(LONG, 3, "one-choice"),
+    "run_trials": lambda: run_trials(
+        ExperimentConfig(n=LONG, strategy="one-choice", trials=1, base_seed=0, t=10), workers=1),
+    "wilson_interval": lambda: wilson_interval(LONG, 3),
+    "stage_params": lambda: bounds.stage_params(10, -LONG, 0.5),
+    "prop41_bound": lambda: bounds.prop41_bound(100, -LONG),
+    "next_bounded": lambda: RngStream(1).next_bounded(LONG),
+    "bounded_block": lambda: RngStream(1).bounded_block(3, -LONG),
+    "FixedStream": lambda: FixedStream([LONG]).next_bounded(3),
+    "_as_int": lambda: errors._as_int(-LONG, "x", 0),
+    # json.loads refuses an int literal of more digits than Python reads.
+    "trace_from_json": lambda: trace_from_json(
+        _payload_with_seed(0).replace('"seed": 0', '"seed": 1' + "0" * 4400)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(OVER_LONG))
+def test_integers_too_long_to_print_are_refused_by_their_size(entry):
+    with pytest.raises(ThinlabError) as refusal:
+        OVER_LONG[entry]()
+    message = str(refusal.value)
+    assert len(message) < 300
+    assert entry == "trace_from_json" or " bits" in message

@@ -19,10 +19,10 @@ import thinlab.cli  # imports every module the CLI uses
 
 MODULES = sorted(path for root in thinlab.__path__ for path in Path(root).glob("*.py"))
 
-# compile() peaks under tracemalloc on CPython 3.11: cli 1052 KiB,
-# experiments 980, engine 895, checks 748, trace 686, oracle 673, rng 660,
-# bounds 586, counting 490, cli_params 407, two_choices 362, threshold
-# 341, strategies 301, poisson 285, errors 156 and __init__ 109 KiB.  rng
+# compile() peaks under tracemalloc on CPython 3.11: cli 1061 KiB,
+# experiments 1007, engine 895, checks 749, trace 702, oracle 685, rng 661,
+# bounds 604, counting 490, cli_params 474, two_choices 362, threshold
+# 341, strategies 301, poisson 286, errors 179 and __init__ 109 KiB.  rng
 # rose from 609 KiB when its draw rules were each written once, with the
 # integer rule at every entry and the module docstring naming each rule.  A
 # module's peak steps up by about 120 KiB where it passes 2048 tokens:
